@@ -19,7 +19,7 @@ from nexica import (
     full_dataset,
     generate_network,
     label_pairs,
-    scalar_threshold_auc,
+    roc_auc,
     sweep,
 )
 from nexica.pipeline import dataset_features
@@ -49,7 +49,7 @@ table = sweep(series, l_max=8, tau=0)
 x, y = dataset_features(table, balanced.pairs)
 
 forest = cross_validate(x, y, folds=5, n_trees=300, seed=1, feature_mask=(0, 1, 2, 3))
-scalar = scalar_threshold_auc(x[:, 4], y)
+scalar = roc_auc(x[:, 4], y)
 print(f"\nforest on counts a00..a11: AUC {forest.auc:.4f} +/- {forest.auc_std:.4f}")
 print(f"scalar threshold on p_c:   AUC {scalar.auc:.4f}")
 

@@ -15,7 +15,6 @@ from .classify import (
     feature_ablation,
     predict_proba,
     roc_auc,
-    scalar_threshold_auc,
     train_forest,
 )
 from .errors import NexicaError
@@ -116,7 +115,6 @@ __all__ = [
     "report",
     "roc_auc",
     "run_pipeline",
-    "scalar_threshold_auc",
     "sweep",
     "train_forest",
     "write_speed_csv",

@@ -271,11 +271,6 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> RocResult:
     return RocResult(thresholds, fpr, tpr, auc)
 
 
-def scalar_threshold_auc(feature_values: np.ndarray, labels: np.ndarray) -> RocResult:
-    """AUC of thresholding a single feature directly."""
-    return roc_auc(feature_values, labels)
-
-
 def stratified_fold_ids(labels: np.ndarray, folds: int, seed: int) -> np.ndarray:
     """Deterministic class-proportion-preserving fold assignment."""
     y = np.asarray(labels)

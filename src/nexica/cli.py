@@ -3,12 +3,9 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
-
-import numpy as np
 
 from . import classify as cls
 from . import pipeline as pl
@@ -20,9 +17,25 @@ from .mle import estimate
 from .synth import SynthSpec, write_dataset
 
 
-def _default_threads() -> int:
+FEATURE_SETS = {
+    "counts": pl.COUNT_MASK,
+    "counts+pc": pl.COUNT_MASK + (pl.PC_COLUMN,),
+    "pc": (pl.PC_COLUMN,),
+}
+
+
+def _threads(flag: int | None, default: int | None) -> int | None:
+    """Sweep worker count: the explicit flag, else ``NEXICA_THREADS``, else
+    ``default``."""
+    if flag is not None:
+        return flag
     env = os.environ.get("NEXICA_THREADS")
-    return int(env) if env else 1
+    if not env:
+        return default
+    try:
+        return int(env)
+    except ValueError:
+        raise ParameterError(f"NEXICA_THREADS={env!r} is not an integer")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -54,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slots", type=int, required=True, help="series length in slots")
     p.add_argument("--lmax", type=int, default=8)
     p.add_argument("--tau", type=int, default=0)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_pairs)
 
@@ -129,7 +142,7 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--labels", required=True, help="dataset.csv from ground-truth")
     p.add_argument(
         "--feature-set",
-        choices=["counts", "counts+pc", "pc"],
+        choices=list(FEATURE_SETS),
         default="counts",
     )
     p.add_argument("--n-trees", type=int, default=1000)
@@ -149,7 +162,7 @@ def cmd_events(args) -> int:
 
 def cmd_pairs(args) -> int:
     series = pl.read_events_csv(args.events, args.slots)
-    table = pl.sweep(series, args.lmax, args.tau, args.threads)
+    table = pl.sweep(series, args.lmax, args.tau, _threads(args.threads, 1))
     pl.write_counts_csv(args.out, table)
     print(f"{len(table.tuples)} tuples -> {args.out}")
     return 0
@@ -187,42 +200,11 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _load_features(args) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    features = {}
-    with open(args.features, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:7] != ["cause", "effect", "lag", "a00", "a01", "a10", "a11"]:
-            raise ParameterError(f"{args.features}: unexpected feature header")
-        has_pc = "p_c" in header
-        pc_col = header.index("p_c") if has_pc else None
-        for row in reader:
-            if not row:
-                continue
-            key = (row[0], row[1], int(row[2]))
-            counts = [float(v) for v in row[3:7]]
-            pc = float(row[pc_col]) if has_pc else 0.0
-            if pc != pc:  # NaN: undefined estimate carries no causal signal
-                pc = 0.0
-            features[key] = counts + [pc]
-    pairs = pl.read_dataset_csv(args.labels)
-    x = []
-    y = []
-    for p in pairs:
-        key = (p.cause_id, p.effect_id, p.lag)
-        if key not in features:
-            raise ParameterError(f"labeled tuple {key} missing from {args.features}")
-        x.append(features[key])
-        y.append(p.label.value)
-    mask = {"counts": (0, 1, 2, 3), "counts+pc": (0, 1, 2, 3, 4), "pc": (4,)}[
-        args.feature_set
-    ]
-    return np.asarray(x), np.asarray(y), mask
-
-
 def cmd_train(args) -> int:
-    x, y, mask = _load_features(args)
-    model = cls.train_forest(x, y, n_trees=args.n_trees, seed=args.seed, feature_mask=mask)
+    x, y = pl.dataset_features(pl.read_mle_csv(args.features), pl.read_dataset_csv(args.labels))
+    model = cls.train_forest(
+        x, y, n_trees=args.n_trees, seed=args.seed, feature_mask=FEATURE_SETS[args.feature_set]
+    )
     with open(args.model_out, "w") as fh:
         json.dump(model.to_dict(), fh, sort_keys=True)
         fh.write("\n")
@@ -231,13 +213,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    x, y, mask = _load_features(args)
+    x, y = pl.dataset_features(pl.read_mle_csv(args.features), pl.read_dataset_csv(args.labels))
     if args.feature_set == "pc":
-        roc = cls.scalar_threshold_auc(x[:, 4], y)
+        roc = cls.roc_auc(x[:, pl.PC_COLUMN], y)
         payload = {"feature_set": args.feature_set, "auc": roc.auc}
     else:
         roc = cls.cross_validate(
-            x, y, folds=args.folds, n_trees=args.n_trees, seed=args.seed, feature_mask=mask
+            x, y, folds=args.folds, n_trees=args.n_trees, seed=args.seed,
+            feature_mask=FEATURE_SETS[args.feature_set],
         )
         payload = {
             "feature_set": args.feature_set,
@@ -253,12 +236,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    ns = argparse.Namespace(
-        features=args.features, labels=args.labels, feature_set="counts"
-    )
-    x, y, _ = _load_features(ns)
+    x, y = pl.dataset_features(pl.read_mle_csv(args.features), pl.read_dataset_csv(args.labels))
     rows = cls.feature_ablation(
-        x[:, :4], y, folds=args.folds, n_trees=args.n_trees, seed=args.seed
+        x[:, pl.COUNT_MASK], y, folds=args.folds, n_trees=args.n_trees, seed=args.seed
     )
     with open(args.out, "w", newline="") as fh:
         fh.write("features,auc\n")
@@ -270,7 +250,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_grid_search(args) -> int:
-    config = pl.RunConfig.from_file(args.config)
+    config = pl.RunConfig.from_file(args.config, thread_count=_threads(None, None))
     alphas = [float(v) for v in args.alphas.split(",") if v]
     taus = [int(v) for v in args.taus.split(",") if v]
     rows = pl.grid_search(alphas, taus, config)
@@ -292,12 +272,11 @@ def cmd_report(args) -> int:
 
 def cmd_run(args) -> int:
     overrides = {
-        k: getattr(args, k)
-        for k in ("out_dir", "alpha", "tau", "ratio", "seed", "n_trees", "thread_count")
+        k: getattr(args, k) for k in ("out_dir", "alpha", "tau", "ratio", "seed", "n_trees")
     }
-    config = pl.RunConfig.from_file(args.config, **overrides)
-    if "NEXICA_THREADS" in os.environ and args.thread_count is None:
-        config.thread_count = int(os.environ["NEXICA_THREADS"])
+    config = pl.RunConfig.from_file(
+        args.config, thread_count=_threads(args.thread_count, None), **overrides
+    )
     metrics = pl.run_pipeline(config)
     print(pl.report(config.out_dir))
     return 0 if metrics else 1

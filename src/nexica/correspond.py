@@ -149,24 +149,3 @@ def _greedy_match(
             j += 1
     return a11, matched
 
-
-def sweep_counts(
-    series: list[EventSeries], l_max: int, tau: int = 0
-) -> list[tuple[str, str, int, CorrespondenceCounts]]:
-    """All ordered pairs at all lags 1..l_max, in deterministic order."""
-    if l_max < 1:
-        raise ParameterError(f"l_max must be >= 1, got {l_max}")
-    out = []
-    idx = [s.event_indices() for s in series]
-    lengths = {len(s) for s in series}
-    if len(lengths) > 1:
-        raise ConsistencyError(f"event series lengths differ: {sorted(lengths)}")
-    m = lengths.pop() if lengths else 0
-    for i, cause in enumerate(series):
-        for j, effect in enumerate(series):
-            if i == j:
-                continue
-            for lag in range(1, l_max + 1):
-                counts = count_from_indices(idx[i], idx[j], m, lag, tau)
-                out.append((cause.station_id, effect.station_id, lag, counts))
-    return out

@@ -158,6 +158,7 @@ def load_speed_csv(path) -> list[SpeedSeries]:
     non-imputed slot (the value is a placeholder, only the flag matters).
     """
     rows: dict[str, list[tuple[datetime, float, bool]]] = {}
+    aware = None  # whether the file's timestamps carry a UTC offset
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -174,6 +175,13 @@ def load_speed_csv(path) -> list[SpeedSeries]:
             if not sid:
                 raise ParseError(f"line {line}: empty station_id")
             ts = _parse_timestamp(row[1].strip(), line)
+            if aware is None:
+                aware = ts.utcoffset() is not None
+            elif aware != (ts.utcoffset() is not None):
+                raise FormatError(
+                    f"line {line}: timestamp {row[1].strip()!r} mixes naive and "
+                    "timezone-aware timestamps in one file"
+                )
             try:
                 speed = float(row[2])
             except ValueError:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import classify as cls
 from .correspond import CorrespondenceCounts, count_from_indices
-from .errors import ConsistencyError, NexicaError, ParameterError, StageError
+from .errors import ConsistencyError, FormatError, NexicaError, ParameterError, StageError
 from .events import EventSeries, extract_events, median_week_profile
 from .groundtruth import (
     DatasetSpec,
@@ -53,8 +53,8 @@ class RunConfig:
     """Flat, file-backed configuration for a full pipeline run.
 
     A config file is a flat JSON object with these exact keys; CLI flags
-    override file values.  ``thread_count`` can also be overridden with
-    the ``NEXICA_THREADS`` environment variable.
+    override file values, and the CLI lets ``NEXICA_THREADS`` override
+    ``thread_count``.
     """
 
     speeds: str = ""
@@ -101,9 +101,7 @@ class SweepTable:
 
     tuples: list[tuple[str, str, int]]
     counts: np.ndarray  # (n, 4) int64 columns a00, a01, a10, a11
-    windows: np.ndarray
     estimates: list[CausalEstimate]
-    tau: int
 
     def index(self) -> dict[tuple[str, str, int], int]:
         return {t: k for k, t in enumerate(self.tuples)}
@@ -128,7 +126,7 @@ class SweepTable:
 _SWEEP_STATE: dict = {}
 
 
-def _sweep_worker(i: int) -> list[tuple[int, int, int, int, int, int, int, int]]:
+def _sweep_worker(i: int) -> list[tuple[int, int, int, tuple, CausalEstimate]]:
     idx = _SWEEP_STATE["idx"]
     m = _SWEEP_STATE["m"]
     l_max = _SWEEP_STATE["l_max"]
@@ -139,7 +137,7 @@ def _sweep_worker(i: int) -> list[tuple[int, int, int, int, int, int, int, int]]
             continue
         for lag in range(1, l_max + 1):
             c = count_from_indices(idx[i], idx[j], m, lag, tau)
-            rows.append((i, j, lag, c.a00, c.a01, c.a10, c.a11, c.window))
+            rows.append((i, j, lag, c.as_tuple(), estimate(c)))
     return rows
 
 
@@ -151,6 +149,8 @@ def sweep(
     Workers fan out over cause stations; results are assembled in a fixed
     order so the output is identical however many workers run.
     """
+    if l_max < 1:
+        raise ParameterError(f"l_max must be >= 1, got {l_max}")
     lengths = {len(s) for s in series}
     if len(lengths) != 1:
         raise ConsistencyError(f"event series lengths differ: {sorted(lengths)}")
@@ -170,23 +170,13 @@ def sweep(
 
     tuples = []
     counts = []
-    windows = []
     estimates = []
     for rows in chunks:
-        for i, j, lag, a00, a01, a10, a11, window in rows:
+        for i, j, lag, c, est in rows:
             tuples.append((series[i].station_id, series[j].station_id, lag))
-            counts.append((a00, a01, a10, a11))
-            windows.append(window)
-            estimates.append(
-                estimate(CorrespondenceCounts(a00, a01, a10, a11, lag, tau, window))
-            )
-    return SweepTable(
-        tuples,
-        np.asarray(counts, dtype=np.int64).reshape(-1, 4),
-        np.asarray(windows, dtype=np.int64),
-        estimates,
-        tau,
-    )
+            counts.append(c)
+            estimates.append(est)
+    return SweepTable(tuples, np.asarray(counts, dtype=np.int64).reshape(-1, 4), estimates)
 
 
 def _fork_available() -> bool:
@@ -198,27 +188,54 @@ def _fork_available() -> bool:
 # ---------------------------------------------------------------------------
 # stage artifacts
 
-def write_events_csv(path, series: list[EventSeries]) -> None:
-    """One row per detected event (sparse); pair counting needs the slot
-    count separately since trailing slots may hold no events."""
+EVENTS_HEADER = ["station_id", "slot_index", "event"]
+COUNTS_HEADER = ["cause", "effect", "lag", "a00", "a01", "a10", "a11"]
+MLE_HEADER = COUNTS_HEADER + ["p_s", "p_c", "p_c_raw", "loglik", "case"]
+DATASET_HEADER = ["cause", "effect", "lag", "label", "rule", "drive_time"]
+
+
+def _write_csv(path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["station_id", "slot_index", "event"])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_events_csv(path, series: list[EventSeries]) -> None:
+    """One row per detected event (sparse), and one ``sid,0,0`` row for a
+    station without events so that it survives the round trip.  Pair
+    counting needs the slot count separately since trailing slots may
+    hold no events."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(EVENTS_HEADER)
         for s in series:
-            for j in s.event_indices().tolist():
-                writer.writerow([s.station_id, j, 1])
+            slots = s.event_indices().tolist()
+            writer.writerows([s.station_id, j, 1] for j in slots)
+            if not slots:
+                writer.writerow([s.station_id, 0, 0])
 
 
 def read_events_csv(path, n_slots: int) -> list[EventSeries]:
     by_station: dict[str, list[int]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
+        if next(reader, None) != EVENTS_HEADER:
+            raise FormatError(f"{path}: expected header {','.join(EVENTS_HEADER)}")
+        for line, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if int(row[2]):
-                by_station.setdefault(row[0], []).append(int(row[1]))
+            try:
+                sid, slot, event = row[0], int(row[1]), int(row[2])
+            except (ValueError, IndexError):
+                raise FormatError(f"{path}: line {line}: expected station_id,slot,event")
+            if not 0 <= slot < n_slots:
+                raise FormatError(f"{path}: line {line}: slot {slot} outside 0..{n_slots - 1}")
+            if event not in (0, 1):
+                raise FormatError(f"{path}: line {line}: event must be 0 or 1, got {event}")
+            slots = by_station.setdefault(sid, [])
+            if event:
+                slots.append(slot)
     out = []
     for sid in sorted(by_station):
         ev = np.zeros(n_slots, dtype=bool)
@@ -228,21 +245,17 @@ def read_events_csv(path, n_slots: int) -> list[EventSeries]:
 
 
 def write_profiles_csv(path, series: list[SpeedSeries]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["station_id", "week_slot", "median_speed"])
-        for s in series:
-            profile = median_week_profile(s)
-            for k, v in enumerate(profile.medians.tolist()):
-                writer.writerow([s.station_id, k, "" if math.isnan(v) else repr(v)])
+    _write_csv(path, ["station_id", "week_slot", "median_speed"], (
+        [s.station_id, k, "" if math.isnan(v) else repr(v)]
+        for s in series
+        for k, v in enumerate(median_week_profile(s).medians.tolist())
+    ))
 
 
 def write_counts_csv(path, table: SweepTable) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cause", "effect", "lag", "a00", "a01", "a10", "a11"])
-        for (cuz, eff, lag), row in zip(table.tuples, table.counts.tolist()):
-            writer.writerow([cuz, eff, lag, *row])
+    _write_csv(path, COUNTS_HEADER, (
+        [*t, *row] for t, row in zip(table.tuples, table.counts.tolist())
+    ))
 
 
 def read_counts_csv(path, tau: int = 0) -> list[tuple[str, str, int, CorrespondenceCounts]]:
@@ -250,7 +263,7 @@ def read_counts_csv(path, tau: int = 0) -> list[tuple[str, str, int, Corresponde
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        if header[:7] != ["cause", "effect", "lag", "a00", "a01", "a10", "a11"]:
+        if header[:7] != COUNTS_HEADER:
             raise ParameterError(f"{path}: unexpected counts header")
         for row in reader:
             if not row:
@@ -263,48 +276,63 @@ def read_counts_csv(path, tau: int = 0) -> list[tuple[str, str, int, Corresponde
     return out
 
 
+def _mle_row(cause: str, effect: str, lag: int, counts, est: CausalEstimate) -> list:
+    return [cause, effect, lag, *counts, repr(est.p_s), repr(est.p_c), repr(est.p_c_raw),
+            repr(est.log_likelihood), est.case.value]
+
+
 def write_mle_rows(path, rows) -> None:
     """``rows`` yields (cause, effect, lag, counts, estimate) tuples."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["cause", "effect", "lag", "a00", "a01", "a10", "a11",
-             "p_s", "p_c", "p_c_raw", "loglik", "case"]
-        )
-        for cuz, eff, lag, counts, est in rows:
-            writer.writerow(
-                [cuz, eff, lag, counts.a00, counts.a01, counts.a10, counts.a11,
-                 repr(est.p_s), repr(est.p_c), repr(est.p_c_raw),
-                 repr(est.log_likelihood), est.case.value]
-            )
+    _write_csv(path, MLE_HEADER, (
+        _mle_row(cuz, eff, lag, counts.as_tuple(), est) for cuz, eff, lag, counts, est in rows
+    ))
 
 
 def write_mle_csv(path, table: SweepTable) -> None:
-    def rows():
-        for (cuz, eff, lag), row, est in zip(
-            table.tuples, table.counts.tolist(), table.estimates
-        ):
-            yield cuz, eff, lag, CorrespondenceCounts(*row, lag, table.tau, sum(row)), est
+    _write_csv(path, MLE_HEADER, (
+        _mle_row(*t, row, est)
+        for t, row, est in zip(table.tuples, table.counts.tolist(), table.estimates)
+    ))
 
-    write_mle_rows(path, rows())
+
+def read_mle_csv(path) -> SweepTable:
+    """Inverse of ``write_mle_csv``: writing the result back reproduces the
+    file byte for byte."""
+    tuples, counts, estimates = [], [], []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != MLE_HEADER:
+            raise ParameterError(
+                f"{path}: not an mle.csv (expected header {','.join(MLE_HEADER)}); "
+                "run `nexica mle` on the counts first"
+            )
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(MLE_HEADER):
+                raise FormatError(f"{path}: line {line}: expected {len(MLE_HEADER)} fields")
+            try:
+                tuples.append((row[0], row[1], int(row[2])))
+                counts.append([int(v) for v in row[3:7]])
+                p_s, p_c, p_c_raw, loglik = (float(v) for v in row[7:11])
+                estimates.append(CausalEstimate(p_s, p_c, loglik, CausalCase(row[11]), p_c_raw))
+            except ValueError:
+                raise FormatError(f"{path}: line {line}: malformed mle row")
+    return SweepTable(tuples, np.asarray(counts, dtype=np.int64).reshape(-1, 4), estimates)
 
 
 def write_dataset_csv(path, dataset: GroundTruthDataset) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cause", "effect", "lag", "label", "rule", "drive_time"])
-        for p in dataset.pairs:
-            writer.writerow(
-                [p.cause_id, p.effect_id, p.lag, p.label.value, p.rule, repr(p.drive_time)]
-            )
+    _write_csv(path, DATASET_HEADER, (
+        [p.cause_id, p.effect_id, p.lag, p.label.value, p.rule, repr(p.drive_time)]
+        for p in dataset.pairs
+    ))
 
 
 def read_dataset_csv(path) -> list[LabeledPair]:
     out = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["cause", "effect", "lag", "label", "rule", "drive_time"]:
+        if next(reader, None) != DATASET_HEADER:
             raise ParameterError(f"{path}: unexpected dataset header")
         for row in reader:
             if not row:
@@ -318,12 +346,10 @@ def read_dataset_csv(path) -> list[LabeledPair]:
 
 
 def write_roc_csv(path, roc: cls.RocResult) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "fpr", "tpr"])
-        writer.writerow(["", repr(0.0), repr(0.0)])
-        for t, f, r in zip(roc.thresholds.tolist(), roc.fpr[1:].tolist(), roc.tpr[1:].tolist()):
-            writer.writerow([repr(t), repr(f), repr(r)])
+    points = zip(roc.thresholds.tolist(), roc.fpr[1:].tolist(), roc.tpr[1:].tolist())
+    _write_csv(path, ["threshold", "fpr", "tpr"], [
+        ["", repr(0.0), repr(0.0)], *([repr(t), repr(f), repr(r)] for t, f, r in points)
+    ])
 
 
 def dump_json(path, payload) -> None:
@@ -466,25 +492,34 @@ def _ingest(config: RunConfig):
     return kept_series, meta, matrix
 
 
+def _forest_cv(table: SweepTable, pairs: list[LabeledPair], config: RunConfig):
+    """Features and labels of ``pairs`` with the cross-validated ROC of the
+    forest on the counts; the ROC is None when a class has fewer samples
+    than folds."""
+    x, y = dataset_features(table, pairs)
+    n_pos = int(y.sum())
+    if n_pos < config.folds or y.size - n_pos < config.folds:
+        return x, y, None
+    roc = cls.cross_validate(
+        x, y, folds=config.folds, n_trees=config.n_trees,
+        seed=config.seed, feature_mask=COUNT_MASK,
+    )
+    return x, y, roc
+
+
 def _classify(config, table, ratio_set, full_set, out: Path):
-    y_counts = [p.label.value for p in ratio_set.pairs]
-    n_pos = sum(y_counts)
-    n_neg = len(y_counts) - n_pos
-    if n_pos < config.folds or n_neg < config.folds:
+    x_ratio, y_ratio, ratio_cv = _forest_cv(table, ratio_set.pairs, config)
+    if ratio_cv is None:
+        n_pos = int(y_ratio.sum())
         return {
             "skipped_reason": (
                 f"need at least {config.folds} samples per class for "
-                f"{config.folds}-fold evaluation (got {n_pos} positive, {n_neg} negative)"
+                f"{config.folds}-fold evaluation (got {n_pos} positive, "
+                f"{y_ratio.size - n_pos} negative)"
             )
         }
-
-    x_ratio, y_ratio = dataset_features(table, ratio_set.pairs)
-    ratio_cv = cls.cross_validate(
-        x_ratio, y_ratio, folds=config.folds, n_trees=config.n_trees,
-        seed=config.seed, feature_mask=COUNT_MASK,
-    )
     write_roc_csv(out / "roc_ratio.csv", ratio_cv)
-    scalar = cls.scalar_threshold_auc(x_ratio[:, PC_COLUMN], y_ratio)
+    scalar = cls.roc_auc(x_ratio[:, PC_COLUMN], y_ratio)
 
     result = {
         "ratio_forest": {
@@ -495,19 +530,14 @@ def _classify(config, table, ratio_set, full_set, out: Path):
         "ratio_scalar_pc": {"auc": scalar.auc},
     }
 
-    if config.full_dataset_cv:
-        x_full, y_full = dataset_features(table, full_set.pairs)
-        if int(y_full.sum()) >= config.folds and int((1 - y_full).sum()) >= config.folds:
-            full_cv = cls.cross_validate(
-                x_full, y_full, folds=config.folds, n_trees=config.n_trees,
-                seed=config.seed, feature_mask=COUNT_MASK,
-            )
-            write_roc_csv(out / "roc_full.csv", full_cv)
-            result["full_forest"] = {
-                "auc": full_cv.auc,
-                "auc_std": full_cv.auc_std,
-                "fold_aucs": full_cv.fold_aucs,
-            }
+    full_cv = _forest_cv(table, full_set.pairs, config)[2] if config.full_dataset_cv else None
+    if full_cv is not None:
+        write_roc_csv(out / "roc_full.csv", full_cv)
+        result["full_forest"] = {
+            "auc": full_cv.auc,
+            "auc_std": full_cv.auc_std,
+            "fold_aucs": full_cv.fold_aucs,
+        }
 
     model = cls.train_forest(
         x_ratio, y_ratio, n_trees=config.n_trees, seed=config.seed, feature_mask=COUNT_MASK
@@ -516,15 +546,11 @@ def _classify(config, table, ratio_set, full_set, out: Path):
     scores = cls.predict_proba(model, matrix)
     # break score ties (forests saturate at 1.0) by estimated causal probability
     top = np.lexsort((-matrix[:, PC_COLUMN], -scores))[:TOP_K_EDGES]
-    with open(out / "topk_edges.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cause", "effect", "lag", "p_forest", "p_c", "p_s"])
-        for k in top.tolist():
-            cuz, eff, lag = table.tuples[k]
-            est = table.estimates[k]
-            writer.writerow(
-                [cuz, eff, lag, repr(float(scores[k])), repr(est.p_c), repr(est.p_s)]
-            )
+    _write_csv(out / "topk_edges.csv", ["cause", "effect", "lag", "p_forest", "p_c", "p_s"], (
+        [*table.tuples[k], repr(float(scores[k])),
+         repr(table.estimates[k].p_c), repr(table.estimates[k].p_s)]
+        for k in top.tolist()
+    ))
     result["model_hash"] = model.model_hash()
     return result
 
@@ -539,7 +565,8 @@ def grid_search(
 
     Ground-truth labels do not depend on alpha or tau, so they are built
     once.  Each row reports the ratio'd-set AUC ("balanced" at ratio 1),
-    the full-set AUC, and the cell's wall time.
+    the full-set AUC (left empty when ``full_dataset_cv`` is off), and the
+    cell's wall time.
     """
     if not alpha_values or not tau_values:
         raise ParameterError("alpha and tau value lists must be nonempty")
@@ -556,35 +583,28 @@ def grid_search(
         for tau in tau_values:
             t0 = time.perf_counter()
             table = sweep(event_series, config.l_max, tau, config.thread_count)
-            row = {"alpha": alpha, "tau": tau, "ratio_auc": None, "full_auc": None}
-            x, y = dataset_features(table, ratio_set.pairs)
-            if int(y.sum()) >= config.folds and int((1 - y).sum()) >= config.folds:
-                row["ratio_auc"] = cls.cross_validate(
-                    x, y, folds=config.folds, n_trees=config.n_trees,
-                    seed=config.seed, feature_mask=COUNT_MASK,
-                ).auc
-            xf, yf = dataset_features(table, full_set.pairs)
-            if int(yf.sum()) >= config.folds and int((1 - yf).sum()) >= config.folds:
-                row["full_auc"] = cls.cross_validate(
-                    xf, yf, folds=config.folds, n_trees=config.n_trees,
-                    seed=config.seed, feature_mask=COUNT_MASK,
-                ).auc
-            row["seconds"] = round(time.perf_counter() - t0, 3)
-            rows.append(row)
+            ratio_cv = _forest_cv(table, ratio_set.pairs, config)[2]
+            full_cv = (
+                _forest_cv(table, full_set.pairs, config)[2] if config.full_dataset_cv else None
+            )
+            rows.append({
+                "alpha": alpha,
+                "tau": tau,
+                "ratio_auc": None if ratio_cv is None else ratio_cv.auc,
+                "full_auc": None if full_cv is None else full_cv.auc,
+                "seconds": round(time.perf_counter() - t0, 3),
+            })
     return rows
 
 
 def write_grid_csv(path, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha", "tau", "ratio_auc", "full_auc", "seconds"])
-        for r in rows:
-            writer.writerow(
-                [r["alpha"], r["tau"],
-                 "" if r["ratio_auc"] is None else repr(r["ratio_auc"]),
-                 "" if r["full_auc"] is None else repr(r["full_auc"]),
-                 r["seconds"]]
-            )
+    _write_csv(path, ["alpha", "tau", "ratio_auc", "full_auc", "seconds"], (
+        [r["alpha"], r["tau"],
+         "" if r["ratio_auc"] is None else repr(r["ratio_auc"]),
+         "" if r["full_auc"] is None else repr(r["full_auc"]),
+         r["seconds"]]
+        for r in rows
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -684,13 +704,11 @@ def _planted_comparison(truth_path: str, top_path: Path, mle_path: Path) -> list
         f"{forest_hits} of {len(planted)}"
     ]
     if mle_path.exists():
-        by_pc = []
-        with open(mle_path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                pc = float(row["p_c"])
-                if pc == pc:
-                    by_pc.append((pc, (row["cause"], row["effect"], int(row["lag"]))))
-        by_pc.sort(key=lambda t: -t[0])
+        table = read_mle_csv(mle_path)
+        by_pc = sorted(
+            ((e.p_c, t) for t, e in zip(table.tuples, table.estimates) if not math.isnan(e.p_c)),
+            key=lambda t: -t[0],
+        )
         pc_hits = sum(1 for _, t in by_pc[:k] if t in planted)
         lines.append(
             f"  planted edges recovered in top {k} by estimated p_c: "

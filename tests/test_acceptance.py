@@ -16,7 +16,7 @@ from datetime import datetime
 import numpy as np
 import pytest
 
-from nexica.classify import cross_validate, roc_auc, scalar_threshold_auc
+from nexica.classify import cross_validate, roc_auc
 from nexica.correspond import CorrespondenceCounts, count_correspondences, count_from_indices
 from nexica.events import extract_events
 from nexica.mle import (
@@ -263,7 +263,7 @@ def test_criterion_06_synthetic_network_auc_ordering():
     y = np.asarray([1] * len(positives) + [0] * len(negatives), dtype=np.int8)
 
     forest = cross_validate(x, y, folds=5, n_trees=1000, seed=11, feature_mask=(0, 1, 2, 3))
-    scalar = scalar_threshold_auc(x[:, 4], y)
+    scalar = roc_auc(x[:, 4], y)
     assert forest.auc >= 0.95
     assert scalar.auc < forest.auc
     print(

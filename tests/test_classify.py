@@ -8,7 +8,6 @@ from nexica.classify import (
     feature_ablation,
     predict_proba,
     roc_auc,
-    scalar_threshold_auc,
     stratified_fold_ids,
     train_forest,
 )
@@ -70,10 +69,10 @@ def test_auc_invariant_under_monotone_transform():
         assert roc_auc(transform(scores / 30.0), labels).auc == base
 
 
-def test_scalar_threshold_auc_trivial_cases():
+def test_roc_auc_trivial_cases():
     labels = np.array([1, 0, 1, 0])
-    assert scalar_threshold_auc(labels.astype(float), labels).auc == 1.0
-    assert scalar_threshold_auc(np.full(4, 2.0), labels).auc == 0.5
+    assert roc_auc(labels.astype(float), labels).auc == 1.0
+    assert roc_auc(np.full(4, 2.0), labels).auc == 0.5
 
 
 # --- forest ------------------------------------------------------------------

@@ -5,8 +5,13 @@ from datetime import datetime
 import numpy as np
 import pytest
 
+import nexica.pipeline as pl
 from nexica.cli import main
-from nexica.ingest import DriveTimeMatrix, StationMeta, SpeedSeries, write_drive_times, write_speed_csv, write_station_meta
+from nexica.errors import NexicaError
+from nexica.ingest import (
+    DriveTimeMatrix, StationMeta, SpeedSeries, load_drive_times, load_speed_csv,
+    load_station_meta, write_drive_times, write_speed_csv, write_station_meta,
+)
 from nexica.pipeline import RunConfig, run_pipeline
 from nexica.synth import SynthSpec, write_dataset
 
@@ -31,6 +36,27 @@ def corpus(tmp_path_factory):
     return paths
 
 
+@pytest.fixture(scope="module")
+def quiet_corpus(corpus, tmp_path_factory):
+    """The corpus plus one constant-speed station, which has no events."""
+    tmp = tmp_path_factory.mktemp("quiet")
+    series = load_speed_csv(corpus["speeds"])
+    series.append(SpeedSeries("S999", series[0].start_time, np.full(N_SLOTS, 60.0),
+                              np.zeros(N_SLOTS, dtype=bool)))
+    meta = load_station_meta(corpus["meta"])
+    meta.append(StationMeta("S999", meta[0].road, meta[0].direction, 0.0, 1.0, "Mainline"))
+    drive = load_drive_times(corpus["drive_times"])
+    minutes = np.full((len(series), len(series)), 90.0)
+    minutes[:-1, :-1] = drive.minutes
+    np.fill_diagonal(minutes, 0.0)
+    paths = dict(corpus, speeds=str(tmp / "speeds.csv"), meta=str(tmp / "meta.csv"),
+                 drive_times=str(tmp / "drive_times.csv"))
+    write_speed_csv(paths["speeds"], series)
+    write_station_meta(paths["meta"], meta)
+    write_drive_times(paths["drive_times"], DriveTimeMatrix(drive.station_ids + ["S999"], minutes))
+    return paths
+
+
 def make_config(corpus, out_dir, **overrides):
     cfg = {
         "speeds": corpus["speeds"], "meta": corpus["meta"],
@@ -51,7 +77,15 @@ def test_synth_command_reproduces_library_output(corpus, tmp_path, capsys):
         assert a == b, name
 
 
-def test_stagewise_cli_matches_pipeline(corpus, tmp_path, capsys):
+def test_stagewise_cli_matches_pipeline(corpus, quiet_corpus, tmp_path, capsys):
+    for name, paths in (("synth", corpus), ("quiet", quiet_corpus)):
+        _assert_stagewise_matches_run(paths, tmp_path / name)
+    events = (tmp_path / "quiet" / "events.csv").read_text().splitlines()
+    assert "S999,0,0" in events
+    assert len((tmp_path / "quiet" / "mle.csv").read_text().splitlines()) == 1 + 11 * 10 * 8
+
+
+def _assert_stagewise_matches_run(corpus, tmp_path):
     run_dir = tmp_path / "run"
     config = RunConfig(**make_config(corpus, run_dir))
     run_pipeline(config)
@@ -82,9 +116,9 @@ def test_stagewise_cli_matches_pipeline(corpus, tmp_path, capsys):
     assert header == "station_id,week_slot,median_speed"
 
 
-def test_train_evaluate_ablate_commands(corpus, tmp_path):
+def test_train_evaluate_ablate_commands(corpus, tmp_path, capsys):
     run_dir = tmp_path / "run"
-    run_pipeline(RunConfig(**make_config(corpus, run_dir)))
+    metrics = run_pipeline(RunConfig(**make_config(corpus, run_dir)))
     features = str(run_dir / "mle.csv")
     labels = str(run_dir / "dataset.csv")
 
@@ -97,16 +131,24 @@ def test_train_evaluate_ablate_commands(corpus, tmp_path):
     metrics_path = tmp_path / "eval.json"
     roc_path = tmp_path / "roc.csv"
     assert main(["evaluate", "--features", features, "--labels", labels,
-                 "--n-trees", "10", "--seed", "5", "--folds", "5",
+                 "--n-trees", "30", "--seed", "3", "--folds", "5",
                  "--metrics-out", str(metrics_path), "--roc-out", str(roc_path)]) == 0
     payload = json.loads(metrics_path.read_text())
-    assert 0.0 <= payload["auc"] <= 1.0
+    assert payload["auc"] == metrics["classifier"]["ratio_forest"]["auc"]
     assert len(payload["fold_aucs"]) == 5
-    with open(roc_path) as fh:
-        assert fh.readline().strip() == "threshold,fpr,tpr"
+    assert roc_path.read_bytes() == (run_dir / "roc_ratio.csv").read_bytes()
 
     assert main(["evaluate", "--features", features, "--labels", labels,
                  "--feature-set", "pc", "--metrics-out", str(tmp_path / "pc.json")]) == 0
+    pc = json.loads((tmp_path / "pc.json").read_text())
+    assert pc["auc"] == metrics["classifier"]["ratio_scalar_pc"]["auc"]
+
+    capsys.readouterr()
+    counts = str(run_dir / "counts.csv")
+    assert main(["evaluate", "--features", counts, "--labels", labels,
+                 "--feature-set", "pc", "--metrics-out", str(tmp_path / "bad.json")]) == 1
+    err = capsys.readouterr().err
+    assert counts in err and "nexica mle" in err
 
     ablate_path = tmp_path / "ablate.csv"
     assert main(["ablate", "--features", features, "--labels", labels,
@@ -162,6 +204,41 @@ def test_grid_search_single_cell_matches_run(corpus, tmp_path, capsys):
     assert len(rows) == 1
     assert float(rows[0]["ratio_auc"]) == metrics["classifier"]["ratio_forest"]["auc"]
     assert float(rows[0]["full_auc"]) == metrics["classifier"]["full_forest"]["auc"]
+
+
+def test_grid_search_honours_full_dataset_cv(corpus, tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(
+        make_config(corpus, tmp_path / "grid_out", n_trees=5, full_dataset_cv=False)
+    ))
+    grid_csv = tmp_path / "grid.csv"
+    assert main(["grid-search", "--config", str(cfg_path), "--alphas", "0.25",
+                 "--taus", "0", "--out", str(grid_csv)]) == 0
+    with open(grid_csv) as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows[0]["ratio_auc"] != "" and rows[0]["full_auc"] == ""
+
+
+def test_nexica_threads_sets_sweep_workers_unless_flagged(corpus, tmp_path, monkeypatch, capsys):
+    seen = []
+
+    def stop(series, l_max, tau=0, workers=1):
+        seen.append(workers)
+        raise NexicaError("stopped after the worker count was seen")
+
+    monkeypatch.setattr(pl, "sweep", stop)
+    monkeypatch.setenv("NEXICA_THREADS", "3")
+    events_csv = tmp_path / "events.csv"
+    events_csv.write_text("station_id,slot_index,event\na,1,1\nb,2,1\n")
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(make_config(corpus, tmp_path / "out", thread_count=1)))
+    pairs = ["pairs", "--events", str(events_csv), "--slots", "10", "--out", str(tmp_path / "c.csv")]
+    run = ["run", "--config", str(cfg_path)]
+    grid = ["grid-search", "--config", str(cfg_path), "--alphas", "0.25", "--taus", "0",
+            "--out", str(tmp_path / "grid.csv")]
+    for argv in (pairs, pairs + ["--threads", "2"], run, run + ["--threads", "2"], grid):
+        assert main(argv) == 1
+    assert seen == [3, 2, 3, 2, 3]
 
 
 def test_missing_input_exits_nonzero(tmp_path, capsys):

@@ -8,10 +8,10 @@ from nexica.correspond import (
     CorrespondenceCounts,
     count_correspondences,
     count_from_indices,
-    sweep_counts,
 )
 from nexica.errors import ConsistencyError, ParameterError, ValidationError
 from nexica.events import EventSeries
+from nexica.pipeline import sweep
 
 from oracles import brute_force_counts
 
@@ -170,14 +170,16 @@ def test_tau_greedy_takes_earliest_effect():
     assert c.a11 == 2
 
 
-def test_sweep_counts_covers_all_ordered_pairs():
+def test_sweep_covers_all_ordered_pairs():
     rng = np.random.default_rng(3)
     series = [make_series(rng.random(40) < 0.3, f"s{k}") for k in range(4)]
-    rows = sweep_counts(series, l_max=3)
-    assert len(rows) == 4 * 3 * 3
-    for cause_id, effect_id, lag, counts in rows:
+    table = sweep(series, l_max=3)
+    assert len(table.tuples) == 4 * 3 * 3
+    for (cause_id, effect_id, lag), counts in zip(table.tuples, table.counts.tolist()):
         assert cause_id != effect_id
-        assert counts.window == 40 - lag
+        assert sum(counts) == 40 - lag
+    with pytest.raises(ParameterError):
+        sweep(series, l_max=0)
 
 
 def test_counting_speed_on_six_month_series():

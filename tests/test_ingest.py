@@ -102,6 +102,23 @@ def test_malformed_row_names_line(tmp_path):
         load_speed_csv(path)
 
 
+def test_mixed_naive_and_aware_timestamps_rejected(tmp_path):
+    path = tmp_path / "s.csv"
+    write_rows(path, [
+        ["a", "2024-01-01T00:00:00", "65.0", "0"],
+        ["a", "2024-01-01T00:05:00+00:00", "64.0", "0"],
+    ])
+    with pytest.raises(FormatError, match="line 3"):
+        load_speed_csv(path)
+    write_rows(path, [
+        ["a", "2024-01-01T00:00:00+00:00", "65.0", "0"],
+        ["b", "2024-01-01T00:00:00-08:00", "64.0", "0"],
+    ])
+    assert [s.start_time.utcoffset() for s in load_speed_csv(path)] == [
+        timedelta(0), timedelta(hours=-8)
+    ]
+
+
 def test_off_grid_timestamp_rejected(tmp_path):
     path = tmp_path / "s.csv"
     write_rows(path, [["a", "2024-01-01T00:02:00", "65.0", "0"]])

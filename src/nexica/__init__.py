@@ -54,6 +54,7 @@ from .mle import (
     CausalCase,
     CausalEstimate,
     estimate,
+    estimate_many,
     estimate_unconstrained,
     log_likelihood,
     log_likelihood_gradient,
@@ -92,6 +93,7 @@ __all__ = [
     "cross_validate",
     "detect_slowdowns",
     "estimate",
+    "estimate_many",
     "estimate_unconstrained",
     "expected_lags",
     "extract_events",

@@ -25,8 +25,9 @@ FEATURE_SETS = {
 
 
 def _threads(flag: int | None, default: int | None) -> int | None:
-    """Sweep worker count: the explicit flag, else ``NEXICA_THREADS``, else
-    ``default``."""
+    """The thread knob: the explicit flag, else ``NEXICA_THREADS``, else
+    ``default``.  It is still parsed and passed on so that existing configs
+    and scripts keep working, but the batched sweep ignores it."""
     if flag is not None:
         return flag
     env = os.environ.get("NEXICA_THREADS")

@@ -13,9 +13,10 @@ still-unmatched effect event in its window, so no effect event is
 counted twice.  Effect events left unmatched count toward a01 when they
 sit at the exact offset ``lag`` from a cause-free slot.
 
-Counting works on sorted event-index arrays, iterating the smaller side,
-which keeps one (pair, lag) evaluation near O(min(|C|, |E|)) and makes
-full sweeps over hundreds of stations cheap.
+``count_from_indices`` counts one (pair, lag) tuple on sorted event-index
+arrays, iterating the smaller side.  ``lagged_counts`` counts every ordered
+pair at every lag at once, with one matrix product per lag over the
+stations' 0/1 event matrix; the per-tuple kernel is its reference.
 """
 
 from __future__ import annotations
@@ -149,3 +150,92 @@ def _greedy_match(
             j += 1
     return a11, matched
 
+
+def product_dtype(m: int) -> np.dtype:
+    """Float dtype of the event-matrix products for length-``m`` series.
+
+    Every entry of a product is a count of at most ``m`` slots, summed
+    from 0/1 terms, so all partial sums are integers no larger than ``m``.
+    float32 holds every such integer exactly while ``m < 2**24``, float64
+    while ``m < 2**53``; exact integer sums do not depend on the order in
+    which BLAS adds them, so any thread count gives the same bytes.
+    """
+    return np.dtype(np.float32) if m < 1 << 24 else np.dtype(np.float64)
+
+
+def lagged_counts(indices: list[np.ndarray], m: int, l_max: int, tau: int = 0) -> np.ndarray:
+    """The four counts of every (cause, effect, lag) tuple over n series.
+
+    ``indices`` holds each series' sorted event indices; all series have
+    length ``m``.  Returns an int64 array of shape ``(n, n, l_max, 4)``
+    whose entry ``[i, j, lag - 1]`` equals
+    ``count_from_indices(indices[i], indices[j], m, lag, tau).as_tuple()``
+    (the diagonal ``i == j`` is filled too).
+
+    a11 for lag ``l`` and window ``W = m - l - tau`` is the product
+    ``X[:, :W] @ D[:, l:l+W].T`` of the 0/1 event matrix X against the
+    dilated effect matrix ``D[j, s] = any(X[j, s:s+tau+1])`` (``D = X`` at
+    tau 0).  That product counts the causes with some effect in their
+    window, which is what greedy matching counts when no two cause events
+    of a station lie within ``tau`` slots of each other: their windows are
+    disjoint, so each cause takes the first effect of its own window.
+    Leading edges always satisfy this at tau <= 1.  Then
+
+        a10 = causes in [0, W) - a11
+        a01 = effects in [l, l+W) - (a11 - beyond)
+
+    where ``beyond`` counts the matches that land past the window, in
+    ``[m - tau, m)``; they can only come from causes in its last tau slots.
+    No unmatched effect sits at the exact offset from a cause, because
+    that cause would have matched it.  Cause series with events closer
+    than ``tau + 1`` slots are counted by the exact greedy loop,
+    ``count_from_indices``, row by row.  Counts are exact while ``m``
+    stays within the bound of :func:`product_dtype`.
+    """
+    if l_max < 1:
+        raise ParameterError(f"l_max must be >= 1, got {l_max}")
+    if tau < 0:
+        raise ParameterError(f"tau must be >= 0, got {tau}")
+    if l_max + tau >= m:
+        raise ParameterError(f"lag {l_max} + tau {tau} leaves no window for m={m}")
+    n = len(indices)
+    x = np.zeros((n, m), dtype=product_dtype(m))
+    for i, idx in enumerate(indices):
+        x[i, idx] = 1
+    d = x.copy() if tau else x
+    for shift in range(1, tau + 1):
+        np.maximum(d[:, :-shift], x[:, shift:], out=d[:, :-shift])
+    spaced = [idx.size < 2 or int(np.diff(idx).min()) > tau for idx in indices]
+
+    out = np.empty((n, n, l_max, 4), dtype=np.int64)
+    for lag in range(1, l_max + 1):
+        window = m - lag - tau
+        causes = np.array([np.searchsorted(idx, window) for idx in indices], dtype=np.int64)
+        effects = np.array(
+            [np.searchsorted(idx, lag + window) - np.searchsorted(idx, lag) for idx in indices],
+            dtype=np.int64,
+        )
+        a11 = (x[:, :window] @ d[:, lag : lag + window].T).astype(np.int64)
+        beyond = np.zeros((n, n), dtype=np.int64)
+        for i, idx in enumerate(indices):
+            if not spaced[i]:
+                continue
+            for t in idx[np.searchsorted(idx, window - tau) : causes[i]].tolist():
+                reach = x[:, t + lag : t + lag + tau + 1]
+                first = reach.argmax(axis=1)
+                beyond[i] += reach.any(axis=1) & (t + lag + first >= m - tau)
+        a10 = causes[:, None] - a11
+        a01 = effects[None, :] - (a11 - beyond)
+        cell = out[:, :, lag - 1]
+        cell[..., 0] = window - a11 - a10 - a01
+        cell[..., 1] = a01
+        cell[..., 2] = a10
+        cell[..., 3] = a11
+
+    for i, idx in enumerate(indices):
+        if spaced[i]:
+            continue
+        for j, other in enumerate(indices):
+            for lag in range(1, l_max + 1):
+                out[i, j, lag - 1] = count_from_indices(idx, other, m, lag, tau).as_tuple()
+    return out

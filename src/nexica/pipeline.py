@@ -10,20 +10,22 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import logging
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import classify as cls
-from .correspond import CorrespondenceCounts, count_from_indices
-from .errors import ConsistencyError, FormatError, NexicaError, ParameterError, StageError
+from .correspond import CorrespondenceCounts, lagged_counts
+from .errors import (
+    ConsistencyError, FormatError, NexicaError, ParameterError, StageError, ValidationError,
+)
 from .events import EventSeries, extract_events, median_week_profile
 from .groundtruth import (
     DatasetSpec,
@@ -41,7 +43,12 @@ from .ingest import (
     load_speed_csv,
     load_station_meta,
 )
-from .mle import CausalCase, CausalEstimate, estimate
+from .mle import CASES, CausalEstimate, estimate_many
+
+# The per-tuple reference kernels stay importable from here for callers that
+# wrap or time them; the batched sweep does not call them.
+from .correspond import count_from_indices  # noqa: F401
+from .mle import estimate  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -54,7 +61,8 @@ class RunConfig:
 
     A config file is a flat JSON object with these exact keys; CLI flags
     override file values, and the CLI lets ``NEXICA_THREADS`` override
-    ``thread_count``.
+    ``thread_count``.  ``thread_count`` is still validated but changes
+    nothing: the sweep is one batched kernel in one process.
     """
 
     speeds: str = ""
@@ -97,57 +105,53 @@ class RunConfig:
 
 @dataclass
 class SweepTable:
-    """Counts and estimates for every swept (cause, effect, lag) tuple."""
+    """Counts and estimates for every swept (cause, effect, lag) tuple, as
+    columns: row ``k`` of each array belongs to ``tuples[k]``."""
 
     tuples: list[tuple[str, str, int]]
     counts: np.ndarray  # (n, 4) int64 columns a00, a01, a10, a11
-    estimates: list[CausalEstimate]
+    p_s: np.ndarray
+    p_c: np.ndarray
+    p_c_raw: np.ndarray
+    loglik: np.ndarray
+    case: np.ndarray  # int8 codes into mle.CASES
+
+    @functools.cached_property
+    def estimates(self) -> list[CausalEstimate]:
+        """The rows as ``CausalEstimate`` objects, built on first use."""
+        return [
+            CausalEstimate(p_s, p_c, ll, CASES[case], raw)
+            for p_s, p_c, ll, case, raw in zip(
+                self.p_s.tolist(), self.p_c.tolist(), self.loglik.tolist(),
+                self.case.tolist(), self.p_c_raw.tolist(),
+            )
+        ]
 
     def index(self) -> dict[tuple[str, str, int], int]:
         return {t: k for k, t in enumerate(self.tuples)}
 
     def feature_matrix(self) -> np.ndarray:
         """Columns a00, a01, a10, a11, p_c; undefined p_c maps to 0."""
-        pc = np.array(
-            [0.0 if math.isnan(e.p_c) else e.p_c for e in self.estimates]
-        )
+        pc = np.where(np.isnan(self.p_c), 0.0, self.p_c)
         return np.column_stack([self.counts.astype(np.float64), pc])
 
     def case_tally(self) -> dict[str, int]:
-        tally = {c.value: 0 for c in CausalCase}
-        for e in self.estimates:
-            tally[e.case.value] += 1
-        return tally
+        tally = np.bincount(self.case, minlength=len(CASES)).tolist()
+        return {c.value: n for c, n in zip(CASES, tally)}
 
 
 # ---------------------------------------------------------------------------
 # sweep
-
-_SWEEP_STATE: dict = {}
-
-
-def _sweep_worker(i: int) -> list[tuple[int, int, int, tuple, CausalEstimate]]:
-    idx = _SWEEP_STATE["idx"]
-    m = _SWEEP_STATE["m"]
-    l_max = _SWEEP_STATE["l_max"]
-    tau = _SWEEP_STATE["tau"]
-    rows = []
-    for j in range(len(idx)):
-        if j == i:
-            continue
-        for lag in range(1, l_max + 1):
-            c = count_from_indices(idx[i], idx[j], m, lag, tau)
-            rows.append((i, j, lag, c.as_tuple(), estimate(c)))
-    return rows
-
 
 def sweep(
     series: list[EventSeries], l_max: int, tau: int = 0, workers: int = 1
 ) -> SweepTable:
     """Counts plus MLE for all ordered pairs at lags 1..l_max.
 
-    Workers fan out over cause stations; results are assembled in a fixed
-    order so the output is identical however many workers run.
+    Rows run over causes, then effects, then lags, in the order of
+    ``series``.  ``workers`` is accepted for existing callers and ignored:
+    one batched kernel (``correspond.lagged_counts`` and
+    ``mle.estimate_many``) does the whole sweep in this process.
     """
     if l_max < 1:
         raise ParameterError(f"l_max must be >= 1, got {l_max}")
@@ -155,34 +159,15 @@ def sweep(
     if len(lengths) != 1:
         raise ConsistencyError(f"event series lengths differ: {sorted(lengths)}")
     m = lengths.pop()
-    idx = [s.event_indices() for s in series]
-    global _SWEEP_STATE
-    _SWEEP_STATE = {"idx": idx, "m": m, "l_max": l_max, "tau": tau}
     n = len(series)
-    try:
-        if workers > 1 and _fork_available():
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                chunks = list(pool.map(_sweep_worker, range(n), chunksize=1))
-        else:
-            chunks = [_sweep_worker(i) for i in range(n)]
-    finally:
-        _SWEEP_STATE = {}
-
-    tuples = []
-    counts = []
-    estimates = []
-    for rows in chunks:
-        for i, j, lag, c, est in rows:
-            tuples.append((series[i].station_id, series[j].station_id, lag))
-            counts.append(c)
-            estimates.append(est)
-    return SweepTable(tuples, np.asarray(counts, dtype=np.int64).reshape(-1, 4), estimates)
-
-
-def _fork_available() -> bool:
-    import multiprocessing
-
-    return "fork" in multiprocessing.get_all_start_methods()
+    counts = lagged_counts([s.event_indices() for s in series], m, l_max, tau)
+    ids = [s.station_id for s in series]
+    tuples = [
+        (ids[i], ids[j], lag)
+        for i in range(n) for j in range(n) if j != i for lag in range(1, l_max + 1)
+    ]
+    counts = counts[~np.eye(n, dtype=bool)].reshape(-1, 4)
+    return SweepTable(tuples, counts, *estimate_many(counts))
 
 
 # ---------------------------------------------------------------------------
@@ -258,21 +243,39 @@ def write_counts_csv(path, table: SweepTable) -> None:
     ))
 
 
+def _counts_row(path, line: int, row: list[str]) -> tuple[tuple[str, str, int], list[int]]:
+    """The (cause, effect, lag) key and the four counts of a counts.csv or
+    mle.csv row."""
+    try:
+        numbers = [int(v) for v in row[2:7]]
+    except ValueError:
+        numbers = []
+    if len(numbers) != 5:
+        raise FormatError(
+            f"{path}: line {line}: expected cause,effect,lag,a00,a01,a10,a11 with integer "
+            "lag and counts"
+        )
+    return (row[0], row[1], numbers[0]), numbers[1:]
+
+
 def read_counts_csv(path, tau: int = 0) -> list[tuple[str, str, int, CorrespondenceCounts]]:
+    """Rows of a counts.csv (or the first seven columns of an mle.csv)."""
     out = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header[:7] != COUNTS_HEADER:
-            raise ParameterError(f"{path}: unexpected counts header")
-        for row in reader:
+        if (next(reader, None) or [])[:7] != COUNTS_HEADER:
+            raise ParameterError(
+                f"{path}: not a counts.csv (expected header {','.join(COUNTS_HEADER)})"
+            )
+        for line, row in enumerate(reader, start=2):
             if not row:
                 continue
-            lag = int(row[2])
-            a = [int(v) for v in row[3:7]]
-            out.append(
-                (row[0], row[1], lag, CorrespondenceCounts.from_counts(*a, lag=lag, tau=tau))
-            )
+            (cause, effect, lag), a = _counts_row(path, line, row)
+            try:
+                counts = CorrespondenceCounts.from_counts(*a, lag=lag, tau=tau)
+            except ValidationError as exc:
+                raise FormatError(f"{path}: line {line}: {exc}")
+            out.append((cause, effect, lag, counts))
     return out
 
 
@@ -289,16 +292,21 @@ def write_mle_rows(path, rows) -> None:
 
 
 def write_mle_csv(path, table: SweepTable) -> None:
+    names = [c.value for c in CASES]
     _write_csv(path, MLE_HEADER, (
-        _mle_row(*t, row, est)
-        for t, row, est in zip(table.tuples, table.counts.tolist(), table.estimates)
+        [*t, *row, repr(p_s), repr(p_c), repr(raw), repr(ll), names[case]]
+        for t, row, p_s, p_c, raw, ll, case in zip(
+            table.tuples, table.counts.tolist(), table.p_s.tolist(), table.p_c.tolist(),
+            table.p_c_raw.tolist(), table.loglik.tolist(), table.case.tolist(),
+        )
     ))
 
 
 def read_mle_csv(path) -> SweepTable:
     """Inverse of ``write_mle_csv``: writing the result back reproduces the
     file byte for byte."""
-    tuples, counts, estimates = [], [], []
+    tuples, counts, floats, cases = [], [], [], []
+    code = {c.value: k for k, c in enumerate(CASES)}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != MLE_HEADER:
@@ -311,14 +319,19 @@ def read_mle_csv(path) -> SweepTable:
                 continue
             if len(row) != len(MLE_HEADER):
                 raise FormatError(f"{path}: line {line}: expected {len(MLE_HEADER)} fields")
+            key, a = _counts_row(path, line, row)
             try:
-                tuples.append((row[0], row[1], int(row[2])))
-                counts.append([int(v) for v in row[3:7]])
-                p_s, p_c, p_c_raw, loglik = (float(v) for v in row[7:11])
-                estimates.append(CausalEstimate(p_s, p_c, loglik, CausalCase(row[11]), p_c_raw))
-            except ValueError:
+                floats.append([float(v) for v in row[7:11]])
+                cases.append(code[row[11]])
+            except (ValueError, KeyError):
                 raise FormatError(f"{path}: line {line}: malformed mle row")
-    return SweepTable(tuples, np.asarray(counts, dtype=np.int64).reshape(-1, 4), estimates)
+            tuples.append(key)
+            counts.append(a)
+    p_s, p_c, p_c_raw, loglik = np.asarray(floats, dtype=np.float64).reshape(-1, 4).T.copy()
+    return SweepTable(
+        tuples, np.asarray(counts, dtype=np.int64).reshape(-1, 4),
+        p_s, p_c, p_c_raw, loglik, np.asarray(cases, dtype=np.int8),
+    )
 
 
 def write_dataset_csv(path, dataset: GroundTruthDataset) -> None:
@@ -548,7 +561,7 @@ def _classify(config, table, ratio_set, full_set, out: Path):
     top = np.lexsort((-matrix[:, PC_COLUMN], -scores))[:TOP_K_EDGES]
     _write_csv(out / "topk_edges.csv", ["cause", "effect", "lag", "p_forest", "p_c", "p_s"], (
         [*table.tuples[k], repr(float(scores[k])),
-         repr(table.estimates[k].p_c), repr(table.estimates[k].p_s)]
+         repr(float(table.p_c[k])), repr(float(table.p_s[k]))]
         for k in top.tolist()
     ))
     result["model_hash"] = model.model_hash()
@@ -705,11 +718,9 @@ def _planted_comparison(truth_path: str, top_path: Path, mle_path: Path) -> list
     ]
     if mle_path.exists():
         table = read_mle_csv(mle_path)
-        by_pc = sorted(
-            ((e.p_c, t) for t, e in zip(table.tuples, table.estimates) if not math.isnan(e.p_c)),
-            key=lambda t: -t[0],
-        )
-        pc_hits = sum(1 for _, t in by_pc[:k] if t in planted)
+        defined = np.flatnonzero(~np.isnan(table.p_c))
+        by_pc = defined[np.argsort(-table.p_c[defined], kind="stable")]
+        pc_hits = sum(1 for r in by_pc[:k].tolist() if table.tuples[r] in planted)
         lines.append(
             f"  planted edges recovered in top {k} by estimated p_c: "
             f"{pc_hits} of {len(planted)}"

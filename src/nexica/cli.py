@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import classify as cls
 from . import pipeline as pl
-from .errors import NexicaError, ParameterError
+from .errors import NexicaError
 from .groundtruth import DatasetSpec, build_dataset, full_dataset, label_pairs
 from .ingest import load_drive_times, load_speed_csv, load_station_meta
 from .events import extract_events
@@ -22,21 +21,6 @@ FEATURE_SETS = {
     "counts+pc": pl.COUNT_MASK + (pl.PC_COLUMN,),
     "pc": (pl.PC_COLUMN,),
 }
-
-
-def _threads(flag: int | None, default: int | None) -> int | None:
-    """The thread knob: the explicit flag, else ``NEXICA_THREADS``, else
-    ``default``.  It is still parsed and passed on so that existing configs
-    and scripts keep working, but the batched sweep ignores it."""
-    if flag is not None:
-        return flag
-    env = os.environ.get("NEXICA_THREADS")
-    if not env:
-        return default
-    try:
-        return int(env)
-    except ValueError:
-        raise ParameterError(f"NEXICA_THREADS={env!r} is not an integer")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -68,7 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slots", type=int, required=True, help="series length in slots")
     p.add_argument("--lmax", type=int, default=8)
     p.add_argument("--tau", type=int, default=0)
-    p.add_argument("--threads", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_pairs)
 
@@ -132,7 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--n-trees", type=int, dest="n_trees")
-    p.add_argument("--threads", type=int, dest="thread_count")
     p.set_defaults(handler=cmd_run)
 
     return parser
@@ -163,7 +145,7 @@ def cmd_events(args) -> int:
 
 def cmd_pairs(args) -> int:
     series = pl.read_events_csv(args.events, args.slots)
-    table = pl.sweep(series, args.lmax, args.tau, _threads(args.threads, 1))
+    table = pl.sweep(series, args.lmax, args.tau)
     pl.write_counts_csv(args.out, table)
     print(f"{len(table.tuples)} tuples -> {args.out}")
     return 0
@@ -251,7 +233,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_grid_search(args) -> int:
-    config = pl.RunConfig.from_file(args.config, thread_count=_threads(None, None))
+    config = pl.RunConfig.from_file(args.config)
     alphas = [float(v) for v in args.alphas.split(",") if v]
     taus = [int(v) for v in args.taus.split(",") if v]
     rows = pl.grid_search(alphas, taus, config)
@@ -275,12 +257,10 @@ def cmd_run(args) -> int:
     overrides = {
         k: getattr(args, k) for k in ("out_dir", "alpha", "tau", "ratio", "seed", "n_trees")
     }
-    config = pl.RunConfig.from_file(
-        args.config, thread_count=_threads(args.thread_count, None), **overrides
-    )
-    metrics = pl.run_pipeline(config)
+    config = pl.RunConfig.from_file(args.config, **overrides)
+    pl.run_pipeline(config)
     print(pl.report(config.out_dir))
-    return 0 if metrics else 1
+    return 0
 
 
 if __name__ == "__main__":

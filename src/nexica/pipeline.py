@@ -24,7 +24,7 @@ import numpy as np
 from . import classify as cls
 from .correspond import CorrespondenceCounts, lagged_counts
 from .errors import (
-    ConsistencyError, FormatError, NexicaError, ParameterError, StageError, ValidationError,
+    ConsistencyError, FormatError, NexicaError, ParameterError, StageError,
 )
 from .events import EventSeries, extract_events, median_week_profile
 from .groundtruth import (
@@ -59,10 +59,9 @@ TOP_K_EDGES = 50
 class RunConfig:
     """Flat, file-backed configuration for a full pipeline run.
 
-    A config file is a flat JSON object with these exact keys; CLI flags
-    override file values, and the CLI lets ``NEXICA_THREADS`` override
-    ``thread_count``.  ``thread_count`` is still validated but changes
-    nothing: the sweep is one batched kernel in one process.
+    A config file is a flat JSON object with these exact keys, each value
+    of its field's type (an int passes as a float, a bool not as an int);
+    CLI flags override file values.
     """
 
     speeds: str = ""
@@ -78,17 +77,22 @@ class RunConfig:
     n_trees: int = 1000
     folds: int = 5
     seed: int = 0
-    thread_count: int = 1
     full_dataset_cv: bool = True
 
     @classmethod
     def from_file(cls, path, **overrides) -> "RunConfig":
         with open(path) as fh:
             raw = json.load(fh)
-        unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
+        if not isinstance(raw, dict):
+            raise ParameterError(f"{path}: config must be a JSON object")
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(raw) - set(types)
         if unknown:
             raise ParameterError(f"unknown config keys: {sorted(unknown)}")
         raw.update({k: v for k, v in overrides.items() if v is not None})
+        for key, value in raw.items():
+            if type(value) not in _CONFIG_TYPES[types[key]]:
+                raise ParameterError(f"config.{key}: expected {types[key]}, got {value!r}")
         return cls(**raw)
 
     def validated(self) -> "RunConfig":
@@ -98,9 +102,14 @@ class RunConfig:
                 raise ParameterError(f"config.{key}: path {path!r} does not exist")
         if not self.out_dir:
             raise ParameterError("config.out_dir is required")
-        if self.thread_count < 1:
-            raise ParameterError("thread_count must be >= 1")
         return self
+
+
+# The JSON types each ``RunConfig`` annotation accepts.
+_CONFIG_TYPES = {
+    "str": (str,), "str | None": (str, type(None)), "float": (int, float),
+    "int": (int,), "bool": (bool,),
+}
 
 
 @dataclass
@@ -127,7 +136,9 @@ class SweepTable:
             )
         ]
 
+    @functools.cached_property
     def index(self) -> dict[tuple[str, str, int], int]:
+        """Row of each tuple, built on first use."""
         return {t: k for k, t in enumerate(self.tuples)}
 
     def feature_matrix(self) -> np.ndarray:
@@ -143,14 +154,11 @@ class SweepTable:
 # ---------------------------------------------------------------------------
 # sweep
 
-def sweep(
-    series: list[EventSeries], l_max: int, tau: int = 0, workers: int = 1
-) -> SweepTable:
+def sweep(series: list[EventSeries], l_max: int, tau: int = 0) -> SweepTable:
     """Counts plus MLE for all ordered pairs at lags 1..l_max.
 
     Rows run over causes, then effects, then lags, in the order of
-    ``series``.  ``workers`` is accepted for existing callers and ignored:
-    one batched kernel (``correspond.lagged_counts`` and
+    ``series``.  One batched kernel (``correspond.lagged_counts`` and
     ``mle.estimate_many``) does the whole sweep in this process.
     """
     if l_max < 1:
@@ -177,6 +185,7 @@ EVENTS_HEADER = ["station_id", "slot_index", "event"]
 COUNTS_HEADER = ["cause", "effect", "lag", "a00", "a01", "a10", "a11"]
 MLE_HEADER = COUNTS_HEADER + ["p_s", "p_c", "p_c_raw", "loglik", "case"]
 DATASET_HEADER = ["cause", "effect", "lag", "label", "rule", "drive_time"]
+TOPK_HEADER = ["cause", "effect", "lag", "p_forest", "p_c", "p_s"]
 
 
 def _write_csv(path, header: list[str], rows) -> None:
@@ -184,6 +193,28 @@ def _write_csv(path, header: list[str], rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _read_rows(path, header_ok, parse, header_error: NexicaError):
+    """Yield ``parse(row)`` for each non-blank row after the header, one row
+    at a time.
+
+    Raises ``header_error`` unless ``header_ok`` accepts the first row, and
+    a ``FormatError`` naming the file and line for a row that ``parse``
+    rejects.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if not header_ok(next(reader, None) or []):
+            raise header_error
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                value = parse(row)
+            except (ValueError, IndexError, KeyError, NexicaError) as exc:
+                raise FormatError(f"{path}: line {line}: {exc}") from exc
+            yield value
 
 
 def write_events_csv(path, series: list[EventSeries]) -> None:
@@ -202,25 +233,23 @@ def write_events_csv(path, series: list[EventSeries]) -> None:
 
 
 def read_events_csv(path, n_slots: int) -> list[EventSeries]:
+    def parse(row):
+        try:
+            sid, slot, event = row[0], int(row[1]), int(row[2])
+        except (ValueError, IndexError):
+            raise FormatError("expected station_id,slot,event") from None
+        if not 0 <= slot < n_slots:
+            raise FormatError(f"slot {slot} outside 0..{n_slots - 1}")
+        if event not in (0, 1):
+            raise FormatError(f"event must be 0 or 1, got {event}")
+        return sid, slot, event
+
     by_station: dict[str, list[int]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != EVENTS_HEADER:
-            raise FormatError(f"{path}: expected header {','.join(EVENTS_HEADER)}")
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                sid, slot, event = row[0], int(row[1]), int(row[2])
-            except (ValueError, IndexError):
-                raise FormatError(f"{path}: line {line}: expected station_id,slot,event")
-            if not 0 <= slot < n_slots:
-                raise FormatError(f"{path}: line {line}: slot {slot} outside 0..{n_slots - 1}")
-            if event not in (0, 1):
-                raise FormatError(f"{path}: line {line}: event must be 0 or 1, got {event}")
-            slots = by_station.setdefault(sid, [])
-            if event:
-                slots.append(slot)
+    header_error = FormatError(f"{path}: expected header {','.join(EVENTS_HEADER)}")
+    for sid, slot, event in _read_rows(path, EVENTS_HEADER.__eq__, parse, header_error):
+        slots = by_station.setdefault(sid, [])
+        if event:
+            slots.append(slot)
     out = []
     for sid in sorted(by_station):
         ev = np.zeros(n_slots, dtype=bool)
@@ -243,7 +272,7 @@ def write_counts_csv(path, table: SweepTable) -> None:
     ))
 
 
-def _counts_row(path, line: int, row: list[str]) -> tuple[tuple[str, str, int], list[int]]:
+def _counts_row(row: list[str]) -> tuple[tuple[str, str, int], list[int]]:
     """The (cause, effect, lag) key and the four counts of a counts.csv or
     mle.csv row."""
     try:
@@ -252,31 +281,23 @@ def _counts_row(path, line: int, row: list[str]) -> tuple[tuple[str, str, int], 
         numbers = []
     if len(numbers) != 5:
         raise FormatError(
-            f"{path}: line {line}: expected cause,effect,lag,a00,a01,a10,a11 with integer "
-            "lag and counts"
+            "expected cause,effect,lag,a00,a01,a10,a11 with integer lag and counts"
         )
+    if any(abs(v) >= 2**63 for v in numbers):
+        raise FormatError("lag and counts must fit in 64 bits")
     return (row[0], row[1], numbers[0]), numbers[1:]
 
 
 def read_counts_csv(path, tau: int = 0) -> list[tuple[str, str, int, CorrespondenceCounts]]:
     """Rows of a counts.csv (or the first seven columns of an mle.csv)."""
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if (next(reader, None) or [])[:7] != COUNTS_HEADER:
-            raise ParameterError(
-                f"{path}: not a counts.csv (expected header {','.join(COUNTS_HEADER)})"
-            )
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            (cause, effect, lag), a = _counts_row(path, line, row)
-            try:
-                counts = CorrespondenceCounts.from_counts(*a, lag=lag, tau=tau)
-            except ValidationError as exc:
-                raise FormatError(f"{path}: line {line}: {exc}")
-            out.append((cause, effect, lag, counts))
-    return out
+    def parse(row):
+        (cause, effect, lag), a = _counts_row(row)
+        return cause, effect, lag, CorrespondenceCounts.from_counts(*a, lag=lag, tau=tau)
+
+    return list(_read_rows(
+        path, lambda header: header[:7] == COUNTS_HEADER, parse,
+        ParameterError(f"{path}: not a counts.csv (expected header {','.join(COUNTS_HEADER)})"),
+    ))
 
 
 def _mle_row(cause: str, effect: str, lag: int, counts, est: CausalEstimate) -> list:
@@ -305,28 +326,27 @@ def write_mle_csv(path, table: SweepTable) -> None:
 def read_mle_csv(path) -> SweepTable:
     """Inverse of ``write_mle_csv``: writing the result back reproduces the
     file byte for byte."""
-    tuples, counts, floats, cases = [], [], [], []
     code = {c.value: k for k, c in enumerate(CASES)}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != MLE_HEADER:
-            raise ParameterError(
-                f"{path}: not an mle.csv (expected header {','.join(MLE_HEADER)}); "
-                "run `nexica mle` on the counts first"
-            )
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(MLE_HEADER):
-                raise FormatError(f"{path}: line {line}: expected {len(MLE_HEADER)} fields")
-            key, a = _counts_row(path, line, row)
-            try:
-                floats.append([float(v) for v in row[7:11]])
-                cases.append(code[row[11]])
-            except (ValueError, KeyError):
-                raise FormatError(f"{path}: line {line}: malformed mle row")
-            tuples.append(key)
-            counts.append(a)
+
+    def parse(row):
+        if len(row) != len(MLE_HEADER):
+            raise FormatError(f"expected {len(MLE_HEADER)} fields")
+        key, a = _counts_row(row)
+        try:
+            return key, a, [float(v) for v in row[7:11]], code[row[11]]
+        except (ValueError, KeyError):
+            raise FormatError("malformed mle row") from None
+
+    tuples, counts, floats, cases = [], [], [], []
+    header_error = ParameterError(
+        f"{path}: not an mle.csv (expected header {','.join(MLE_HEADER)}); "
+        "run `nexica mle` on the counts first"
+    )
+    for key, a, f, case in _read_rows(path, MLE_HEADER.__eq__, parse, header_error):
+        tuples.append(key)
+        counts.append(a)
+        floats.append(f)
+        cases.append(case)
     p_s, p_c, p_c_raw, loglik = np.asarray(floats, dtype=np.float64).reshape(-1, 4).T.copy()
     return SweepTable(
         tuples, np.asarray(counts, dtype=np.int64).reshape(-1, 4),
@@ -342,20 +362,13 @@ def write_dataset_csv(path, dataset: GroundTruthDataset) -> None:
 
 
 def read_dataset_csv(path) -> list[LabeledPair]:
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != DATASET_HEADER:
-            raise ParameterError(f"{path}: unexpected dataset header")
-        for row in reader:
-            if not row:
-                continue
-            out.append(
-                LabeledPair(
-                    row[0], row[1], int(row[2]), Label(int(row[3])), row[4], float(row[5])
-                )
-            )
-    return out
+    return list(_read_rows(
+        path, DATASET_HEADER.__eq__,
+        lambda row: LabeledPair(
+            row[0], row[1], int(row[2]), Label(int(row[3])), row[4], float(row[5])
+        ),
+        ParameterError(f"{path}: unexpected dataset header"),
+    ))
 
 
 def write_roc_csv(path, roc: cls.RocResult) -> None:
@@ -378,7 +391,7 @@ def dataset_features(
     table: SweepTable, pairs: list[LabeledPair]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Feature matrix (a00, a01, a10, a11, p_c) and labels for a dataset."""
-    index = table.index()
+    index = table.index
     matrix = table.feature_matrix()
     rows = []
     labels = []
@@ -419,9 +432,7 @@ def run_pipeline(config: RunConfig) -> dict:
         "events", lambda: [extract_events(s, config.alpha) for s in speeds]
     )
     staged("events-write", write_events_csv, out / "events.csv", event_series)
-    table = staged(
-        "sweep", sweep, event_series, config.l_max, config.tau, config.thread_count
-    )
+    table = staged("sweep", sweep, event_series, config.l_max, config.tau)
     staged("counts-write", write_counts_csv, out / "counts.csv", table)
     staged("mle-write", write_mle_csv, out / "mle.csv", table)
 
@@ -481,28 +492,24 @@ def _ingest(config: RunConfig):
     series = load_speed_csv(config.speeds)
     meta = load_station_meta(config.meta)
     matrix = load_drive_times(config.drive_times)
-    series, meta = filter_stations(series, meta, config.min_completeness)
-    kept_series = []
-    kept_ids = set()
     for s in series:
         if s.station_id not in matrix:
             log.warning("station %s missing from drive-time matrix; excluded", s.station_id)
-            continue
-        kept_series.append(s)
-        kept_ids.add(s.station_id)
-    meta = [m for m in meta if m.station_id in kept_ids]
-    if not kept_series:
+    series, meta = filter_stations(
+        [s for s in series if s.station_id in matrix], meta, config.min_completeness
+    )
+    if not series:
         raise ConsistencyError("no stations survived filtering")
-    starts = {s.start_time for s in kept_series}
-    lengths = {len(s) for s in kept_series}
+    starts = {s.start_time for s in series}
+    lengths = {len(s) for s in series}
     if len(starts) > 1 or len(lengths) > 1:
         raise ConsistencyError(
             "stations are not aligned on a common grid: "
             f"starts={sorted(t.isoformat() for t in starts)}, lengths={sorted(lengths)}"
         )
-    kept_series.sort(key=lambda s: s.station_id)
+    series.sort(key=lambda s: s.station_id)
     meta.sort(key=lambda m: m.station_id)
-    return kept_series, meta, matrix
+    return series, meta, matrix
 
 
 def _forest_cv(table: SweepTable, pairs: list[LabeledPair], config: RunConfig):
@@ -559,7 +566,7 @@ def _classify(config, table, ratio_set, full_set, out: Path):
     scores = cls.predict_proba(model, matrix)
     # break score ties (forests saturate at 1.0) by estimated causal probability
     top = np.lexsort((-matrix[:, PC_COLUMN], -scores))[:TOP_K_EDGES]
-    _write_csv(out / "topk_edges.csv", ["cause", "effect", "lag", "p_forest", "p_c", "p_s"], (
+    _write_csv(out / "topk_edges.csv", TOPK_HEADER, (
         [*table.tuples[k], repr(float(scores[k])),
          repr(float(table.p_c[k])), repr(float(table.p_s[k]))]
         for k in top.tolist()
@@ -595,7 +602,7 @@ def grid_search(
         event_series = [extract_events(s, alpha) for s in speeds]
         for tau in tau_values:
             t0 = time.perf_counter()
-            table = sweep(event_series, config.l_max, tau, config.thread_count)
+            table = sweep(event_series, config.l_max, tau)
             ratio_cv = _forest_cv(table, ratio_set.pairs, config)[2]
             full_cv = (
                 _forest_cv(table, full_set.pairs, config)[2] if config.full_dataset_cv else None
@@ -680,37 +687,33 @@ def report(run_dir) -> str:
             )
         top_path = run / "topk_edges.csv"
         if top_path.exists():
+            top = list(_read_rows(
+                top_path, TOPK_HEADER.__eq__,
+                lambda row: ((row[0], row[1], int(row[2])), float(row[3]), float(row[4])),
+                FormatError(f"{top_path}: expected header {','.join(TOPK_HEADER)}"),
+            ))
             lines.append("  top edges by forest score:")
-            with open(top_path, newline="") as fh:
-                reader = csv.reader(fh)
-                next(reader)
-                for row in list(reader)[:10]:
-                    lines.append(
-                        f"    {row[0]} -> {row[1]} @lag {row[2]}: "
-                        f"p_forest={float(row[3]):.3f}  p_c={float(row[4]):.3f}"
-                    )
+            for (cause, effect, lag), p_forest, p_c in top[:10]:
+                lines.append(
+                    f"    {cause} -> {effect} @lag {lag}: "
+                    f"p_forest={p_forest:.3f}  p_c={p_c:.3f}"
+                )
             truth_path = config.get("truth")
             if truth_path and os.path.exists(truth_path):
-                lines.extend(_planted_comparison(truth_path, top_path, run / "mle.csv"))
+                ranked = [key for key, _, _ in top]
+                lines.extend(_planted_comparison(truth_path, ranked, run / "mle.csv"))
     return "\n".join(lines)
 
 
-def _planted_comparison(truth_path: str, top_path: Path, mle_path: Path) -> list[str]:
-    planted = set()
-    with open(truth_path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            if row:
-                planted.add((row[0], row[1], int(row[2])))
+def _planted_comparison(truth_path: str, ranked: list, mle_path: Path) -> list[str]:
+    """Planted edges of the truth file (header ``cause,effect,lag,...``)
+    found among the top of ``ranked`` and of the mle.csv ranked by p_c."""
+    planted = set(_read_rows(
+        truth_path, lambda header: header[:3] == COUNTS_HEADER[:3],
+        lambda row: (row[0], row[1], int(row[2])),
+        FormatError(f"{truth_path}: expected header cause,effect,lag,..."),
+    ))
     k = max(len(planted), 1)
-    ranked = []
-    with open(top_path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            if row:
-                ranked.append((row[0], row[1], int(row[2])))
     forest_hits = sum(1 for t in ranked[:k] if t in planted)
     lines = [
         f"  planted edges recovered in top {k} by forest score: "

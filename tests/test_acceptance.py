@@ -306,7 +306,7 @@ def test_criterion_08_full_scale_sweep_performance():
     events = [extract_events(s, 0.25) for s in speeds]
     t_events = time.perf_counter() - t0
     t0 = time.perf_counter()
-    table = sweep(events, l_max=8, tau=0, workers=1)
+    table = sweep(events, l_max=8, tau=0)
     t_sweep = time.perf_counter() - t0
     elapsed = time.perf_counter() - t_total
     assert len(table.tuples) == 195 * 194 * 8 == 302640
@@ -357,7 +357,7 @@ def test_criterion_10_pipeline_determinism(tmp_path):
     common = dict(
         speeds=paths["speeds"], meta=paths["meta"], drive_times=paths["drive_times"],
         truth=paths["truth"], alpha=0.25, tau=0, l_max=8, ratio=1,
-        n_trees=25, folds=5, seed=13, thread_count=1,
+        n_trees=25, folds=5, seed=13,
     )
     run_pipeline(RunConfig(out_dir=str(tmp_path / "a"), **common))
     run_pipeline(RunConfig(out_dir=str(tmp_path / "b"), **common))

@@ -5,9 +5,7 @@ from datetime import datetime
 import numpy as np
 import pytest
 
-import nexica.pipeline as pl
 from nexica.cli import main
-from nexica.errors import NexicaError
 from nexica.ingest import (
     DriveTimeMatrix, StationMeta, SpeedSeries, load_drive_times, load_speed_csv,
     load_station_meta, write_drive_times, write_speed_csv, write_station_meta,
@@ -63,7 +61,7 @@ def make_config(corpus, out_dir, **overrides):
         "drive_times": corpus["drive_times"], "out_dir": str(out_dir),
         "truth": corpus["truth"], "alpha": 0.25, "tau": 0, "l_max": 8,
         "min_completeness": 0.9, "ratio": 1, "n_trees": 30, "folds": 5,
-        "seed": 3, "thread_count": 1,
+        "seed": 3,
     }
     cfg.update(overrides)
     return cfg
@@ -175,20 +173,8 @@ def test_pipeline_determinism_byte_identical(corpus, tmp_path):
     m1 = run_pipeline(RunConfig(**make_config(corpus, tmp_path / "a")))
     m2 = run_pipeline(RunConfig(**make_config(corpus, tmp_path / "b")))
     assert m1 == m2
-    assert (tmp_path / "a" / "metrics.json").read_bytes() == (
-        tmp_path / "b" / "metrics.json"
-    ).read_bytes()
-
-
-def test_parallel_sweep_matches_serial(corpus, tmp_path):
-    serial = run_pipeline(RunConfig(**make_config(corpus, tmp_path / "s", thread_count=1)))
-    parallel = run_pipeline(RunConfig(**make_config(corpus, tmp_path / "p", thread_count=4)))
-    assert (tmp_path / "s" / "metrics.json").read_bytes() == (
-        tmp_path / "p" / "metrics.json"
-    ).read_bytes()
-    assert (tmp_path / "s" / "counts.csv").read_bytes() == (
-        tmp_path / "p" / "counts.csv"
-    ).read_bytes()
+    for name in ("metrics.json", "counts.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_grid_search_single_cell_matches_run(corpus, tmp_path, capsys):
@@ -219,26 +205,57 @@ def test_grid_search_honours_full_dataset_cv(corpus, tmp_path, capsys):
     assert rows[0]["ratio_auc"] != "" and rows[0]["full_auc"] == ""
 
 
-def test_nexica_threads_sets_sweep_workers_unless_flagged(corpus, tmp_path, monkeypatch, capsys):
-    seen = []
-
-    def stop(series, l_max, tau=0, workers=1):
-        seen.append(workers)
-        raise NexicaError("stopped after the worker count was seen")
-
-    monkeypatch.setattr(pl, "sweep", stop)
-    monkeypatch.setenv("NEXICA_THREADS", "3")
-    events_csv = tmp_path / "events.csv"
-    events_csv.write_text("station_id,slot_index,event\na,1,1\nb,2,1\n")
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"thread_count": 1}, "unknown config keys: ['thread_count']"),
+        ({"l_max": "8"}, "config.l_max: expected int, got '8'"),
+        ({"n_trees": True}, "config.n_trees: expected int, got True"),
+        ({"alpha": "0.25"}, "config.alpha: expected float"),
+        ({"truth": 3}, "config.truth: expected str | None"),
+        ({"full_dataset_cv": 1}, "config.full_dataset_cv: expected bool"),
+        (None, "config must be a JSON object"),
+    ],
+    ids=["thread_count", "str-int", "bool-int", "str-float", "int-path", "int-bool", "not-object"],
+)
+def test_run_rejects_bad_config_values(corpus, tmp_path, capsys, edit, message):
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(make_config(corpus, tmp_path / "out", thread_count=1)))
-    pairs = ["pairs", "--events", str(events_csv), "--slots", "10", "--out", str(tmp_path / "c.csv")]
-    run = ["run", "--config", str(cfg_path)]
-    grid = ["grid-search", "--config", str(cfg_path), "--alphas", "0.25", "--taus", "0",
-            "--out", str(tmp_path / "grid.csv")]
-    for argv in (pairs, pairs + ["--threads", "2"], run, run + ["--threads", "2"], grid):
-        assert main(argv) == 1
-    assert seen == [3, 2, 3, 2, 3]
+    config = [1, 2] if edit is None else dict(make_config(corpus, tmp_path / "out"), **edit)
+    cfg_path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [["pairs", "--events", "e.csv", "--slots", "10", "--out", "c.csv"],
+             ["run", "--config", "config.json"]],
+    ids=["pairs", "run"],
+)
+def test_threads_flag_is_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--threads", "2"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
+def test_config_accepts_int_as_float_and_null_truth(corpus, tmp_path):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(make_config(corpus, tmp_path / "out", alpha=1, truth=None)))
+    config = RunConfig.from_file(cfg_path, tau=2)
+    assert (config.alpha, config.truth, config.tau) == (1, None, 2)
+
+
+def test_run_and_report_name_the_line_of_a_malformed_truth_file(corpus, tmp_path, capsys):
+    truth = tmp_path / "truth.csv"
+    truth.write_text("cause,effect,lag,p_c\nS001,S000,1,0.6\nS002,S000,two,0.7\n")
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(make_config(corpus, tmp_path / "out", truth=str(truth),
+                                               n_trees=5)))
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    assert f"nexica: run: {truth}: line 3: invalid literal" in capsys.readouterr().err
+    assert main(["report", "--run", str(tmp_path / "out")]) == 1
+    assert f"nexica: report: {truth}: line 3:" in capsys.readouterr().err
 
 
 def test_missing_input_exits_nonzero(tmp_path, capsys):
@@ -284,6 +301,19 @@ def test_run_without_positives_skips_evaluation(tmp_path, capsys):
     assert "skipped_reason" in metrics["classifier"]
     assert main(["report", "--run", str(tmp_path / "out")]) == 0
     assert "evaluation skipped" in capsys.readouterr().out
+
+
+def test_station_without_metadata_or_drive_times_is_dropped(corpus, tmp_path, caplog):
+    series = load_speed_csv(corpus["speeds"])
+    series.append(SpeedSeries("S999", series[0].start_time, np.full(N_SLOTS, 60.0),
+                              np.zeros(N_SLOTS, dtype=bool)))
+    speeds = tmp_path / "speeds.csv"
+    write_speed_csv(speeds, series)
+    config = RunConfig(**make_config(corpus, tmp_path / "out", speeds=str(speeds), n_trees=5))
+    metrics = run_pipeline(config)
+    assert metrics["n_stations"] == 10
+    assert "station S999 missing from drive-time matrix" in caplog.text
+    assert "S999" not in (tmp_path / "out" / "events.csv").read_text()
 
 
 def test_misaligned_stations_fail_with_stage_name(tmp_path):

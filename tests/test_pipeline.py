@@ -1,17 +1,26 @@
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nexica.errors import FormatError, ParameterError
+from nexica.errors import FormatError, NexicaError, ParameterError
 from nexica.events import EventSeries
+from nexica.mle import CASES
 from nexica.pipeline import (
+    COUNTS_HEADER,
+    DATASET_HEADER,
+    EVENTS_HEADER,
+    MLE_HEADER,
     read_counts_csv,
+    read_dataset_csv,
     read_events_csv,
     read_mle_csv,
     sweep,
     write_counts_csv,
     write_mle_csv,
 )
-
 
 def test_mle_csv_roundtrip_is_byte_identical(tmp_path):
     rng = np.random.default_rng(4)
@@ -66,8 +75,10 @@ def test_counts_csv_roundtrip(tmp_path):
         ("a,b,1,5,0", "integer lag and counts"),
         ("a,b,1,5,-1,1,0", "negative correspondence count"),
         ("a,b,-1,5,0,0,0", "lag and tau must be >= 0"),
+        ("a,b,1,5,0,0,9223372036854775808", "must fit in 64 bits"),
     ],
-    ids=["non-integer-lag", "non-integer-count", "short-row", "negative-count", "negative-lag"],
+    ids=["non-integer-lag", "non-integer-count", "short-row", "negative-count", "negative-lag",
+         "count-past-int64"],
 )
 def test_read_counts_csv_rejects_bad_rows(tmp_path, row, message):
     path = tmp_path / "counts.csv"
@@ -83,3 +94,49 @@ def test_read_counts_csv_rejects_empty_file_and_wrong_header(tmp_path):
         path.write_text(text)
         with pytest.raises(ParameterError, match=f"{name}: not a counts.csv"):
             read_counts_csv(path)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("a,b,x,1,r,5.0", "invalid literal for int"),
+        ("a,b,1,7,r,5.0", "7 is not a valid Label"),
+        ("a,b,1,1", "list index out of range"),
+        ("a,a,1,1,r,5.0", "cause and effect must differ"),
+    ],
+    ids=["non-integer-lag", "bad-label", "short-row", "self-pair"],
+)
+def test_read_dataset_csv_rejects_bad_rows(tmp_path, row, message):
+    path = tmp_path / "dataset.csv"
+    path.write_text(f"cause,effect,lag,label,rule,drive_time\na,b,1,1,r,5.0\n\n{row}\n")
+    with pytest.raises(FormatError, match=message) as info:
+        read_dataset_csv(path)
+    assert "dataset.csv: line 4" in str(info.value)
+
+
+FIELDS = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+    st.integers(-(2**70), 2**70).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["0", "1", "-1", "a", "b", *(c.value for c in CASES)]),
+)
+READERS = {
+    "events": (EVENTS_HEADER, lambda path: read_events_csv(path, n_slots=10)),
+    "counts": (COUNTS_HEADER, read_counts_csv),
+    "mle": (MLE_HEADER, read_mle_csv),
+    "dataset": (DATASET_HEADER, read_dataset_csv),
+}
+
+
+@pytest.mark.parametrize("name", list(READERS))
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(FIELDS, max_size=13), max_size=4))
+def test_readers_return_a_value_or_a_nexica_error(tmp_path_factory, name, rows):
+    header, read = READERS[name]
+    path = tmp_path_factory.mktemp(name) / f"{name}.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    try:
+        read(path)
+    except NexicaError:
+        pass

@@ -113,12 +113,6 @@ def test_last_lag_leaves_a_one_slot_window(tau):
     assert_matches_reference(series, l_max=m - tau - 1, tau=tau)
 
 
-def test_workers_are_ignored():
-    rng = np.random.default_rng(3)
-    series = [make_series(rng.random(200) < 0.1, f"s{k}") for k in range(4)]
-    assert table_rows(sweep(series, 4, 1, workers=4)) == table_rows(sweep(series, 4, 1))
-
-
 def test_sweep_parameter_errors():
     series = [make_series([1, 0, 1, 0, 0], "a"), make_series([0, 1, 0, 1, 0], "b")]
     with pytest.raises(ParameterError):

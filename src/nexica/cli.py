@@ -10,7 +10,7 @@ from . import classify as cls
 from . import pipeline as pl
 from .errors import NexicaError
 from .groundtruth import DatasetSpec, build_dataset, full_dataset, label_pairs
-from .ingest import load_drive_times, load_speed_csv, load_station_meta
+from .ingest import load_drive_times, load_speed_csv, load_station_meta, write_csv
 from .events import extract_events
 from .mle import estimate
 from .synth import SynthSpec, write_dataset
@@ -28,7 +28,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (NexicaError, OSError, json.JSONDecodeError) as exc:
+    except (NexicaError, OSError) as exc:
         print(f"nexica: {args.command}: {exc}", file=sys.stderr)
         return 1
 
@@ -98,8 +98,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid-search", help="pipeline AUC over an (alpha, tau) grid")
     p.add_argument("--config", required=True)
-    p.add_argument("--alphas", required=True, help="comma-separated, e.g. 0.05,0.25")
-    p.add_argument("--taus", required=True, help="comma-separated, e.g. 0,1")
+    p.add_argument("--alphas", required=True, type=_comma_list(float),
+                   help="comma-separated, e.g. 0.05,0.25")
+    p.add_argument("--taus", required=True, type=_comma_list(int),
+                   help="comma-separated, e.g. 0,1")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_grid_search)
 
@@ -118,6 +120,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_run)
 
     return parser
+
+
+def _comma_list(kind):
+    """An argparse ``type``; its ``__name__`` goes into argparse's error."""
+    def parse(text: str) -> list:
+        return [kind(v) for v in text.split(",") if v]
+    parse.__name__ = f"comma-separated {kind.__name__}"
+    return parse
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
@@ -223,10 +233,7 @@ def cmd_ablate(args) -> int:
     rows = cls.feature_ablation(
         x[:, pl.COUNT_MASK], y, folds=args.folds, n_trees=args.n_trees, seed=args.seed
     )
-    with open(args.out, "w", newline="") as fh:
-        fh.write("features,auc\n")
-        for names, auc in rows:
-            fh.write(f"{'+'.join(names)},{auc!r}\n")
+    write_csv(args.out, ["features", "auc"], (["+".join(names), repr(auc)] for names, auc in rows))
     best = max(rows, key=lambda r: r[1])
     print(f"15 subsets -> {args.out}; best {'+'.join(best[0])} at {best[1]:.4f}")
     return 0
@@ -234,9 +241,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_grid_search(args) -> int:
     config = pl.RunConfig.from_file(args.config)
-    alphas = [float(v) for v in args.alphas.split(",") if v]
-    taus = [int(v) for v in args.taus.split(",") if v]
-    rows = pl.grid_search(alphas, taus, config)
+    rows = pl.grid_search(args.alphas, args.taus, config)
     pl.write_grid_csv(args.out, rows)
     for r in rows:
         ratio_auc = "-" if r["ratio_auc"] is None else f"{r['ratio_auc']:.4f}"

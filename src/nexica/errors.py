@@ -5,12 +5,12 @@ class NexicaError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ParseError(NexicaError):
-    """A file row could not be parsed; the message names the line."""
-
-
 class FormatError(NexicaError):
     """An input value violates a format requirement (e.g. timestamp grid)."""
+
+
+class ParseError(FormatError):
+    """A file could not be parsed; the message names the file and line."""
 
 
 class ValidationError(NexicaError):

@@ -1,6 +1,7 @@
-"""Loading and validation of speed series, station metadata, and drive times.
+"""Loading and validation of speed series, station metadata, and drive times;
+the one CSV reader, CSV writer and JSON loader behind every file of nexica.
 
-All files are plain CSV with a header row:
+All input files are plain UTF-8 CSV with a header row:
 
 * speeds:      ``station_id,timestamp_iso8601,mean_speed,imputed``
 * metadata:    ``station_id,road,direction,lat,lon,type``
@@ -13,6 +14,8 @@ on a contiguous 5-minute grid with gaps marked ``imputed=True``.
 from __future__ import annotations
 
 import csv
+import dataclasses
+import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
@@ -23,6 +26,7 @@ from .errors import (
     ConsistencyError,
     DomainError,
     FormatError,
+    NexicaError,
     ParameterError,
     ParseError,
     ValidationError,
@@ -138,16 +142,88 @@ def _check_slot_aligned(ts: datetime, context: str = "") -> None:
         raise FormatError(f"timestamp {ts.isoformat()} not on a 5-minute boundary{where}")
 
 
-def _parse_timestamp(text: str, line: int) -> datetime:
+def read_rows(path, header_ok, parse, header_error: NexicaError):
+    """Yield ``parse(row)`` for each non-blank row after the header, one row
+    at a time.  Raises ``header_error`` unless ``header_ok`` accepts the first
+    row (``[]`` for an empty file), a ``ParseError`` naming the file and line
+    for a row that ``parse`` rejects or csv cannot split, and one naming the
+    file for bytes that are not UTF-8."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            if not header_ok(next(reader, None) or []):
+                raise header_error
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    value = parse(row)
+                except (ValueError, IndexError, KeyError, NexicaError) as exc:
+                    raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
+                yield value
+        except csv.Error as exc:
+            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            # Decoding runs ahead of the rows in chunks, so no line is known.
+            raise ParseError(f"{path}: not UTF-8 text") from exc
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def load_json(path):
+    """The JSON value in ``path``; a ``ParseError`` naming the file if it is
+    not UTF-8 JSON."""
     try:
-        ts = datetime.fromisoformat(text)
-    except ValueError:
-        raise ParseError(f"line {line}: bad timestamp {text!r}")
-    try:
-        _check_slot_aligned(ts)
-    except FormatError as exc:
-        raise FormatError(f"line {line}: {exc}")
-    return ts
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+# The JSON types a value of each dataclass field annotation may have: an int
+# passes as a float, a bool not as an int, and a synth edge is [int, int, int, number].
+_JSON_TYPES = {
+    "str": (str,), "str | None": (str, type(None)), "float": (int, float),
+    "int": (int,), "bool": (bool,),
+}
+
+
+def _json_matches(annotation: str, value) -> bool:
+    if annotation == "tuple[tuple[int, int, int, float], ...]":
+        return type(value) is list and all(
+            type(e) is list and len(e) == 4
+            and all(map(_json_matches, ("int", "int", "int", "float"), e)) for e in value
+        )
+    return type(value) in _JSON_TYPES[annotation]
+
+
+def load_fields(path, cls, label: str) -> dict:
+    """Keyword arguments for dataclass ``cls`` from the JSON object in
+    ``path``; a ``ParameterError`` naming the file for any other value, an
+    unknown or missing key, or a value of the wrong JSON type."""
+    raw = load_json(path)
+    if not isinstance(raw, dict):
+        raise ParameterError(f"{path}: {label} must be a JSON object")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(raw) - set(fields)
+    if unknown:
+        raise ParameterError(f"{path}: unknown {label} keys: {sorted(unknown)}")
+    missing = [k for k, f in fields.items() if k not in raw and f.default is dataclasses.MISSING]
+    if missing:
+        raise ParameterError(f"{path}: missing {label} keys: {missing}")
+    for key, value in raw.items():
+        if not _json_matches(fields[key].type, value):
+            raise ParameterError(
+                f"{path}: {label}.{key}: expected {fields[key].type}, got {value!r}"
+            )
+    return raw
 
 
 def load_speed_csv(path) -> list[SpeedSeries]:
@@ -157,46 +233,46 @@ def load_speed_csv(path) -> list[SpeedSeries]:
     ``imputed=True`` slots whose speed is copied from the nearest
     non-imputed slot (the value is a placeholder, only the flag matters).
     """
-    rows: dict[str, list[tuple[datetime, float, bool]]] = {}
     aware = None  # whether the file's timestamps carry a UTC offset
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(f"{path}: empty file")
-        if [h.strip() for h in header] != SPEED_HEADER:
-            raise ParseError(f"{path}: expected header {','.join(SPEED_HEADER)}")
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ParseError(f"line {line}: expected 4 fields, got {len(row)}")
-            sid = row[0].strip()
-            if not sid:
-                raise ParseError(f"line {line}: empty station_id")
-            ts = _parse_timestamp(row[1].strip(), line)
-            if aware is None:
-                aware = ts.utcoffset() is not None
-            elif aware != (ts.utcoffset() is not None):
-                raise FormatError(
-                    f"line {line}: timestamp {row[1].strip()!r} mixes naive and "
-                    "timezone-aware timestamps in one file"
-                )
-            try:
-                speed = float(row[2])
-            except ValueError:
-                raise ParseError(f"line {line}: bad speed {row[2]!r}")
-            if not math.isfinite(speed) or speed < 0:
-                raise ParseError(f"line {line}: speed must be finite and >= 0")
-            flag = row[3].strip()
-            if flag not in ("0", "1"):
-                raise ParseError(f"line {line}: imputed flag must be 0 or 1")
-            rows.setdefault(sid, []).append((ts, speed, flag == "1"))
 
-    out = []
-    for sid in sorted(rows):
-        out.append(_grid_station(sid, rows[sid]))
-    return out
+    def header_ok(header):
+        if not header:
+            raise ParseError(f"{path}: empty file")
+        return [h.strip() for h in header] == SPEED_HEADER
+
+    def parse(row):
+        nonlocal aware
+        if len(row) != 4:
+            raise ParseError(f"expected 4 fields, got {len(row)}")
+        sid = row[0].strip()
+        if not sid:
+            raise ParseError("empty station_id")
+        text = row[1].strip()
+        try:
+            ts = datetime.fromisoformat(text)
+        except ValueError:
+            raise ParseError(f"bad timestamp {text!r}") from None
+        _check_slot_aligned(ts)
+        if aware is None:
+            aware = ts.utcoffset() is not None
+        elif aware != (ts.utcoffset() is not None):
+            raise FormatError(f"timestamp {text!r} mixes naive and timezone-aware timestamps")
+        try:
+            speed = float(row[2])
+        except ValueError:
+            raise ParseError(f"bad speed {row[2]!r}") from None
+        if not math.isfinite(speed) or speed < 0:
+            raise ParseError("speed must be finite and >= 0")
+        flag = row[3].strip()
+        if flag not in ("0", "1"):
+            raise ParseError("imputed flag must be 0 or 1")
+        return sid, (ts, speed, flag == "1")
+
+    rows: dict[str, list[tuple[datetime, float, bool]]] = {}
+    header_error = ParseError(f"{path}: expected header {','.join(SPEED_HEADER)}")
+    for sid, triple in read_rows(path, header_ok, parse, header_error):
+        rows.setdefault(sid, []).append(triple)
+    return [_grid_station(sid, rows[sid]) for sid in sorted(rows)]
 
 
 def _grid_station(sid: str, triples: list[tuple[datetime, float, bool]]) -> SpeedSeries:
@@ -241,19 +317,11 @@ def _grid_station(sid: str, triples: list[tuple[datetime, float, bool]]) -> Spee
 
 def write_speed_csv(path, series: list[SpeedSeries]) -> None:
     """Write series back to the speed CSV schema, one row per slot."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SPEED_HEADER)
-        for s in series:
-            for j in range(len(s)):
-                writer.writerow(
-                    [
-                        s.station_id,
-                        s.slot_time(j).isoformat(),
-                        repr(float(s.speeds[j])),
-                        int(bool(s.imputed[j])),
-                    ]
-                )
+    write_csv(path, SPEED_HEADER, (
+        [s.station_id, s.slot_time(j).isoformat(), repr(speed), int(imputed)]
+        for s in series
+        for j, (speed, imputed) in enumerate(zip(s.speeds.tolist(), s.imputed.tolist()))
+    ))
 
 
 def completeness(series: SpeedSeries) -> float:
@@ -289,75 +357,60 @@ def filter_stations(
 
 
 def load_station_meta(path) -> list[StationMeta]:
-    out = []
     seen = set()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != META_HEADER:
-            raise ParseError(f"{path}: expected header {','.join(META_HEADER)}")
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 6:
-                raise ParseError(f"line {line}: expected 6 fields, got {len(row)}")
-            sid = row[0].strip()
-            if sid in seen:
-                raise ParseError(f"line {line}: duplicate station_id {sid!r}")
-            seen.add(sid)
-            try:
-                lat, lon = float(row[3]), float(row[4])
-            except ValueError:
-                raise ParseError(f"line {line}: bad coordinates")
-            try:
-                out.append(
-                    StationMeta(sid, row[1].strip(), row[2].strip(), lat, lon, row[5].strip())
-                )
-            except ValidationError as exc:
-                raise ParseError(f"line {line}: {exc}")
-    return out
+
+    def parse(row):
+        if len(row) != 6:
+            raise ParseError(f"expected 6 fields, got {len(row)}")
+        sid = row[0].strip()
+        if sid in seen:
+            raise ParseError(f"duplicate station_id {sid!r}")
+        seen.add(sid)
+        try:
+            lat, lon = float(row[3]), float(row[4])
+        except ValueError:
+            raise ParseError("bad coordinates") from None
+        return StationMeta(sid, row[1].strip(), row[2].strip(), lat, lon, row[5].strip())
+
+    return list(read_rows(
+        path, lambda header: [h.strip() for h in header] == META_HEADER, parse,
+        ParseError(f"{path}: expected header {','.join(META_HEADER)}"),
+    ))
 
 
 def write_station_meta(path, meta: list[StationMeta]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(META_HEADER)
-        for m in meta:
-            writer.writerow(
-                [m.station_id, m.road, m.direction, repr(m.latitude), repr(m.longitude), m.sensor_type]
-            )
+    write_csv(path, META_HEADER, (
+        [m.station_id, m.road, m.direction, repr(m.latitude), repr(m.longitude), m.sensor_type]
+        for m in meta
+    ))
 
 
 def load_drive_times(path) -> DriveTimeMatrix:
     """Load and validate the square drive-time matrix (minutes)."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ParseError(f"{path}: empty file")
-    col_ids = [c.strip() for c in rows[0][1:]]
-    n = len(col_ids)
-    if len(rows) - 1 != n:
-        raise ValidationError(
-            f"{path}: matrix is not square ({len(rows) - 1} rows, {n} columns)"
-        )
-    row_ids = []
-    minutes = np.empty((n, n))
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != n + 1:
-            raise ValidationError(f"line {i}: expected {n + 1} fields, got {len(row)}")
-        row_ids.append(row[0].strip())
+    col_ids: list[str] = []
+
+    def header_ok(header):
+        col_ids.extend(c.strip() for c in header[1:])
+        return bool(header)
+
+    def parse(row):
+        if len(row) != len(col_ids) + 1:
+            raise ParseError(f"expected {len(col_ids) + 1} fields, got {len(row)}")
         try:
-            minutes[i - 2] = [float(v) for v in row[1:]]
+            return row[0].strip(), [float(v) for v in row[1:]]
         except ValueError:
-            raise ParseError(f"line {i}: non-numeric drive time")
-    if row_ids != col_ids:
+            raise ParseError("non-numeric drive time") from None
+
+    rows = list(read_rows(path, header_ok, parse, ParseError(f"{path}: empty file")))
+    n = len(col_ids)
+    if len(rows) != n:
+        raise ValidationError(f"{path}: matrix is not square ({len(rows)} rows, {n} columns)")
+    if [sid for sid, _ in rows] != col_ids:
         raise ValidationError(f"{path}: row and column station ids differ")
-    return DriveTimeMatrix(row_ids, minutes)
+    return DriveTimeMatrix(col_ids, np.array([m for _, m in rows]).reshape(n, n))
 
 
 def write_drive_times(path, matrix: DriveTimeMatrix) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([""] + list(matrix.station_ids))
-        for i, sid in enumerate(matrix.station_ids):
-            writer.writerow([sid] + [repr(float(v)) for v in matrix.minutes[i]])
+    write_csv(path, ["", *matrix.station_ids], (
+        [sid, *map(repr, row)] for sid, row in zip(matrix.station_ids, matrix.minutes.tolist())
+    ))

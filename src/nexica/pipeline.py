@@ -8,7 +8,6 @@ times go to ``timings.json``.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
 import json
@@ -40,8 +39,12 @@ from .ingest import (
     SpeedSeries,
     filter_stations,
     load_drive_times,
+    load_fields,
+    load_json,
     load_speed_csv,
     load_station_meta,
+    read_rows,
+    write_csv,
 )
 from .mle import CASES, CausalEstimate, estimate_many
 
@@ -57,12 +60,9 @@ TOP_K_EDGES = 50
 
 @dataclass
 class RunConfig:
-    """Flat, file-backed configuration for a full pipeline run.
-
-    A config file is a flat JSON object with these exact keys, each value
-    of its field's type (an int passes as a float, a bool not as an int);
-    CLI flags override file values.
-    """
+    """Flat, file-backed configuration for a full pipeline run: a JSON object
+    with these keys, each value of its field's JSON type (checked by
+    ``ingest.load_fields``); CLI flags override file values."""
 
     speeds: str = ""
     meta: str = ""
@@ -81,18 +81,8 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path, **overrides) -> "RunConfig":
-        with open(path) as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ParameterError(f"{path}: config must be a JSON object")
-        types = {f.name: f.type for f in dataclasses.fields(cls)}
-        unknown = set(raw) - set(types)
-        if unknown:
-            raise ParameterError(f"unknown config keys: {sorted(unknown)}")
+        raw = load_fields(path, cls, "config")
         raw.update({k: v for k, v in overrides.items() if v is not None})
-        for key, value in raw.items():
-            if type(value) not in _CONFIG_TYPES[types[key]]:
-                raise ParameterError(f"config.{key}: expected {types[key]}, got {value!r}")
         return cls(**raw)
 
     def validated(self) -> "RunConfig":
@@ -103,13 +93,6 @@ class RunConfig:
         if not self.out_dir:
             raise ParameterError("config.out_dir is required")
         return self
-
-
-# The JSON types each ``RunConfig`` annotation accepts.
-_CONFIG_TYPES = {
-    "str": (str,), "str | None": (str, type(None)), "float": (int, float),
-    "int": (int,), "bool": (bool,),
-}
 
 
 @dataclass
@@ -188,48 +171,16 @@ DATASET_HEADER = ["cause", "effect", "lag", "label", "rule", "drive_time"]
 TOPK_HEADER = ["cause", "effect", "lag", "p_forest", "p_c", "p_s"]
 
 
-def _write_csv(path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _read_rows(path, header_ok, parse, header_error: NexicaError):
-    """Yield ``parse(row)`` for each non-blank row after the header, one row
-    at a time.
-
-    Raises ``header_error`` unless ``header_ok`` accepts the first row, and
-    a ``FormatError`` naming the file and line for a row that ``parse``
-    rejects.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if not header_ok(next(reader, None) or []):
-            raise header_error
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                value = parse(row)
-            except (ValueError, IndexError, KeyError, NexicaError) as exc:
-                raise FormatError(f"{path}: line {line}: {exc}") from exc
-            yield value
-
-
 def write_events_csv(path, series: list[EventSeries]) -> None:
     """One row per detected event (sparse), and one ``sid,0,0`` row for a
     station without events so that it survives the round trip.  Pair
     counting needs the slot count separately since trailing slots may
     hold no events."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EVENTS_HEADER)
-        for s in series:
-            slots = s.event_indices().tolist()
-            writer.writerows([s.station_id, j, 1] for j in slots)
-            if not slots:
-                writer.writerow([s.station_id, 0, 0])
+    write_csv(path, EVENTS_HEADER, (
+        row for s in series
+        for row in [[s.station_id, j, 1] for j in s.event_indices().tolist()]
+        or [[s.station_id, 0, 0]]
+    ))
 
 
 def read_events_csv(path, n_slots: int) -> list[EventSeries]:
@@ -246,7 +197,7 @@ def read_events_csv(path, n_slots: int) -> list[EventSeries]:
 
     by_station: dict[str, list[int]] = {}
     header_error = FormatError(f"{path}: expected header {','.join(EVENTS_HEADER)}")
-    for sid, slot, event in _read_rows(path, EVENTS_HEADER.__eq__, parse, header_error):
+    for sid, slot, event in read_rows(path, EVENTS_HEADER.__eq__, parse, header_error):
         slots = by_station.setdefault(sid, [])
         if event:
             slots.append(slot)
@@ -259,7 +210,7 @@ def read_events_csv(path, n_slots: int) -> list[EventSeries]:
 
 
 def write_profiles_csv(path, series: list[SpeedSeries]) -> None:
-    _write_csv(path, ["station_id", "week_slot", "median_speed"], (
+    write_csv(path, ["station_id", "week_slot", "median_speed"], (
         [s.station_id, k, "" if math.isnan(v) else repr(v)]
         for s in series
         for k, v in enumerate(median_week_profile(s).medians.tolist())
@@ -267,7 +218,7 @@ def write_profiles_csv(path, series: list[SpeedSeries]) -> None:
 
 
 def write_counts_csv(path, table: SweepTable) -> None:
-    _write_csv(path, COUNTS_HEADER, (
+    write_csv(path, COUNTS_HEADER, (
         [*t, *row] for t, row in zip(table.tuples, table.counts.tolist())
     ))
 
@@ -294,27 +245,24 @@ def read_counts_csv(path, tau: int = 0) -> list[tuple[str, str, int, Corresponde
         (cause, effect, lag), a = _counts_row(row)
         return cause, effect, lag, CorrespondenceCounts.from_counts(*a, lag=lag, tau=tau)
 
-    return list(_read_rows(
+    return list(read_rows(
         path, lambda header: header[:7] == COUNTS_HEADER, parse,
         ParameterError(f"{path}: not a counts.csv (expected header {','.join(COUNTS_HEADER)})"),
     ))
 
 
-def _mle_row(cause: str, effect: str, lag: int, counts, est: CausalEstimate) -> list:
-    return [cause, effect, lag, *counts, repr(est.p_s), repr(est.p_c), repr(est.p_c_raw),
-            repr(est.log_likelihood), est.case.value]
-
-
 def write_mle_rows(path, rows) -> None:
     """``rows`` yields (cause, effect, lag, counts, estimate) tuples."""
-    _write_csv(path, MLE_HEADER, (
-        _mle_row(cuz, eff, lag, counts.as_tuple(), est) for cuz, eff, lag, counts, est in rows
+    write_csv(path, MLE_HEADER, (
+        [cause, effect, lag, *counts.as_tuple(), repr(est.p_s), repr(est.p_c),
+         repr(est.p_c_raw), repr(est.log_likelihood), est.case.value]
+        for cause, effect, lag, counts, est in rows
     ))
 
 
 def write_mle_csv(path, table: SweepTable) -> None:
     names = [c.value for c in CASES]
-    _write_csv(path, MLE_HEADER, (
+    write_csv(path, MLE_HEADER, (
         [*t, *row, repr(p_s), repr(p_c), repr(raw), repr(ll), names[case]]
         for t, row, p_s, p_c, raw, ll, case in zip(
             table.tuples, table.counts.tolist(), table.p_s.tolist(), table.p_c.tolist(),
@@ -337,16 +285,12 @@ def read_mle_csv(path) -> SweepTable:
         except (ValueError, KeyError):
             raise FormatError("malformed mle row") from None
 
-    tuples, counts, floats, cases = [], [], [], []
     header_error = ParameterError(
         f"{path}: not an mle.csv (expected header {','.join(MLE_HEADER)}); "
         "run `nexica mle` on the counts first"
     )
-    for key, a, f, case in _read_rows(path, MLE_HEADER.__eq__, parse, header_error):
-        tuples.append(key)
-        counts.append(a)
-        floats.append(f)
-        cases.append(case)
+    rows = list(read_rows(path, MLE_HEADER.__eq__, parse, header_error))
+    tuples, counts, floats, cases = (list(column) for column in zip(*rows)) if rows else ([],) * 4
     p_s, p_c, p_c_raw, loglik = np.asarray(floats, dtype=np.float64).reshape(-1, 4).T.copy()
     return SweepTable(
         tuples, np.asarray(counts, dtype=np.int64).reshape(-1, 4),
@@ -355,14 +299,14 @@ def read_mle_csv(path) -> SweepTable:
 
 
 def write_dataset_csv(path, dataset: GroundTruthDataset) -> None:
-    _write_csv(path, DATASET_HEADER, (
+    write_csv(path, DATASET_HEADER, (
         [p.cause_id, p.effect_id, p.lag, p.label.value, p.rule, repr(p.drive_time)]
         for p in dataset.pairs
     ))
 
 
 def read_dataset_csv(path) -> list[LabeledPair]:
-    return list(_read_rows(
+    return list(read_rows(
         path, DATASET_HEADER.__eq__,
         lambda row: LabeledPair(
             row[0], row[1], int(row[2]), Label(int(row[3])), row[4], float(row[5])
@@ -373,7 +317,7 @@ def read_dataset_csv(path) -> list[LabeledPair]:
 
 def write_roc_csv(path, roc: cls.RocResult) -> None:
     points = zip(roc.thresholds.tolist(), roc.fpr[1:].tolist(), roc.tpr[1:].tolist())
-    _write_csv(path, ["threshold", "fpr", "tpr"], [
+    write_csv(path, ["threshold", "fpr", "tpr"], [
         ["", repr(0.0), repr(0.0)], *([repr(t), repr(f), repr(r)] for t, f, r in points)
     ])
 
@@ -566,7 +510,7 @@ def _classify(config, table, ratio_set, full_set, out: Path):
     scores = cls.predict_proba(model, matrix)
     # break score ties (forests saturate at 1.0) by estimated causal probability
     top = np.lexsort((-matrix[:, PC_COLUMN], -scores))[:TOP_K_EDGES]
-    _write_csv(out / "topk_edges.csv", TOPK_HEADER, (
+    write_csv(out / "topk_edges.csv", TOPK_HEADER, (
         [*table.tuples[k], repr(float(scores[k])),
          repr(float(table.p_c[k])), repr(float(table.p_s[k]))]
         for k in top.tolist()
@@ -618,7 +562,7 @@ def grid_search(
 
 
 def write_grid_csv(path, rows: list[dict]) -> None:
-    _write_csv(path, ["alpha", "tau", "ratio_auc", "full_auc", "seconds"], (
+    write_csv(path, ["alpha", "tau", "ratio_auc", "full_auc", "seconds"], (
         [r["alpha"], r["tau"],
          "" if r["ratio_auc"] is None else repr(r["ratio_auc"]),
          "" if r["full_auc"] is None else repr(r["full_auc"]),
@@ -638,10 +582,8 @@ def report(run_dir) -> str:
     ]
     if missing:
         raise ParameterError(f"incomplete run dir {run}: missing {', '.join(missing)}")
-    with open(run / "metrics.json") as fh:
-        metrics = json.load(fh)
-    with open(run / "config.json") as fh:
-        config = json.load(fh)
+    metrics = load_json(run / "metrics.json")
+    config = load_json(run / "config.json")
 
     lines = [f"run summary: {run}"]
     lines.append(
@@ -687,7 +629,7 @@ def report(run_dir) -> str:
             )
         top_path = run / "topk_edges.csv"
         if top_path.exists():
-            top = list(_read_rows(
+            top = list(read_rows(
                 top_path, TOPK_HEADER.__eq__,
                 lambda row: ((row[0], row[1], int(row[2])), float(row[3]), float(row[4])),
                 FormatError(f"{top_path}: expected header {','.join(TOPK_HEADER)}"),
@@ -708,7 +650,7 @@ def report(run_dir) -> str:
 def _planted_comparison(truth_path: str, ranked: list, mle_path: Path) -> list[str]:
     """Planted edges of the truth file (header ``cause,effect,lag,...``)
     found among the top of ``ranked`` and of the mle.csv ranked by p_c."""
-    planted = set(_read_rows(
+    planted = set(read_rows(
         truth_path, lambda header: header[:3] == COUNTS_HEADER[:3],
         lambda row: (row[0], row[1], int(row[2])),
         FormatError(f"{truth_path}: expected header cause,effect,lag,..."),

@@ -15,7 +15,6 @@ bit-identical and stations can be generated independently.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -29,6 +28,8 @@ from .ingest import (
     DriveTimeMatrix,
     SpeedSeries,
     StationMeta,
+    load_fields,
+    write_csv,
     write_drive_times,
     write_speed_csv,
     write_station_meta,
@@ -77,8 +78,7 @@ class SynthSpec:
 
     @classmethod
     def from_json(cls, path) -> "SynthSpec":
-        with open(path) as fh:
-            raw = json.load(fh)
+        raw = load_fields(path, cls, "spec")
         raw["edges"] = tuple(tuple(e) for e in raw.get("edges", ()))
         return cls(**raw)
 
@@ -235,8 +235,7 @@ def write_dataset(spec: SynthSpec, out_dir) -> dict[str, str]:
     write_speed_csv(paths["speeds"], speeds)
     write_station_meta(paths["meta"], meta)
     write_drive_times(paths["drive_times"], matrix)
-    with open(paths["truth"], "w", newline="") as fh:
-        fh.write("cause,effect,lag,p_c\n")
-        for c, e, lag, p_c in truth:
-            fh.write(f"{c},{e},{lag},{repr(float(p_c))}\n")
+    write_csv(paths["truth"], ["cause", "effect", "lag", "p_c"], (
+        [c, e, lag, repr(float(p_c))] for c, e, lag, p_c in truth
+    ))
     return paths

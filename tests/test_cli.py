@@ -258,6 +258,58 @@ def test_run_and_report_name_the_line_of_a_malformed_truth_file(corpus, tmp_path
     assert f"nexica: report: {truth}: line 3:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"p_s": "x"}, "spec.p_s: expected float, got 'x'"),
+        ({"bogus": 1}, "unknown spec keys: ['bogus']"),
+        ({"edges": [[1, 0, "2", 0.5]]}, "spec.edges: expected"),
+        ({"edges": [[1, 0, 2]]}, "spec.edges: expected"),
+        ({"n_stations": None}, "missing spec keys: ['n_stations']"),
+    ],
+    ids=["str-float", "unknown-key", "str-lag", "short-edge", "missing-key"],
+)
+def test_synth_rejects_bad_spec_values(tmp_path, capsys, edit, message):
+    spec = {"n_stations": 3, "n_slots": 100, "p_s": 0.1, **edit}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({k: v for k, v in spec.items() if v is not None}))
+    assert main(["synth", "--spec", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert f"nexica: synth: {path}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--alphas", "0.25,x"), ("--taus", "0,0.5")])
+def test_grid_search_rejects_a_bad_list_item(tmp_path, capsys, flag, value):
+    lists = {"--alphas": "0.25", "--taus": "0", flag: value}
+    with pytest.raises(SystemExit) as info:
+        main(["grid-search", "--config", str(tmp_path / "config.json"),
+              *(arg for item in lists.items() for arg in item), "--out", str(tmp_path / "g.csv")])
+    assert info.value.code == 2
+    assert f"argument {flag}: invalid comma-separated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, content, message",
+    [
+        (["events", "--alpha", "0.25", "--out", "e.csv", "--speeds"],
+         b"station_id,timestamp_iso8601,mean_speed,imputed\na,2024-01-01T00:00:00,x,0\n",
+         "line 2: bad speed 'x'"),
+        (["mle", "--out", "m.csv", "--counts"], b"\xff\xfecause,effect\n", "not UTF-8 text"),
+        (["mle", "--out", "m.csv", "--counts"],
+         b"cause,effect,lag,a00,a01,a10,a11\na,b,1," + b"x" * 200_000 + b"\n",
+         "line 2: field larger than field limit"),
+        (["run", "--config"], b"", "Expecting value"),
+    ],
+    ids=["bad-speed", "not-utf8", "long-field", "empty-config"],
+)
+def test_bad_input_exits_1_naming_the_file(tmp_path, monkeypatch, capsys, argv, content, message):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    assert main(argv + [str(path)]) == 1
+    assert f"nexica: {argv[0]}: {path}: {message}" in capsys.readouterr().err
+
+
 def test_missing_input_exits_nonzero(tmp_path, capsys):
     rc = main(["events", "--speeds", str(tmp_path / "nope.csv"),
                "--alpha", "0.25", "--out", str(tmp_path / "x.csv")])

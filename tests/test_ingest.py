@@ -258,6 +258,18 @@ def test_drive_times_non_square_rejected(tmp_path):
         load_drive_times(path)
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [("b,1", "expected 3 fields, got 2"), ("b,1,x", "non-numeric drive time")],
+    ids=["short-row", "non-numeric"],
+)
+def test_drive_times_bad_row_names_file_and_line(tmp_path, row, message):
+    path = tmp_path / "d.csv"
+    path.write_text(f",a,b\na,0,1\n{row}\n")
+    with pytest.raises(ParseError, match=f"d.csv: line 3: {message}"):
+        load_drive_times(path)
+
+
 def test_drive_times_diagonal_rejected_under_any_permutation():
     rng = np.random.default_rng(11)
     ids = [f"s{k}" for k in range(5)]

@@ -1,4 +1,6 @@
 import csv
+import re
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -7,12 +9,20 @@ from hypothesis import strategies as st
 
 from nexica.errors import FormatError, NexicaError, ParameterError
 from nexica.events import EventSeries
+from nexica.ingest import (
+    META_HEADER,
+    SPEED_HEADER,
+    load_drive_times,
+    load_speed_csv,
+    load_station_meta,
+)
 from nexica.mle import CASES
 from nexica.pipeline import (
     COUNTS_HEADER,
     DATASET_HEADER,
     EVENTS_HEADER,
     MLE_HEADER,
+    RunConfig,
     read_counts_csv,
     read_dataset_csv,
     read_events_csv,
@@ -21,6 +31,7 @@ from nexica.pipeline import (
     write_counts_csv,
     write_mle_csv,
 )
+from nexica.synth import SynthSpec
 
 def test_mle_csv_roundtrip_is_byte_identical(tmp_path):
     rng = np.random.default_rng(4)
@@ -120,23 +131,74 @@ FIELDS = st.one_of(
     st.floats().map(repr),
     st.sampled_from(["0", "1", "-1", "a", "b", *(c.value for c in CASES)]),
 )
+ROWS = st.lists(st.lists(FIELDS, max_size=13), max_size=4)
+NUMBERS = st.floats().map(repr) | FIELDS
+
+
+def rows_of(*columns, junk=FIELDS):
+    """Rows that fit the columns, mixed with rows of arbitrary fields."""
+    return st.lists(st.tuples(*columns).map(list) | st.lists(junk, max_size=8), max_size=6)
+
+
+# Speed timestamps stay within two days of one date, on and off the 5-minute
+# grid: the loader allocates one slot per 5 minutes between a station's first
+# and last row.  Junk fields have at most 6 characters, too few for any ISO
+# date (the shortest, a week date such as 0001W01, has 7).
+STAMPS = st.datetimes(
+    datetime(2024, 1, 1), datetime(2024, 1, 3), timezones=st.none() | st.just(timezone.utc)
+)
+ON_GRID = STAMPS.map(lambda t: t.replace(minute=t.minute // 5 * 5, second=0, microsecond=0))
+SPEED_ROWS = rows_of(
+    st.sampled_from(["a", "b", ""]), (ON_GRID | STAMPS).map(datetime.isoformat), NUMBERS,
+    st.sampled_from(["0", "1", "2"]), junk=st.text(max_size=6),
+)
 READERS = {
-    "events": (EVENTS_HEADER, lambda path: read_events_csv(path, n_slots=10)),
-    "counts": (COUNTS_HEADER, read_counts_csv),
-    "mle": (MLE_HEADER, read_mle_csv),
-    "dataset": (DATASET_HEADER, read_dataset_csv),
+    "events": (EVENTS_HEADER, lambda path: read_events_csv(path, n_slots=10), ROWS),
+    "counts": (COUNTS_HEADER, read_counts_csv, ROWS),
+    "mle": (MLE_HEADER, read_mle_csv, ROWS),
+    "dataset": (DATASET_HEADER, read_dataset_csv, ROWS),
+    "speeds": (SPEED_HEADER, load_speed_csv, SPEED_ROWS),
+    "meta": (META_HEADER, load_station_meta, rows_of(
+        st.sampled_from(["a", "b"]), FIELDS, st.sampled_from(["N", "Q"]), NUMBERS, NUMBERS, FIELDS
+    )),
+    "drive-times": (["", "a", "b"], load_drive_times, rows_of(
+        st.sampled_from(["a", "b"]), NUMBERS, NUMBERS
+    )),
 }
 
 
 @pytest.mark.parametrize("name", list(READERS))
 @settings(max_examples=200, deadline=None)
-@given(rows=st.lists(st.lists(FIELDS, max_size=13), max_size=4))
-def test_readers_return_a_value_or_a_nexica_error(tmp_path_factory, name, rows):
-    header, read = READERS[name]
+@given(data=st.data())
+def test_readers_return_a_value_or_a_nexica_error(tmp_path_factory, name, data):
+    header, read, rows = READERS[name]
     path = tmp_path_factory.mktemp(name) / f"{name}.csv"
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows([header, *rows])
+        csv.writer(fh).writerows([header, *data.draw(rows)])
     try:
         read(path)
     except NexicaError:
         pass
+
+
+LOADERS = {
+    **{name: (",".join(header), read) for name, (header, read, _) in READERS.items()},
+    "config": (None, RunConfig.from_file),
+    "spec": (None, SynthSpec.from_json),
+}
+
+
+@pytest.mark.parametrize("name", list(LOADERS))
+@pytest.mark.parametrize("case", ["not-utf8", "long-field"])
+def test_undecodable_or_oversized_input_is_an_error_naming_the_file(tmp_path, name, case):
+    header, read = LOADERS[name]
+    path = tmp_path / f"{name}.input"
+    field = "x" * 200_000
+    if case == "not-utf8":
+        path.write_bytes(b"\xff\xfe" + (header or "{}").encode())
+    elif header is None:
+        path.write_text(f'{{"{field}": 1}}')
+    else:
+        path.write_text(f"{header}\na,{field}\n")
+    with pytest.raises(NexicaError, match=f"^{re.escape(str(path))}: "):
+        read(path)

@@ -124,10 +124,10 @@ class SweepTable:
         """Row of each tuple, built on first use."""
         return {t: k for k, t in enumerate(self.tuples)}
 
-    def feature_matrix(self) -> np.ndarray:
-        """Columns a00, a01, a10, a11, p_c; undefined p_c maps to 0."""
-        pc = np.where(np.isnan(self.p_c), 0.0, self.p_c)
-        return np.column_stack([self.counts.astype(np.float64), pc])
+    def feature_matrix(self, rows=slice(None)) -> np.ndarray:
+        """Columns a00, a01, a10, a11, p_c of ``rows`` (all by default); undefined p_c maps to 0."""
+        pc = self.p_c[rows]
+        return np.column_stack([self.counts[rows], np.where(np.isnan(pc), 0.0, pc)])
 
     def case_tally(self) -> dict[str, int]:
         tally = np.bincount(self.case, minlength=len(CASES)).tolist()
@@ -217,10 +217,16 @@ def write_profiles_csv(path, series: list[SpeedSeries]) -> None:
     ))
 
 
+def _table_rows(table: SweepTable, *columns: np.ndarray, block: int = 8192):
+    """``(tuple, *values)`` per row of ``table``; ``columns`` become Python
+    objects ``block`` rows at a time, not a hundred megabytes at once."""
+    for k in range(0, len(table.tuples), block):
+        rows = slice(k, k + block)
+        yield from zip(table.tuples[rows], *(c[rows].tolist() for c in columns))
+
+
 def write_counts_csv(path, table: SweepTable) -> None:
-    write_csv(path, COUNTS_HEADER, (
-        [*t, *row] for t, row in zip(table.tuples, table.counts.tolist())
-    ))
+    write_csv(path, COUNTS_HEADER, ([*t, *row] for t, row in _table_rows(table, table.counts)))
 
 
 def _counts_row(row: list[str]) -> tuple[tuple[str, str, int], list[int]]:
@@ -264,10 +270,8 @@ def write_mle_csv(path, table: SweepTable) -> None:
     names = [c.value for c in CASES]
     write_csv(path, MLE_HEADER, (
         [*t, *row, repr(p_s), repr(p_c), repr(raw), repr(ll), names[case]]
-        for t, row, p_s, p_c, raw, ll, case in zip(
-            table.tuples, table.counts.tolist(), table.p_s.tolist(), table.p_c.tolist(),
-            table.p_c_raw.tolist(), table.loglik.tolist(), table.case.tolist(),
-        )
+        for t, row, p_s, p_c, raw, ll, case in _table_rows(
+            table, table.counts, table.p_s, table.p_c, table.p_c_raw, table.loglik, table.case)
     ))
 
 
@@ -336,16 +340,12 @@ def dataset_features(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Feature matrix (a00, a01, a10, a11, p_c) and labels for a dataset."""
     index = table.index
-    matrix = table.feature_matrix()
-    rows = []
-    labels = []
-    for p in pairs:
-        key = (p.cause_id, p.effect_id, p.lag)
-        if key not in index:
-            raise ConsistencyError(f"dataset tuple {key} was not swept")
-        rows.append(index[key])
-        labels.append(p.label.value)
-    return matrix[np.asarray(rows, dtype=np.int64)], np.asarray(labels, dtype=np.int8)
+    try:
+        rows = [index[p.cause_id, p.effect_id, p.lag] for p in pairs]
+    except KeyError as exc:
+        raise ConsistencyError(f"dataset tuple {exc.args[0]} was not swept") from None
+    labels = np.fromiter((p.label.value for p in pairs), dtype=np.int8, count=len(pairs))
+    return table.feature_matrix(np.asarray(rows, dtype=np.int64)), labels
 
 
 COUNT_MASK = (0, 1, 2, 3)

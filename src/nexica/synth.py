@@ -185,7 +185,7 @@ def render_speed_series(
     """
     speeds = np.full(len(events), base_speed)
     speeds[events.events] = base_speed * (1.0 - 2.0 * alpha)
-    imputed = np.zeros(len(events), dtype=bool)
+    imputed = np.broadcast_to(False, len(events))  # no slot is imputed: one read-only view
     return SpeedSeries(events.station_id, start_time, speeds, imputed)
 
 

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nexica.errors import FormatError, NexicaError, ParameterError
+from nexica import pipeline
+from nexica.errors import ConsistencyError, FormatError, NexicaError, ParameterError
 from nexica.events import EventSeries
+from nexica.groundtruth import Label, LabeledPair
 from nexica.ingest import (
     META_HEADER,
     SPEED_HEADER,
@@ -23,6 +25,7 @@ from nexica.pipeline import (
     EVENTS_HEADER,
     MLE_HEADER,
     RunConfig,
+    dataset_features,
     read_counts_csv,
     read_dataset_csv,
     read_events_csv,
@@ -47,6 +50,37 @@ def test_mle_csv_roundtrip_is_byte_identical(tmp_path):
     assert np.array_equal(again.counts, table.counts)
     write_mle_csv(tmp_path / "b.csv", again)
     assert (tmp_path / "b.csv").read_bytes() == first.read_bytes()
+
+
+def _random_table(seed=4, n=5, m=300, l_max=4, tau=1):
+    rng = np.random.default_rng(seed)
+    bits = [rng.random(m) < p for p in np.linspace(0.0, 0.5, n)]
+    return sweep([EventSeries(f"s{k}", b, b, float("nan")) for k, b in enumerate(bits)], l_max, tau)
+
+
+def test_table_rows_do_not_depend_on_the_block_size():
+    table = _random_table()
+    columns = (table.counts, table.p_c, table.case)
+    whole = repr(list(zip(table.tuples, *(c.tolist() for c in columns))))  # repr: nan != nan
+    assert len(table.tuples) == 80
+    for block in (1, 7, 80, 8192):  # at 7: eleven full blocks and a short one
+        assert repr(list(pipeline._table_rows(table, *columns, block=block))) == whole
+
+
+def test_dataset_features_are_the_table_rows_of_the_pairs():
+    table = _random_table()
+    assert np.isnan(table.p_c).any()
+    rng = np.random.default_rng(0)
+    picks = rng.permutation(len(table.tuples))[:30]
+    pairs = [LabeledPair(*table.tuples[k], Label(k % 2), "r", 1.0) for k in picks.tolist()]
+    x, y = dataset_features(table, pairs)
+    whole = np.column_stack([table.counts.astype(np.float64), np.nan_to_num(table.p_c, nan=0.0)])
+    assert x.dtype == np.float64 and np.array_equal(x, whole[picks])
+    assert y.dtype == np.int8 and y.tolist() == [k % 2 for k in picks.tolist()]
+    assert np.array_equal(table.feature_matrix(), whole)
+    assert dataset_features(table, [])[0].shape == (0, 5)
+    with pytest.raises(ConsistencyError, match=r"tuple \('s0', 's1', 9\) was not swept"):
+        dataset_features(table, [LabeledPair("s0", "s1", 9, Label.NEGATIVE, "r", 1.0)])
 
 
 @pytest.mark.parametrize(

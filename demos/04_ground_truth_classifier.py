@@ -11,7 +11,6 @@ import numpy as np
 
 from nexica import (
     DatasetSpec,
-    Label,
     SynthSpec,
     build_dataset,
     cross_validate,

@@ -28,14 +28,10 @@ from .events import (
 )
 from .groundtruth import (
     DatasetSpec,
-    FlowDirection,
     GroundTruth,
     GroundTruthDataset,
-    Label,
-    LabeledPair,
+    LabeledPairs,
     build_dataset,
-    expected_lags,
-    flow_direction,
     full_dataset,
     label_pairs,
 )
@@ -72,12 +68,10 @@ __all__ = [
     "DatasetSpec",
     "DriveTimeMatrix",
     "EventSeries",
-    "FlowDirection",
     "ForestModel",
     "GroundTruth",
     "GroundTruthDataset",
-    "Label",
-    "LabeledPair",
+    "LabeledPairs",
     "NexicaError",
     "RocResult",
     "RunConfig",
@@ -95,11 +89,9 @@ __all__ = [
     "estimate",
     "estimate_many",
     "estimate_unconstrained",
-    "expected_lags",
     "extract_events",
     "feature_ablation",
     "filter_stations",
-    "flow_direction",
     "full_dataset",
     "generate_event_pair",
     "generate_network",

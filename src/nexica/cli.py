@@ -178,7 +178,7 @@ def cmd_ground_truth(args) -> int:
     truth = label_pairs(meta, matrix, spec)
     dataset = full_dataset(truth) if args.full else build_dataset(truth, args.ratio)
     pl.write_dataset_csv(args.out, dataset)
-    pos = len(dataset.positives())
+    pos = len(dataset.pairs.positives())
     print(
         f"{len(dataset.pairs)} labeled tuples ({pos} positive) -> {args.out}; "
         f"min negative drive time {dataset.min_negative_drive_time:.1f} min"

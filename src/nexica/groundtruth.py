@@ -9,15 +9,21 @@ every lag, as are qualifying pairs at lags outside their expected window.
 Everything else lands in an unlabeled pool, sorted by descending drive
 time; ratio'd datasets draw their negatives from the far end of that
 pool, where a causal connection is least plausible.
+
+Every rule is an array operation over the ``(N, N)`` station pairs and
+their lags; labeled tuples travel as the columns of one ``LabeledPairs``.
 """
 
 from __future__ import annotations
 
-import enum
+import dataclasses
 import logging
+import math
 from dataclasses import dataclass
 
-from .errors import ParameterError
+import numpy as np
+
+from .errors import ParameterError, ValidationError
 from .ingest import SLOT_MINUTES, DriveTimeMatrix, StationMeta
 
 log = logging.getLogger(__name__)
@@ -27,35 +33,52 @@ RULE_CROSS = "cross-road-direction"
 RULE_OFF_LAG = "off-expected-lag"
 RULE_DISTANT = "distant-pool"
 RULE_RESIDUAL = "residual-pool"
+RULES = (RULE_POSITIVE, RULE_CROSS, RULE_OFF_LAG, RULE_DISTANT, RULE_RESIDUAL)
 
 
-class FlowDirection(enum.Enum):
-    FLOWS_I_TO_J = "i_to_j"
-    FLOWS_J_TO_I = "j_to_i"
-    AMBIGUOUS = "ambiguous"
+@dataclass(frozen=True, eq=False)
+class LabeledPairs:
+    """Labeled (cause, effect, lag) tuples as equal-length columns.
 
+    ``cause``, ``effect`` and ``rule`` are object arrays of ``str``, so each
+    row refers to a shared station id or ``RULE_*`` string instead of
+    holding a copy; ``label`` is 1 for a positive and 0 for a negative.
+    Any sequences are accepted and converted to the column dtypes.
+    """
 
-class Label(enum.Enum):
-    POSITIVE = 1
-    NEGATIVE = 0
+    cause: np.ndarray
+    effect: np.ndarray
+    lag: np.ndarray
+    label: np.ndarray
+    rule: np.ndarray
+    drive_time: np.ndarray
 
-
-@dataclass(frozen=True)
-class LabeledPair:
-    """One labeled candidate tuple with the rule that produced the label."""
-
-    cause_id: str
-    effect_id: str
-    lag: int
-    label: Label
-    rule: str
-    drive_time: float
+    COLUMNS = {"cause": object, "effect": object, "lag": np.int64,
+              "label": np.int8, "rule": object, "drive_time": np.float64}
 
     def __post_init__(self):
-        if self.cause_id == self.effect_id:
-            raise ParameterError("cause and effect must differ")
-        if self.lag < 1:
-            raise ParameterError("zero or negative lag is non-causal by definition")
+        for name, dtype in self.COLUMNS.items():
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if len({getattr(self, name).shape for name in self.COLUMNS}) != 1 or self.lag.ndim != 1:
+            raise ValidationError("labeled pair columns must be 1-D and of equal length")
+
+    def __len__(self) -> int:
+        return len(self.lag)
+
+    def take(self, rows) -> "LabeledPairs":
+        """The rows selected by a slice, a boolean mask or an index array."""
+        return LabeledPairs(*(getattr(self, name)[rows] for name in self.COLUMNS))
+
+    def positives(self) -> "LabeledPairs":
+        return self.take(self.label == 1)
+
+    def negatives(self) -> "LabeledPairs":
+        return self.take(self.label == 0)
+
+    def concat(self, other: "LabeledPairs") -> "LabeledPairs":
+        return LabeledPairs(*(
+            np.concatenate([getattr(self, name), getattr(other, name)]) for name in self.COLUMNS
+        ))
 
 
 @dataclass(frozen=True)
@@ -87,136 +110,92 @@ class DatasetSpec:
 
 @dataclass
 class GroundTruth:
-    """Output of the labeling pass over all candidate tuples."""
+    """Output of the labeling pass over all candidate tuples.
 
-    labeled: list[LabeledPair]
-    pool: list[tuple[str, str, int, float]]  # (cause, effect, lag, drive_time)
+    ``pool`` holds the unlabeled tuples in draw order; its rows carry label
+    0 and ``RULE_RESIDUAL``, the labels ``full_dataset`` gives them."""
 
-    def positives(self) -> list[LabeledPair]:
-        return [p for p in self.labeled if p.label is Label.POSITIVE]
+    labeled: LabeledPairs
+    pool: LabeledPairs
 
-    def negatives(self) -> list[LabeledPair]:
-        return [p for p in self.labeled if p.label is Label.NEGATIVE]
+    def positives(self) -> LabeledPairs:
+        return self.labeled.positives()
+
+    def negatives(self) -> LabeledPairs:
+        return self.labeled.negatives()
 
 
 @dataclass
 class GroundTruthDataset:
     """A training/evaluation dataset assembled from labels and pool."""
 
-    pairs: list[LabeledPair]
-    min_negative_drive_time: float
+    pairs: LabeledPairs
 
-    def positives(self) -> list[LabeledPair]:
-        return [p for p in self.pairs if p.label is Label.POSITIVE]
-
-    def negatives(self) -> list[LabeledPair]:
-        return [p for p in self.pairs if p.label is Label.NEGATIVE]
-
-
-def flow_direction(i: str, j: str, matrix: DriveTimeMatrix) -> FlowDirection:
-    """Which way traffic naturally flows between two stations.
-
-    The shorter drive identifies the with-traffic direction; equal drive
-    times leave the orientation ambiguous and the pair is excluded from
-    positive labeling.
-    """
-    if i == j:
-        raise ParameterError("flow direction needs two distinct stations")
-    d_ij = matrix.get(i, j)
-    d_ji = matrix.get(j, i)
-    if d_ij < d_ji:
-        return FlowDirection.FLOWS_I_TO_J
-    if d_ij > d_ji:
-        return FlowDirection.FLOWS_J_TO_I
-    return FlowDirection.AMBIGUOUS
-
-
-def expected_lags(drive_time_effect_to_cause: float, spec: DatasetSpec) -> set[int]:
-    """Lag window implied by the drive time from affected to causal station.
-
-    The drive time converts to a distance at free-flow speed; congestion
-    covers that distance upstream at the propagation speed.  The resulting
-    slot count, rounded half-up, plus the soft threshold gives the window,
-    clamped to [1, l_max].  Zero lag is non-causal, so a base of zero
-    shifts to {1}; a base beyond l_max means the pair is too far apart.
-    """
-    if drive_time_effect_to_cause < 0:
-        raise ParameterError("drive time must be >= 0")
-    distance_km = drive_time_effect_to_cause * spec.free_flow_speed_kph / 60.0
-    propagation_minutes = distance_km / spec.propagation_speed_kph * 60.0
-    base = int(propagation_minutes / SLOT_MINUTES + 0.5)
-    return {
-        lag
-        for lag in range(base, base + spec.soft_threshold + 1)
-        if 1 <= lag <= spec.l_max
-    }
+    @property
+    def min_negative_drive_time(self) -> float:
+        """Shortest drive time among the negatives; NaN without negatives."""
+        negative = self.pairs.drive_time[self.pairs.label == 0]
+        return float(negative.min()) if negative.size else math.nan
 
 
 def label_pairs(
     meta: list[StationMeta], matrix: DriveTimeMatrix, spec: DatasetSpec
 ) -> GroundTruth:
-    """Label every (cause, effect, lag) tuple over the given stations.
+    """Rule-derived labels for every (cause, effect, lag) tuple over the given stations.
 
-    Tuples neither clearly positive nor clearly negative go to the pool,
-    sorted by descending drive time (ties broken by tuple id so output
-    order is stable).  Same-road same-direction pairs whose expected lag
-    window is empty (too far apart at l_max) also go to the pool rather
-    than being asserted negative.
+    Labeled tuples run over causes, then effects, then lags, in the order
+    of ``meta``.  A pair qualifies for positives when the effect-to-cause
+    drive is strictly shorter than the cause-to-effect one (equal drives
+    leave the flow direction ambiguous).  Its expected window starts at the
+    effect-to-cause drive converted to a distance at free-flow speed, then
+    to slots at the propagation speed, rounded half up; it spans
+    ``soft_threshold`` more lags and is clamped to [1, l_max].  Tuples
+    neither clearly positive nor clearly negative go to the pool, sorted by
+    descending drive time (ties broken by tuple id so output order is
+    stable).  Qualifying pairs whose window is empty (too far apart at
+    l_max) also go to the pool rather than being asserted negative.
     """
-    usable = []
     for m in meta:
         if m.station_id not in matrix:
             log.warning("station %s missing from drive-time matrix; excluded", m.station_id)
-            continue
-        usable.append(m)
+    usable = [m for m in meta if m.station_id in matrix]
+    ids = np.array([m.station_id for m in usable], dtype=object)
+    at = np.array([matrix.index(m.station_id) for m in usable], dtype=np.int64)
+    drive = matrix.minutes[np.ix_(at, at)]  # drive[c, e]: minutes from cause to effect
+    road = np.array([m.road for m in usable], dtype=object)
+    direction = np.array([m.direction for m in usable], dtype=object)
 
-    labeled: list[LabeledPair] = []
-    pool: list[tuple[str, str, int, float]] = []
-    for cause in usable:
-        for effect in usable:
-            if cause.station_id == effect.station_id:
-                continue
-            d_ce = matrix.get(cause.station_id, effect.station_id)
-            cross_road = cause.road != effect.road
-            cross_direction = cause.direction != effect.direction
-            if cross_road and cross_direction:
-                for lag in range(1, spec.l_max + 1):
-                    labeled.append(
-                        LabeledPair(
-                            cause.station_id, effect.station_id, lag,
-                            Label.NEGATIVE, RULE_CROSS, d_ce,
-                        )
-                    )
-                continue
-            qualifies = (
-                not cross_road
-                and not cross_direction
-                and flow_direction(effect.station_id, cause.station_id, matrix)
-                is FlowDirection.FLOWS_I_TO_J
-            )
-            if qualifies:
-                window = expected_lags(matrix.get(effect.station_id, cause.station_id), spec)
-                if window:
-                    for lag in range(1, spec.l_max + 1):
-                        if lag in window:
-                            labeled.append(
-                                LabeledPair(
-                                    cause.station_id, effect.station_id, lag,
-                                    Label.POSITIVE, RULE_POSITIVE, d_ce,
-                                )
-                            )
-                        else:
-                            labeled.append(
-                                LabeledPair(
-                                    cause.station_id, effect.station_id, lag,
-                                    Label.NEGATIVE, RULE_OFF_LAG, d_ce,
-                                )
-                            )
-                    continue
-            for lag in range(1, spec.l_max + 1):
-                pool.append((cause.station_id, effect.station_id, lag, d_ce))
+    distinct = ids[:, None] != ids[None, :]
+    same_road = road[:, None] == road[None, :]
+    same_direction = direction[:, None] == direction[None, :]
+    cross = distinct & ~same_road & ~same_direction
 
-    pool.sort(key=lambda t: (-t[3], t[0], t[1], t[2]))
+    distance_km = drive.T * spec.free_flow_speed_kph / 60.0
+    propagation_minutes = distance_km / spec.propagation_speed_kph * 60.0
+    base = np.floor(propagation_minutes / SLOT_MINUTES + 0.5)[..., None]
+    lags = np.arange(1, spec.l_max + 1)
+    in_window = (lags >= base) & (lags <= base + spec.soft_threshold)
+    qualifies = (
+        distinct & same_road & same_direction & (drive.T < drive) & in_window.any(axis=2)
+    )
+
+    is_labeled = np.broadcast_to((cross | qualifies)[..., None], in_window.shape)
+    c, e, k = np.nonzero(is_labeled)
+    positive = qualifies[c, e] & in_window[c, e, k]
+    rule = np.array([RULE_OFF_LAG, RULE_POSITIVE, RULE_CROSS], dtype=object)  # by label, then cross
+    labeled = LabeledPairs(
+        ids[c], ids[e], lags[k], positive, rule[np.where(cross[c, e], 2, positive)], drive[c, e]
+    )
+
+    in_pool = np.broadcast_to((distinct & ~cross & ~qualifies)[..., None], in_window.shape)
+    c, e, k = np.nonzero(in_pool)
+    rank = np.unique(ids, return_inverse=True)[1]
+    order = np.lexsort((k, rank[e], rank[c], -drive[c, e]))
+    c, e, k = c[order], e[order], k[order]
+    pool = LabeledPairs(
+        ids[c], ids[e], lags[k], np.zeros(len(k), np.int8),
+        np.full(len(k), RULE_RESIDUAL, dtype=object), drive[c, e],
+    )
     return GroundTruth(labeled, pool)
 
 
@@ -234,24 +213,13 @@ def build_dataset(truth: GroundTruth, ratio: int) -> GroundTruthDataset:
         log.warning(
             "pool has %d tuples, %d requested; taking all", len(truth.pool), want
         )
-        want = len(truth.pool)
-    negatives = [
-        LabeledPair(c, e, lag, Label.NEGATIVE, RULE_DISTANT, dt)
-        for c, e, lag, dt in truth.pool[:want]
-    ]
-    min_dt = min((n.drive_time for n in negatives), default=float("nan"))
-    return GroundTruthDataset(positives + negatives, min_dt)
+    negatives = truth.pool.take(slice(want))
+    negatives = dataclasses.replace(
+        negatives, rule=np.full(len(negatives), RULE_DISTANT, dtype=object)
+    )
+    return GroundTruthDataset(positives.concat(negatives))
 
 
 def full_dataset(truth: GroundTruth) -> GroundTruthDataset:
     """Every candidate tuple, with the whole pool treated as negative."""
-    residual = [
-        LabeledPair(c, e, lag, Label.NEGATIVE, RULE_RESIDUAL, dt)
-        for c, e, lag, dt in truth.pool
-    ]
-    pairs = truth.labeled + residual
-    min_dt = min(
-        (p.drive_time for p in pairs if p.label is Label.NEGATIVE),
-        default=float("nan"),
-    )
-    return GroundTruthDataset(pairs, min_dt)
+    return GroundTruthDataset(truth.labeled.concat(truth.pool))

@@ -272,12 +272,17 @@ def load_speed_csv(path) -> list[SpeedSeries]:
     header_error = ParseError(f"{path}: expected header {','.join(SPEED_HEADER)}")
     for sid, triple in read_rows(path, header_ok, parse, header_error):
         rows.setdefault(sid, []).append(triple)
-    return [_grid_station(sid, rows[sid]) for sid in sorted(rows)]
+    return [_grid_station(path, sid, rows[sid]) for sid in sorted(rows)]
 
 
-def _grid_station(sid: str, triples: list[tuple[datetime, float, bool]]) -> SpeedSeries:
+def _grid_station(path, sid: str, triples: list[tuple[datetime, float, bool]]) -> SpeedSeries:
+    from .mle import MAX_WINDOW  # imported here: mle imports this module through events
+
     triples.sort(key=lambda t: t[0])
     start = triples[0][0]
+    span = (triples[-1][0] - start) // SLOT + 1
+    if span > MAX_WINDOW:
+        raise FormatError(f"{path}: station {sid}: rows span {span} slots, more than {MAX_WINDOW}")
     offsets = []
     for ts, _, _ in triples:
         delta = ts - start

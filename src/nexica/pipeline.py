@@ -27,10 +27,10 @@ from .errors import (
 )
 from .events import EventSeries, extract_events, median_week_profile
 from .groundtruth import (
+    RULES,
     DatasetSpec,
     GroundTruthDataset,
-    Label,
-    LabeledPair,
+    LabeledPairs,
     build_dataset,
     full_dataset,
     label_pairs,
@@ -303,20 +303,31 @@ def read_mle_csv(path) -> SweepTable:
 
 
 def write_dataset_csv(path, dataset: GroundTruthDataset) -> None:
-    write_csv(path, DATASET_HEADER, (
-        [p.cause_id, p.effect_id, p.lag, p.label.value, p.rule, repr(p.drive_time)]
-        for p in dataset.pairs
+    p = dataset.pairs
+    write_csv(path, DATASET_HEADER, zip(
+        p.cause.tolist(), p.effect.tolist(), p.lag.tolist(), p.label.tolist(),
+        p.rule.tolist(), map(repr, p.drive_time.tolist()),
     ))
 
 
-def read_dataset_csv(path) -> list[LabeledPair]:
-    return list(read_rows(
-        path, DATASET_HEADER.__eq__,
-        lambda row: LabeledPair(
-            row[0], row[1], int(row[2]), Label(int(row[3])), row[4], float(row[5])
-        ),
-        ParameterError(f"{path}: unexpected dataset header"),
+def read_dataset_csv(path) -> LabeledPairs:
+    shared = {rule: rule for rule in RULES}  # one str object per distinct id and rule
+
+    def parse(row):
+        cause, effect, lag, label = row[0], row[1], int(row[2]), int(row[3])
+        if cause == effect:
+            raise FormatError("cause and effect must differ")
+        if not 1 <= lag < 2**63:
+            raise FormatError(f"lag {lag} outside 1..2**63-1")
+        if label not in (0, 1):
+            raise FormatError(f"label must be 0 or 1, got {label}")
+        return (shared.setdefault(cause, cause), shared.setdefault(effect, effect), lag, label,
+                shared.setdefault(row[4], row[4]), float(row[5]))
+
+    rows = list(read_rows(
+        path, DATASET_HEADER.__eq__, parse, ParameterError(f"{path}: unexpected dataset header")
     ))
+    return LabeledPairs(*(zip(*rows) if rows else [()] * len(DATASET_HEADER)))
 
 
 def write_roc_csv(path, roc: cls.RocResult) -> None:
@@ -335,17 +346,15 @@ def dump_json(path, payload) -> None:
 # ---------------------------------------------------------------------------
 # feature assembly
 
-def dataset_features(
-    table: SweepTable, pairs: list[LabeledPair]
-) -> tuple[np.ndarray, np.ndarray]:
+def dataset_features(table: SweepTable, pairs: LabeledPairs) -> tuple[np.ndarray, np.ndarray]:
     """Feature matrix (a00, a01, a10, a11, p_c) and labels for a dataset."""
     index = table.index
     try:
-        rows = [index[p.cause_id, p.effect_id, p.lag] for p in pairs]
+        keys = zip(pairs.cause.tolist(), pairs.effect.tolist(), pairs.lag.tolist())
+        rows = [index[key] for key in keys]
     except KeyError as exc:
         raise ConsistencyError(f"dataset tuple {exc.args[0]} was not swept") from None
-    labels = np.fromiter((p.label.value for p in pairs), dtype=np.int8, count=len(pairs))
-    return table.feature_matrix(np.asarray(rows, dtype=np.int64)), labels
+    return table.feature_matrix(np.asarray(rows, dtype=np.int64)), pairs.label
 
 
 COUNT_MASK = (0, 1, 2, 3)
@@ -456,7 +465,7 @@ def _ingest(config: RunConfig):
     return series, meta, matrix
 
 
-def _forest_cv(table: SweepTable, pairs: list[LabeledPair], config: RunConfig):
+def _forest_cv(table: SweepTable, pairs: LabeledPairs, config: RunConfig):
     """Features and labels of ``pairs`` with the cross-validated ROC of the
     forest on the counts; the ROC is None when a class has fewer samples
     than folds."""
@@ -584,12 +593,41 @@ def report(run_dir) -> str:
         raise ParameterError(f"incomplete run dir {run}: missing {', '.join(missing)}")
     metrics = load_json(run / "metrics.json")
     config = load_json(run / "config.json")
+    if not isinstance(config, dict):
+        raise FormatError(f"{run / 'config.json'}: expected a JSON object")
+    try:
+        lines = [f"run summary: {run}", *_metrics_lines(metrics)]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise FormatError(
+            f"{run / 'metrics.json'}: not the metrics of a run ({type(exc).__name__}: {exc})"
+        ) from None
+    clf = metrics.get("classifier") or {}
+    top_path = run / "topk_edges.csv"
+    if clf and "skipped_reason" not in clf and top_path.exists():
+        top = list(read_rows(
+            top_path, TOPK_HEADER.__eq__,
+            lambda row: ((row[0], row[1], int(row[2])), float(row[3]), float(row[4])),
+            FormatError(f"{top_path}: expected header {','.join(TOPK_HEADER)}"),
+        ))
+        lines.append("  top edges by forest score:")
+        for (cause, effect, lag), p_forest, p_c in top[:10]:
+            lines.append(
+                f"    {cause} -> {effect} @lag {lag}: "
+                f"p_forest={p_forest:.3f}  p_c={p_c:.3f}"
+            )
+        truth_path = config.get("truth")
+        if isinstance(truth_path, str) and os.path.exists(truth_path):
+            ranked = [key for key, _, _ in top]
+            lines.extend(_planted_comparison(truth_path, ranked, run / "mle.csv"))
+    return "\n".join(lines)
 
-    lines = [f"run summary: {run}"]
-    lines.append(
+
+def _metrics_lines(metrics: dict) -> list[str]:
+    """The summary lines ``report`` reads from ``metrics.json``."""
+    lines = [
         f"  stations={metrics['n_stations']}  slots={metrics['n_slots']}  "
         f"tuples={metrics['n_tuples']}"
-    )
+    ]
     c = metrics["config"]
     lines.append(
         f"  alpha={c['alpha']}  tau={c['tau']}  l_max={c['l_max']}  "
@@ -614,37 +652,20 @@ def report(run_dir) -> str:
         lines.append(
             "  evaluation skipped: " + clf.get("skipped_reason", "no classifier results")
         )
-    else:
-        rf = clf["ratio_forest"]
+        return lines
+    rf = clf["ratio_forest"]
+    lines.append(
+        f"  forest AUC (ratio set): {rf['auc']:.4f} +/- {rf['auc_std']:.4f}"
+    )
+    lines.append(
+        f"  scalar p_c AUC (ratio set): {clf['ratio_scalar_pc']['auc']:.4f}"
+    )
+    if "full_forest" in clf:
+        ff = clf["full_forest"]
         lines.append(
-            f"  forest AUC (ratio set): {rf['auc']:.4f} +/- {rf['auc_std']:.4f}"
+            f"  forest AUC (full set): {ff['auc']:.4f} +/- {ff['auc_std']:.4f}"
         )
-        lines.append(
-            f"  scalar p_c AUC (ratio set): {clf['ratio_scalar_pc']['auc']:.4f}"
-        )
-        if "full_forest" in clf:
-            ff = clf["full_forest"]
-            lines.append(
-                f"  forest AUC (full set): {ff['auc']:.4f} +/- {ff['auc_std']:.4f}"
-            )
-        top_path = run / "topk_edges.csv"
-        if top_path.exists():
-            top = list(read_rows(
-                top_path, TOPK_HEADER.__eq__,
-                lambda row: ((row[0], row[1], int(row[2])), float(row[3]), float(row[4])),
-                FormatError(f"{top_path}: expected header {','.join(TOPK_HEADER)}"),
-            ))
-            lines.append("  top edges by forest score:")
-            for (cause, effect, lag), p_forest, p_c in top[:10]:
-                lines.append(
-                    f"    {cause} -> {effect} @lag {lag}: "
-                    f"p_forest={p_forest:.3f}  p_c={p_c:.3f}"
-                )
-            truth_path = config.get("truth")
-            if truth_path and os.path.exists(truth_path):
-                ranked = [key for key, _, _ in top]
-                lines.extend(_planted_comparison(truth_path, ranked, run / "mle.csv"))
-    return "\n".join(lines)
+    return lines
 
 
 def _planted_comparison(truth_path: str, ranked: list, mle_path: Path) -> list[str]:

@@ -22,12 +22,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError, ValidationError
+from .errors import NexicaError, ParameterError, ValidationError
 from .events import EventSeries
 from .ingest import (
     DriveTimeMatrix,
     SpeedSeries,
     StationMeta,
+    _check_slot_aligned,
     load_fields,
     write_csv,
     write_drive_times,
@@ -62,6 +63,12 @@ class SynthSpec:
             raise ParameterError(f"p_s {self.p_s} outside [0, 1]")
         if not 0.0 < self.alpha < 0.5:
             raise ParameterError("alpha must be in (0, 0.5) so dips stay positive")
+        try:
+            _check_slot_aligned(datetime.fromisoformat(self.start_time), "start_time")
+        except ValueError:
+            raise ParameterError(
+                f"start_time {self.start_time!r} is not an ISO 8601 timestamp"
+            ) from None
         for cause, effect, lag, p_c in self.edges:
             if cause == effect:
                 raise ValidationError(f"self-edge on station {cause} rejected")
@@ -80,7 +87,10 @@ class SynthSpec:
     def from_json(cls, path) -> "SynthSpec":
         raw = load_fields(path, cls, "spec")
         raw["edges"] = tuple(tuple(e) for e in raw.get("edges", ()))
-        return cls(**raw)
+        try:
+            return cls(**raw)
+        except NexicaError as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
 
     def station_id(self, index: int) -> str:
         return f"S{index:03d}"

@@ -147,3 +147,56 @@ def maximize_log_likelihood(a00, a01, a10, a11):
         return None
     best = max(candidates, key=lambda c: c[0])
     return {"ll": best[0], "p_s": best[1], "p_c": best[2]}
+
+
+def label_pairs_reference(meta, matrix, spec):
+    """Ground-truth labels by the per-pair loop over station metadata.
+
+    Returns ``(labeled, pool)``: labeled rows are (cause, effect, lag,
+    label, rule, drive_time) in cause, effect, lag order; pool rows are
+    (cause, effect, lag, drive_time), sorted by descending drive time and
+    then by tuple.  A pair qualifies for positives when the effect-to-cause
+    drive is strictly shorter than the reverse; its window is the drive
+    converted to slots at the propagation speed, rounded half up, widened
+    by ``soft_threshold`` and clamped to [1, l_max].
+    """
+    at = {sid: k for k, sid in enumerate(matrix.station_ids)}
+
+    def drive(i, j):
+        return float(matrix.minutes[at[i], at[j]])
+
+    def expected_lags(minutes):
+        distance_km = minutes * spec.free_flow_speed_kph / 60.0
+        propagation_minutes = distance_km / spec.propagation_speed_kph * 60.0
+        base = int(propagation_minutes / 5 + 0.5)
+        return {
+            lag for lag in range(base, base + spec.soft_threshold + 1) if 1 <= lag <= spec.l_max
+        }
+
+    usable = [m for m in meta if m.station_id in at]
+    labeled, pool = [], []
+    for cause in usable:
+        for effect in usable:
+            c, e = cause.station_id, effect.station_id
+            if c == e:
+                continue
+            d_ce = drive(c, e)
+            cross_road = cause.road != effect.road
+            cross_direction = cause.direction != effect.direction
+            if cross_road and cross_direction:
+                for lag in range(1, spec.l_max + 1):
+                    labeled.append((c, e, lag, 0, "cross-road-direction", d_ce))
+                continue
+            if not cross_road and not cross_direction and drive(e, c) < d_ce:
+                window = expected_lags(drive(e, c))
+                if window:
+                    for lag in range(1, spec.l_max + 1):
+                        if lag in window:
+                            labeled.append((c, e, lag, 1, "upstream-propagation", d_ce))
+                        else:
+                            labeled.append((c, e, lag, 0, "off-expected-lag", d_ce))
+                    continue
+            for lag in range(1, spec.l_max + 1):
+                pool.append((c, e, lag, d_ce))
+    pool.sort(key=lambda t: (-t[3], t[0], t[1], t[2]))
+    return labeled, pool

@@ -266,8 +266,12 @@ def test_run_and_report_name_the_line_of_a_malformed_truth_file(corpus, tmp_path
         ({"edges": [[1, 0, "2", 0.5]]}, "spec.edges: expected"),
         ({"edges": [[1, 0, 2]]}, "spec.edges: expected"),
         ({"n_stations": None}, "missing spec keys: ['n_stations']"),
+        ({"start_time": "x"}, "start_time 'x' is not an ISO 8601 timestamp"),
+        ({"start_time": "2024-01-01T00:01:00"},
+         "timestamp 2024-01-01T00:01:00 not on a 5-minute boundary (start_time)"),
     ],
-    ids=["str-float", "unknown-key", "str-lag", "short-edge", "missing-key"],
+    ids=["str-float", "unknown-key", "str-lag", "short-edge", "missing-key", "non-iso-start",
+         "off-grid-start"],
 )
 def test_synth_rejects_bad_spec_values(tmp_path, capsys, edit, message):
     spec = {"n_stations": 3, "n_slots": 100, "p_s": 0.1, **edit}
@@ -322,6 +326,15 @@ def test_report_incomplete_dir(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "metrics.json" in err and "config.json" in err
+
+
+@pytest.mark.parametrize("metrics", ["[]", "{}", '{"n_stations": "x"}'])
+def test_report_rejects_metrics_of_the_wrong_shape(tmp_path, capsys, metrics):
+    (tmp_path / "metrics.json").write_text(metrics)
+    (tmp_path / "config.json").write_text("{}")
+    assert main(["report", "--run", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"nexica: report: {tmp_path / 'metrics.json'}: not the metrics of a run" in err
 
 
 def test_run_without_positives_skips_evaluation(tmp_path, capsys):

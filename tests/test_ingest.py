@@ -1,4 +1,5 @@
 import csv
+import re
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -133,6 +134,18 @@ def test_duplicate_slot_rejected(tmp_path):
         ["a", "2024-01-01T00:00:00", "64.0", "0"],
     ])
     with pytest.raises(ConsistencyError, match="duplicate"):
+        load_speed_csv(path)
+
+
+def test_span_beyond_max_window_rejected_before_gridding(tmp_path):
+    # about 1.05e9 slots: the grid would take over 10 GB
+    path = tmp_path / "s.csv"
+    write_rows(path, [
+        ["a", "0001-01-01T00:00:00", "65.0", "0"],
+        ["a", "9999-12-31T00:00:00", "64.0", "0"],
+    ])
+    message = f"{path}: station a: rows span 1051792705 slots"
+    with pytest.raises(FormatError, match=re.escape(message)):
         load_speed_csv(path)
 
 

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 from nexica import pipeline
 from nexica.errors import ConsistencyError, FormatError, NexicaError, ParameterError
 from nexica.events import EventSeries
-from nexica.groundtruth import Label, LabeledPair
+from nexica.groundtruth import (
+    RULES,
+    DatasetSpec,
+    GroundTruthDataset,
+    LabeledPairs,
+    full_dataset,
+    label_pairs,
+)
 from nexica.ingest import (
     META_HEADER,
     SPEED_HEADER,
@@ -32,9 +39,10 @@ from nexica.pipeline import (
     read_mle_csv,
     sweep,
     write_counts_csv,
+    write_dataset_csv,
     write_mle_csv,
 )
-from nexica.synth import SynthSpec
+from nexica.synth import SynthSpec, line_geometry
 
 def test_mle_csv_roundtrip_is_byte_identical(tmp_path):
     rng = np.random.default_rng(4)
@@ -72,15 +80,17 @@ def test_dataset_features_are_the_table_rows_of_the_pairs():
     assert np.isnan(table.p_c).any()
     rng = np.random.default_rng(0)
     picks = rng.permutation(len(table.tuples))[:30]
-    pairs = [LabeledPair(*table.tuples[k], Label(k % 2), "r", 1.0) for k in picks.tolist()]
+    tuples = [table.tuples[k] for k in picks.tolist()]
+    labels = [k % 2 for k in picks.tolist()]
+    pairs = LabeledPairs(*zip(*tuples), labels, ["r"] * 30, [1.0] * 30)
     x, y = dataset_features(table, pairs)
     whole = np.column_stack([table.counts.astype(np.float64), np.nan_to_num(table.p_c, nan=0.0)])
     assert x.dtype == np.float64 and np.array_equal(x, whole[picks])
-    assert y.dtype == np.int8 and y.tolist() == [k % 2 for k in picks.tolist()]
+    assert y.dtype == np.int8 and y.tolist() == labels
     assert np.array_equal(table.feature_matrix(), whole)
-    assert dataset_features(table, [])[0].shape == (0, 5)
+    assert dataset_features(table, pairs.take(slice(0)))[0].shape == (0, 5)
     with pytest.raises(ConsistencyError, match=r"tuple \('s0', 's1', 9\) was not swept"):
-        dataset_features(table, [LabeledPair("s0", "s1", 9, Label.NEGATIVE, "r", 1.0)])
+        dataset_features(table, LabeledPairs(["s0"], ["s1"], [9], [0], ["r"], [1.0]))
 
 
 @pytest.mark.parametrize(
@@ -141,15 +151,28 @@ def test_read_counts_csv_rejects_empty_file_and_wrong_header(tmp_path):
             read_counts_csv(path)
 
 
+def test_dataset_csv_roundtrip_shares_ids_and_rules(tmp_path):
+    full = full_dataset(label_pairs(*line_geometry(SynthSpec(5, 10, 0.0)), DatasetSpec()))
+    write_dataset_csv(tmp_path / "a.csv", full)
+    pairs = read_dataset_csv(tmp_path / "a.csv")
+    assert len(pairs) == 5 * 4 * 8
+    write_dataset_csv(tmp_path / "b.csv", GroundTruthDataset(pairs))
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert {id(r) for r in pairs.rule.tolist()} <= {id(r) for r in RULES}
+    ids = pairs.cause.tolist() + pairs.effect.tolist()
+    assert len({id(sid) for sid in ids}) == len(set(ids)) == 5
+
+
 @pytest.mark.parametrize(
     "row, message",
     [
         ("a,b,x,1,r,5.0", "invalid literal for int"),
-        ("a,b,1,7,r,5.0", "7 is not a valid Label"),
+        ("a,b,1,7,r,5.0", "label must be 0 or 1, got 7"),
         ("a,b,1,1", "list index out of range"),
         ("a,a,1,1,r,5.0", "cause and effect must differ"),
+        ("a,b,0,0,r,5.0", r"lag 0 outside 1\.\.2\*\*63-1"),
     ],
-    ids=["non-integer-lag", "bad-label", "short-row", "self-pair"],
+    ids=["non-integer-lag", "bad-label", "short-row", "self-pair", "zero-lag"],
 )
 def test_read_dataset_csv_rejects_bad_rows(tmp_path, row, message):
     path = tmp_path / "dataset.csv"

@@ -141,12 +141,13 @@ def test_rendered_speeds_reproduce_isolated_events():
 
 
 def test_line_geometry_matches_rule_expectations():
-    from nexica.groundtruth import DatasetSpec, Label, label_pairs
+    from nexica.groundtruth import DatasetSpec, label_pairs
 
     spec = SynthSpec(n_stations=5, n_slots=10, p_s=0.0)
     meta, matrix = line_geometry(spec)
     truth = label_pairs(meta, matrix, DatasetSpec())
-    positive = {(p.cause_id, p.effect_id, p.lag) for p in truth.labeled if p.label is Label.POSITIVE}
+    positives = truth.positives()
+    positive = set(zip(positives.cause.tolist(), positives.effect.tolist(), positives.lag.tolist()))
     # cause one station downstream of effect, one free-flow minute apart
     assert ("S001", "S000", 1) in positive
     assert ("S003", "S001", 2) in positive

@@ -1,5 +1,7 @@
 """Loading and validation of speed series, station metadata, and drive times;
 the one CSV reader, CSV writer and JSON loader behind every file of nexica.
+Speed files in the form ``write_speed_csv`` writes are also read column-wise,
+a chunk at a time; any other speed file goes through the CSV reader.
 
 All input files are plain UTF-8 CSV with a header row:
 
@@ -17,8 +19,11 @@ import csv
 import dataclasses
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
+from itertools import chain, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -142,12 +147,12 @@ def _check_slot_aligned(ts: datetime, context: str = "") -> None:
         raise FormatError(f"timestamp {ts.isoformat()} not on a 5-minute boundary{where}")
 
 
-def read_rows(path, header_ok, parse, header_error: NexicaError):
-    """Yield ``parse(row)`` for each non-blank row after the header, one row
-    at a time.  Raises ``header_error`` unless ``header_ok`` accepts the first
-    row (``[]`` for an empty file), a ``ParseError`` naming the file and line
-    for a row that ``parse`` rejects or csv cannot split, and one naming the
-    file for bytes that are not UTF-8."""
+def numbered_rows(path, header_ok, parse, header_error: NexicaError):
+    """Yield ``(line, parse(row))`` for each non-blank row after the header,
+    one row at a time.  Raises ``header_error`` unless ``header_ok`` accepts
+    the first row (``[]`` for an empty file), a ``ParseError`` naming the
+    file and line for a row that ``parse`` rejects or csv cannot split, and
+    one naming the file for bytes that are not UTF-8."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -160,12 +165,17 @@ def read_rows(path, header_ok, parse, header_error: NexicaError):
                     value = parse(row)
                 except (ValueError, IndexError, KeyError, NexicaError) as exc:
                     raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
-                yield value
+                yield reader.line_num, value
         except csv.Error as exc:
             raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
         except UnicodeDecodeError as exc:
             # Decoding runs ahead of the rows in chunks, so no line is known.
             raise ParseError(f"{path}: not UTF-8 text") from exc
+
+
+def read_rows(path, header_ok, parse, header_error: NexicaError):
+    """``numbered_rows`` without the line numbers."""
+    return (value for _, value in numbered_rows(path, header_ok, parse, header_error))
 
 
 def write_csv(path, header: list[str], rows) -> None:
@@ -226,13 +236,155 @@ def load_fields(path, cls, label: str) -> dict:
     return raw
 
 
-def load_speed_csv(path) -> list[SpeedSeries]:
+# The columnar speeds parser reads this many bytes at a time.  Its per-field
+# objects live for one chunk, so the chunk size bounds their memory.
+_CHUNK_BYTES = 1 << 18
+_US = timedelta(microseconds=1)
+_SLOT_US = SLOT // _US
+_EPOCH = datetime(1970, 1, 1)
+_LINE_SEPARATORS = np.frombuffer(b",,,\n", np.uint8)
+_LF_TO_COMMA = bytes.maketrans(b"\n", b",")
+# A naive stamp has digits everywhere except at these separators.
+_STAMP = np.frombuffer(b"0000-00-00T00:00:00", np.uint8)
+_STAMP_DIGIT = _STAMP == ord("0")
+# numpy also parses year 0, which datetime rejects.
+_YEAR_1 = np.datetime64("0001-01-01T00:00:00", "s").astype(np.int64)
+
+
+class _SpeedRows(NamedTuple):
+    """Speed rows as columns.  Row k is station ``ids[code[k]]`` at
+    ``micros[k]`` microseconds after 1970-01-01 (UTC for timezone-aware
+    stamps); ``stamp(k)`` is its parsed timestamp and ``line(k)`` its line."""
+
+    ids: list[str]
+    code: np.ndarray
+    micros: np.ndarray
+    speed: np.ndarray
+    imputed: np.ndarray
+    stamp: Callable[[int], datetime]
+    line: Callable[[int], int]
+
+
+def load_speed_csv(path, _chunk_bytes: int = _CHUNK_BYTES) -> list[SpeedSeries]:
     """Load one or more stations' speed rows into gridded series.
 
     Rows are grouped by station and sorted by time; interior gaps become
     ``imputed=True`` slots whose speed is copied from the nearest
     non-imputed slot (the value is a placeholder, only the flag matters).
+
+    A file in the form ``write_speed_csv`` writes is parsed whole columns
+    at a time.  Any other file, valid or not, goes through the per-row
+    parser, which gives the same series and is the one place that names
+    the line of a bad row.
     """
+    rows = _speed_columns(path, _chunk_bytes)
+    if rows is None:
+        rows = _speed_rows(path)
+    return _grid_stations(path, rows)
+
+
+def _speed_columns(path, chunk_bytes: int) -> _SpeedRows | None:
+    """The rows of a speeds file in ``write_speed_csv``'s form, parsed a
+    chunk of whole lines at a time; None for any other file."""
+    header = ",".join(SPEED_HEADER).encode()
+    codes: dict[bytes, int] = {}
+    chunks = []
+    with open(path, "rb") as fh:
+        first = fh.readline()
+        if first not in (header + b"\n", header + b"\r\n"):
+            return None
+        pending = b""
+        while True:
+            block = fh.read(chunk_bytes)
+            if not block:
+                if not pending:
+                    break
+                block = first[len(header):]  # the last line has no line end
+            pending += block
+            cut = pending.rfind(b"\n") + 1
+            if cut:
+                chunk = _parse_speed_chunk(pending[:cut], codes)
+                if chunk is None:
+                    return None
+                chunks.append(chunk)
+                pending = pending[cut:]
+    if not chunks:  # no rows: the per-row parser returns no series
+        return None
+    code, micros, speed, imputed = map(np.concatenate, zip(*chunks))
+    micros *= 10**6  # from seconds
+    return _SpeedRows(
+        [sid.decode() for sid in codes], code, micros, speed, imputed,
+        lambda k: _EPOCH + int(micros[k]) * _US, lambda k: k + 2,
+    )
+
+
+def _parse_speed_chunk(text: bytes, codes: dict[bytes, int]):
+    """``(code, seconds, speed, imputed)`` columns of ``text``, whole lines
+    that each read ``id,YYYY-MM-DDTHH:MM:SS,speed,0|1`` with one line end
+    (LF or CRLF), an id without surrounding whitespace, a naive stamp of
+    year 1 or later on the 5-minute grid and a finite speed >= 0; None
+    otherwise.  ``codes`` numbers the ids across chunks."""
+    raw = np.frombuffer(text, np.uint8)
+    seps = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
+    n = seps.size // 4
+    if b'"' in text or seps.size != 4 * n or (raw[seps] != np.tile(_LINE_SEPARATORS, n)).any():
+        return None
+    fields, ends = seps.reshape(n, 4), seps[3::4]
+    cr = b"\r" in text  # then every line must end in CRLF
+    if cr and (np.count_nonzero(raw == ord("\r")) != n or (raw[ends - 1] != ord("\r")).any()):
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    flag = raw[fields[:, 2] + 1]
+    if (
+        (fields[:, 1] - fields[:, 0] != 1 + _STAMP.size).any()
+        or (ends - fields[:, 2] != 2 + cr).any()
+        or (ends - starts > csv.field_size_limit()).any()
+        or ((flag != ord("0")) & (flag != ord("1"))).any()
+    ):
+        return None
+
+    values = text.translate(_LF_TO_COMMA).split(b",")
+    stamps = np.frombuffer(b"".join(values[1::4]), f"S{_STAMP.size}")
+    chars = stamps.view(np.uint8).reshape(n, _STAMP.size)
+    if not (
+        (chars[:, _STAMP_DIGIT] - ord("0") < 10).all()
+        and (chars[:, ~_STAMP_DIGIT] == _STAMP[~_STAMP_DIGIT]).all()
+    ):
+        return None
+    try:
+        seconds = stamps.astype("datetime64[s]").astype(np.int64)
+        speed = np.fromiter(map(float, values[2::4]), np.float64, n)
+    except ValueError:
+        return None
+    if (
+        (seconds < _YEAR_1).any()
+        or (seconds % (SLOT_MINUTES * 60)).any()
+        or not (np.isfinite(speed) & (speed >= 0)).all()
+    ):
+        return None
+
+    sids = values[0:4 * n:4]
+    same = sids.count(sids[0]) == n
+    for sid in [sids[0]] if same else dict.fromkeys(sids):
+        if sid not in codes:
+            try:
+                name = sid.decode()
+            except UnicodeDecodeError:
+                return None
+            if not name or name != name.strip():
+                return None
+            codes[sid] = len(codes)
+    if same:
+        code = np.full(n, codes[sids[0]], np.int32)
+    else:
+        code = np.fromiter(map(codes.__getitem__, sids), np.int32, n)
+    return code, seconds, speed, flag == ord("1")
+
+
+def _speed_rows(path) -> _SpeedRows:
+    """The rows of any speeds file, parsed one csv row at a time; a
+    ``ParseError`` or ``FormatError`` naming the file and line of the first
+    row that is not a valid speed row."""
     aware = None  # whether the file's timestamps carry a UTC offset
 
     def header_ok(header):
@@ -266,66 +418,135 @@ def load_speed_csv(path) -> list[SpeedSeries]:
         flag = row[3].strip()
         if flag not in ("0", "1"):
             raise ParseError("imputed flag must be 0 or 1")
-        return sid, (ts, speed, flag == "1")
+        return sid, ts, speed, flag == "1"
 
-    rows: dict[str, list[tuple[datetime, float, bool]]] = {}
+    codes: dict[str, int] = {}
+    code, stamps, speeds, imputed, lines = [], [], [], [], []
     header_error = ParseError(f"{path}: expected header {','.join(SPEED_HEADER)}")
-    for sid, triple in read_rows(path, header_ok, parse, header_error):
-        rows.setdefault(sid, []).append(triple)
-    return [_grid_station(path, sid, rows[sid]) for sid in sorted(rows)]
+    for line, (sid, ts, speed, imp) in numbered_rows(path, header_ok, parse, header_error):
+        code.append(codes.setdefault(sid, len(codes)))
+        stamps.append(ts)
+        speeds.append(speed)
+        imputed.append(imp)
+        lines.append(line)
+    epoch = _EPOCH.replace(tzinfo=timezone.utc) if aware else _EPOCH
+    return _SpeedRows(
+        list(codes), np.array(code, np.int32),
+        np.array([(ts - epoch) // _US for ts in stamps], np.int64),
+        np.array(speeds, np.float64), np.array(imputed, bool),
+        stamps.__getitem__, lines.__getitem__,
+    )
 
 
-def _grid_station(path, sid: str, triples: list[tuple[datetime, float, bool]]) -> SpeedSeries:
+def _grid_stations(path, rows: _SpeedRows) -> list[SpeedSeries]:
+    """Every station's rows on its own 5-minute grid, in station id order,
+    by one stable sort on (station, time) and one repeat.  The first
+    station in id order with a fault raises: rows spanning more than
+    ``mle.MAX_WINDOW`` slots, else a stamp off the grid of its first stamp,
+    else the second of two rows in one slot."""
     from .mle import MAX_WINDOW  # imported here: mle imports this module through events
 
-    triples.sort(key=lambda t: t[0])
-    start = triples[0][0]
-    span = (triples[-1][0] - start) // SLOT + 1
-    if span > MAX_WINDOW:
-        raise FormatError(f"{path}: station {sid}: rows span {span} slots, more than {MAX_WINDOW}")
-    offsets = []
-    for ts, _, _ in triples:
-        delta = ts - start
-        slots, rem = divmod(int(delta.total_seconds()), SLOT_MINUTES * 60)
-        if rem:
+    # Row-sized temporaries are deleted once used, to keep the peak memory
+    # at a few columns.
+    ids = rows.ids
+    if not ids:
+        return []
+    by_id = sorted(range(len(ids)), key=ids.__getitem__)
+    rank = np.empty(len(ids), np.int32)
+    rank[by_id] = np.arange(len(ids))
+    station, micros, speed, imputed = rank[rows.code], rows.micros, rows.speed, rows.imputed
+    row = int  # the input row of sorted row k
+    step = np.diff(station)
+    if not ((step > 0) | ((step == 0) & (np.diff(micros) >= 0))).all():
+        order = np.lexsort((micros, station))
+        station, micros = station[order], micros[order]
+        speed, imputed = speed[order], imputed[order]
+        row = order.__getitem__
+    del step
+    counts = np.bincount(station, minlength=len(ids))
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    span = (micros[ends - 1] - micros[starts]) // _SLOT_US + 1
+    # Whole seconds after the station's first row, as int(total_seconds())
+    # of their timedelta: below the span bound (under 2**34 s) its float
+    # quotient never rounds a microsecond fraction up to the next second.
+    seconds = (micros - np.repeat(micros[starts], counts)) // 10**6
+    slot, rem = np.divmod(seconds, SLOT_MINUTES * 60)
+    del seconds
+    fault = rem != 0
+    fault[1:] |= (slot[1:] == slot[:-1]) & (station[1:] == station[:-1])
+    too_long = np.flatnonzero(span > MAX_WINDOW)
+    faults = np.flatnonzero(fault)
+    if too_long.size or faults.size:
+        r = min(too_long[:1].tolist() + station[faults[:1]].tolist())
+        sid = ids[by_id[r]]
+        if span[r] > MAX_WINDOW:
             raise FormatError(
-                f"station {sid}: timestamp {ts.isoformat()} not on the 5-minute "
-                f"grid anchored at {start.isoformat()}"
+                f"{path}: station {sid}: rows span {span[r]} slots, more than {MAX_WINDOW}"
             )
-        offsets.append(slots)
-    m = offsets[-1] + 1
-    speeds = np.zeros(m)
-    imputed = np.ones(m, dtype=bool)
-    filled = np.zeros(m, dtype=bool)
-    for k, (ts, speed, imp) in enumerate(triples):
-        j = offsets[k]
-        if filled[j]:
-            raise ConsistencyError(f"station {sid}: duplicate slot at {ts.isoformat()}")
-        filled[j] = True
-        speeds[j] = speed
-        imputed[j] = imp
+        faults = faults[station[faults] == r]
+        off_grid = faults[rem[faults] != 0]
+        if off_grid.size:
+            raise FormatError(
+                f"station {sid}: timestamp {rows.stamp(row(off_grid[0])).isoformat()} not on "
+                f"the 5-minute grid anchored at {rows.stamp(row(starts[r])).isoformat()}"
+            )
+        k = row(faults[0])
+        raise ConsistencyError(
+            f"{path}: line {rows.line(k)}: station {sid}: "
+            f"duplicate slot at {rows.stamp(k).isoformat()}"
+        )
+    del rem, fault
 
-    gaps = np.flatnonzero(~filled)
-    if gaps.size:
-        # Placeholder values come from the nearest non-imputed slot when one
-        # exists, otherwise the nearest loaded row (ties prefer the earlier).
-        source = np.flatnonzero(filled & ~imputed)
-        if source.size == 0:
-            source = np.flatnonzero(filled)
-        pos = np.searchsorted(source, gaps)
-        left = source[np.clip(pos - 1, 0, source.size - 1)]
-        right = source[np.clip(pos, 0, source.size - 1)]
-        nearest = np.where(gaps - left <= right - gaps, left, right)
-        speeds[gaps] = speeds[nearest]
-    return SpeedSeries(sid, start, speeds, imputed)
+    # Each row takes its own slot; a gap after it, up to the station's next
+    # row, takes placeholder speeds from the station's nearest source row:
+    # a measured row when the station has one, otherwise any row (ties
+    # prefer the earlier).  The gap's two halves are inserted after the row,
+    # and one repeat lays every segment out on the grid.
+    gap = np.diff(slot) - 1
+    gap[ends[:-1] - 1] = 0  # no gap between stations
+    runs = np.flatnonzero(gap)
+    grid_speed, grid_imputed = speed, imputed
+    if runs.size:
+        source = ~imputed
+        source |= np.repeat(~np.logical_or.reduceat(source, starts), counts)
+        source = np.flatnonzero(source)
+        pos = np.searchsorted(source, runs, side="right")
+        left = source[np.maximum(pos - 1, 0)]
+        right = source[np.minimum(pos, source.size - 1)]
+        first, last = starts[station[runs]], ends[station[runs]] - 1
+        width = gap[runs]
+        halfway = np.clip((slot[left] + slot[right]) // 2 - slot[runs], 0, width)
+        to_left = np.where(right > last, width, np.where(left < first, 0, halfway))
+        at = np.repeat(runs + 1, 2)
+        halves = np.column_stack((to_left, width - to_left)).ravel()
+        lengths = np.insert(np.ones(slot.size, np.int64), at, halves)
+        fill = np.column_stack((speed[left], speed[right])).ravel()
+        grid_speed = np.repeat(np.insert(speed, at, fill), lengths)
+        grid_imputed = np.repeat(np.insert(imputed, at, True), lengths)
+    base = np.concatenate(([0], np.cumsum(slot[ends - 1] + 1)))
+    return [
+        SpeedSeries(ids[i], rows.stamp(row(s)), grid_speed[b:e], grid_imputed[b:e])
+        for i, s, b, e in zip(by_id, starts.tolist(), base[:-1].tolist(), base[1:].tolist())
+    ]
+
+
+def _slot_stamps(s: SpeedSeries) -> list[str]:
+    """``s.slot_time(j).isoformat()`` for every slot j, column-wise for a
+    naive start time."""
+    if s.start_time.tzinfo is not None or not len(s):
+        return [s.slot_time(j).isoformat() for j in range(len(s))]
+    s.slot_time(len(s) - 1)  # raises OverflowError past year 9999, as slot by slot
+    times = np.datetime64(s.start_time, "s") + np.arange(len(s)) * np.timedelta64(SLOT_MINUTES, "m")
+    return np.datetime_as_string(times, unit="s").tolist()
 
 
 def write_speed_csv(path, series: list[SpeedSeries]) -> None:
     """Write series back to the speed CSV schema, one row per slot."""
-    write_csv(path, SPEED_HEADER, (
-        [s.station_id, s.slot_time(j).isoformat(), repr(speed), int(imputed)]
+    write_csv(path, SPEED_HEADER, chain.from_iterable(
+        zip(repeat(s.station_id), _slot_stamps(s), map(repr, s.speeds.tolist()),
+            s.imputed.astype(np.uint8).tolist())
         for s in series
-        for j, (speed, imputed) in enumerate(zip(s.speeds.tolist(), s.imputed.tolist()))
     ))
 
 

@@ -8,10 +8,22 @@ it checks.
 from __future__ import annotations
 
 import math
+from datetime import datetime
 from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
+
+from nexica.errors import ConsistencyError, FormatError, ParseError
+from nexica.ingest import (
+    SLOT,
+    SLOT_MINUTES,
+    SPEED_HEADER,
+    SpeedSeries,
+    _check_slot_aligned,
+    read_rows,
+    write_csv,
+)
 
 
 def brute_force_counts(cause, effect, lag, tau):
@@ -200,3 +212,112 @@ def label_pairs_reference(meta, matrix, spec):
                 pool.append((c, e, lag, d_ce))
     pool.sort(key=lambda t: (-t[3], t[0], t[1], t[2]))
     return labeled, pool
+
+
+# The speeds loader and writer as they were before the columnar ingest:
+# one csv row, one datetime and one tuple per row, gridded one station at a
+# time, and one csv row per slot on the way out.
+
+def load_speed_csv_reference(path) -> list[SpeedSeries]:
+    """Load one or more stations' speed rows into gridded series.
+
+    Rows are grouped by station and sorted by time; interior gaps become
+    ``imputed=True`` slots whose speed is copied from the nearest
+    non-imputed slot (the value is a placeholder, only the flag matters).
+    """
+    aware = None  # whether the file's timestamps carry a UTC offset
+
+    def header_ok(header):
+        if not header:
+            raise ParseError(f"{path}: empty file")
+        return [h.strip() for h in header] == SPEED_HEADER
+
+    def parse(row):
+        nonlocal aware
+        if len(row) != 4:
+            raise ParseError(f"expected 4 fields, got {len(row)}")
+        sid = row[0].strip()
+        if not sid:
+            raise ParseError("empty station_id")
+        text = row[1].strip()
+        try:
+            ts = datetime.fromisoformat(text)
+        except ValueError:
+            raise ParseError(f"bad timestamp {text!r}") from None
+        _check_slot_aligned(ts)
+        if aware is None:
+            aware = ts.utcoffset() is not None
+        elif aware != (ts.utcoffset() is not None):
+            raise FormatError(f"timestamp {text!r} mixes naive and timezone-aware timestamps")
+        try:
+            speed = float(row[2])
+        except ValueError:
+            raise ParseError(f"bad speed {row[2]!r}") from None
+        if not math.isfinite(speed) or speed < 0:
+            raise ParseError("speed must be finite and >= 0")
+        flag = row[3].strip()
+        if flag not in ("0", "1"):
+            raise ParseError("imputed flag must be 0 or 1")
+        return sid, (ts, speed, flag == "1")
+
+    rows: dict[str, list[tuple[datetime, float, bool]]] = {}
+    header_error = ParseError(f"{path}: expected header {','.join(SPEED_HEADER)}")
+    for sid, triple in read_rows(path, header_ok, parse, header_error):
+        rows.setdefault(sid, []).append(triple)
+    return [_grid_station_reference(path, sid, rows[sid]) for sid in sorted(rows)]
+
+
+def _grid_station_reference(
+    path, sid: str, triples: list[tuple[datetime, float, bool]]
+) -> SpeedSeries:
+    from nexica.mle import MAX_WINDOW
+
+    triples.sort(key=lambda t: t[0])
+    start = triples[0][0]
+    span = (triples[-1][0] - start) // SLOT + 1
+    if span > MAX_WINDOW:
+        raise FormatError(f"{path}: station {sid}: rows span {span} slots, more than {MAX_WINDOW}")
+    offsets = []
+    for ts, _, _ in triples:
+        delta = ts - start
+        slots, rem = divmod(int(delta.total_seconds()), SLOT_MINUTES * 60)
+        if rem:
+            raise FormatError(
+                f"station {sid}: timestamp {ts.isoformat()} not on the 5-minute "
+                f"grid anchored at {start.isoformat()}"
+            )
+        offsets.append(slots)
+    m = offsets[-1] + 1
+    speeds = np.zeros(m)
+    imputed = np.ones(m, dtype=bool)
+    filled = np.zeros(m, dtype=bool)
+    for k, (ts, speed, imp) in enumerate(triples):
+        j = offsets[k]
+        if filled[j]:
+            raise ConsistencyError(f"station {sid}: duplicate slot at {ts.isoformat()}")
+        filled[j] = True
+        speeds[j] = speed
+        imputed[j] = imp
+
+    gaps = np.flatnonzero(~filled)
+    if gaps.size:
+        # Placeholder values come from the nearest non-imputed slot when one
+        # exists, otherwise the nearest loaded row (ties prefer the earlier).
+        source = np.flatnonzero(filled & ~imputed)
+        if source.size == 0:
+            source = np.flatnonzero(filled)
+        pos = np.searchsorted(source, gaps)
+        left = source[np.clip(pos - 1, 0, source.size - 1)]
+        right = source[np.clip(pos, 0, source.size - 1)]
+        nearest = np.where(gaps - left <= right - gaps, left, right)
+        speeds[gaps] = speeds[nearest]
+    return SpeedSeries(sid, start, speeds, imputed)
+
+
+def write_speed_csv_reference(path, series: list[SpeedSeries]) -> None:
+    """Write series back to the speed CSV schema, one row per slot."""
+    write_csv(path, SPEED_HEADER, (
+        [s.station_id, s.slot_time(j).isoformat(), repr(speed), int(imputed)]
+        for s in series
+        for j, (speed, imputed) in enumerate(zip(s.speeds.tolist(), s.imputed.tolist()))
+    ))

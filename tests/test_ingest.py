@@ -1,19 +1,25 @@
 import csv
 import re
-from datetime import datetime, timedelta
+import tracemalloc
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nexica.errors import (
     ConsistencyError,
     DomainError,
     FormatError,
+    NexicaError,
     ParameterError,
     ParseError,
     ValidationError,
 )
 from nexica.ingest import (
+    SLOT,
+    SPEED_HEADER,
     DriveTimeMatrix,
     SpeedSeries,
     StationMeta,
@@ -27,6 +33,7 @@ from nexica.ingest import (
     write_station_meta,
 )
 from nexica.synth import SynthSpec, line_geometry
+from oracles import load_speed_csv_reference, write_speed_csv_reference
 
 T0 = datetime(2024, 1, 1, 0, 0)
 
@@ -133,7 +140,27 @@ def test_duplicate_slot_rejected(tmp_path):
         ["a", "2024-01-01T00:00:00", "65.0", "0"],
         ["a", "2024-01-01T00:00:00", "64.0", "0"],
     ])
-    with pytest.raises(ConsistencyError, match="duplicate"):
+    message = f"{path}: line 3: station a: duplicate slot at 2024-01-01T00:00:00"
+    with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
+        load_speed_csv(path)
+
+
+@pytest.mark.parametrize("layout", ["blank-line", "quoted-id"])
+def test_duplicate_slot_names_the_line_outside_the_writer_form(tmp_path, layout):
+    path = tmp_path / "s.csv"
+    rows = [
+        ["a", "2024-01-01T00:00:00", "65.0", "0"],
+        ["a", "2024-01-01T00:05:00", "63.0", "0"],
+        ["a", "2024-01-01T00:00:00", "64.0", "0"],
+    ]
+    if layout == "blank-line":
+        rows.insert(1, [])
+    write_rows(path, rows)
+    if layout == "quoted-id":
+        path.write_text(path.read_text().replace("\na,", '\n"a",', 1))
+    line = 5 if layout == "blank-line" else 4
+    message = f"{path}: line {line}: station a: duplicate slot at 2024-01-01T00:00:00"
+    with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
         load_speed_csv(path)
 
 
@@ -180,6 +207,133 @@ def test_roundtrip_bit_exact(tmp_path):
     path2 = tmp_path / "again.csv"
     write_speed_csv(path2, back)
     assert path.read_bytes() == path2.read_bytes()
+
+
+# Speeds files for the loader equivalence test.  Clean files are what
+# write_speed_csv writes (interleaved, unsorted stations with gaps); the
+# others leave that form in one or more fields or in their layout.
+VALID_IDS = ["a", "b", "S000", "\u00e9"]
+ODD_IDS = [" a", "a ", '"a"', '"a,b"', "", "a\rb"]
+ODD_STAMPS = [
+    "2024-01-01T00:00:30", "2024-01-01T00:02:00", "2024-01-01 00:10:00", " 2024-01-01T00:15:00",
+    "2024-01-01T00:20", "2024-01-01T24:00:00", "0000-01-01T00:00:00", "-001-01-01T00:00:00",
+    "now", "2024-02-30T00:00:00", "0001-01-01T00:00:00", "9999-12-31T23:55:00",
+    "2024-01-01T00:00:00+00:00", "0001-01-01T00:00:00+05:00",
+]
+OFFSETS = ["+00:00", "+05:30", "-08:00", "+00:02:30", "+00:00:01.500000"]
+SPEED_TEXTS = st.floats(0, 200).map(repr) | st.floats(0, 200).map(lambda v: f"{v:.17g}")
+ODD_SPEEDS = ["nan", "inf", "1_0", " 5.0", "-0.0", "-1.0", "1e309", "x", "", "\u0661"]
+ODD_FLAGS = [" 1", "2", "", "1 ", "10", "0x"]
+
+
+@st.composite
+def speed_files(draw):
+    keys = draw(st.lists(
+        st.tuples(st.sampled_from(VALID_IDS), st.integers(0, 300)), unique=True, max_size=25
+    ))
+    rows = [
+        [sid, (T0 + k * SLOT).isoformat(), draw(SPEED_TEXTS), draw(st.sampled_from("01"))]
+        for sid, k in keys
+    ]
+    if rows and draw(st.booleans()):  # a duplicate slot somewhere
+        twin = list(draw(st.sampled_from(rows)))
+        rows.insert(draw(st.integers(0, len(rows))), [*twin[:2], "1.0", "0"])
+    if rows and draw(st.integers(0, 4)) == 0:  # a timezone-aware file
+        for row in rows:
+            row[1] += draw(st.sampled_from(OFFSETS))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        column = draw(st.integers(0, 3))
+        odd = [ODD_IDS, ODD_STAMPS, ODD_SPEEDS, ODD_FLAGS][column]
+        draw(st.sampled_from(rows))[column] = draw(st.sampled_from(odd))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(SPEED_HEADER)] + [",".join(row) for row in rows]
+    if draw(st.integers(0, 5)) == 0:
+        lines.insert(draw(st.integers(1, len(lines))), "")  # a blank line
+    text = eol.join(lines)
+    if draw(st.integers(0, 5)) == 0:
+        text = text.replace(eol, "\n" if eol == "\r\n" else "\r\n", 1)  # mixed line ends
+    return (text + eol * draw(st.sampled_from([0, 1, 1, 1]))).encode()
+
+
+def _outcome(load, path):
+    """The series of a load as comparable values, or its error."""
+    try:
+        series = load(path)
+    except NexicaError as exc:
+        return type(exc), str(exc)
+    return [
+        (s.station_id, repr(s.start_time), s.speeds.tobytes(), s.imputed.tobytes()) for s in series
+    ]
+
+
+@pytest.mark.parametrize("chunk", ["default", "tiny"])
+@settings(max_examples=300, deadline=None)
+@given(content=speed_files(), data=st.data())
+def test_loader_matches_the_per_row_reference(tmp_path_factory, chunk, content, data):
+    path = tmp_path_factory.mktemp("speeds") / "s.csv"
+    path.write_bytes(content)
+    kwargs = {"_chunk_bytes": data.draw(st.integers(1, 40))} if chunk == "tiny" else {}
+    expected = _outcome(load_speed_csv_reference, path)
+    got = _outcome(lambda p: load_speed_csv(p, **kwargs), path)
+    if isinstance(expected, tuple) and expected[0] is ConsistencyError:
+        # the duplicate-slot error now names the file and line
+        assert got[0] is ConsistencyError
+        assert re.fullmatch(f"{re.escape(str(path))}: line \\d+: {re.escape(expected[1])}", got[1])
+    else:
+        assert got == expected
+
+
+def test_oversized_id_is_an_error_naming_the_line(tmp_path):
+    # every field is otherwise in the writer's form; csv refuses the id
+    path = tmp_path / "s.csv"
+    write_rows(path, [
+        ["a", "2024-01-01T00:00:00", "65.0", "0"],
+        ["b" * 200_000, "2024-01-01T00:00:00", "1.0", "0"],
+    ])
+    assert _outcome(load_speed_csv, path) == _outcome(load_speed_csv_reference, path)
+    message = f"{path}: line 3: field larger than field limit"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}"):
+        load_speed_csv(path)
+
+
+def test_loader_peak_memory_is_at_most_half_the_reference(tmp_path):
+    rng = np.random.default_rng(5)
+    series = [
+        SpeedSeries(
+            f"S{k:03d}", T0, np.round(rng.uniform(30, 70, 25_000), 1), rng.random(25_000) < 0.1
+        )
+        for k in range(4)
+    ]
+    path = tmp_path / "s.csv"
+    write_speed_csv(path, series)  # 100,000 rows
+
+    def peak(load):
+        load(path)  # imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            load(path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(load_speed_csv) <= peak(load_speed_csv_reference) / 2
+
+
+@pytest.mark.parametrize("offset", [None, timezone.utc, timezone(timedelta(hours=-8))])
+def test_writer_matches_the_per_row_reference(tmp_path, offset):
+    rng = np.random.default_rng(9)
+    start = datetime(1, 1, 1) if offset is None else T0.replace(tzinfo=offset)
+    series = [
+        SpeedSeries("a", start, rng.uniform(0, 80, 40), rng.random(40) < 0.3),
+        SpeedSeries(
+            'b,"c"', T0.replace(tzinfo=offset) + timedelta(days=3), [64.5, 0.1 + 0.2], [False, True]
+        ),
+        SpeedSeries("empty", T0.replace(tzinfo=offset), [], []),
+        SpeedSeries("z", datetime(9999, 12, 31, 23, 50, tzinfo=offset), [1.0, 2.0], [True, False]),
+    ]
+    write_speed_csv(tmp_path / "new.csv", series)
+    write_speed_csv_reference(tmp_path / "old.csv", series)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_completeness_values():

@@ -197,13 +197,12 @@ def rows_of(*columns, junk=FIELDS):
     return st.lists(st.tuples(*columns).map(list) | st.lists(junk, max_size=8), max_size=6)
 
 
-# Speed timestamps stay within two days of one date, on and off the 5-minute
-# grid: the loader allocates one slot per 5 minutes between a station's first
-# and last row.  Junk fields have at most 6 characters, too few for any ISO
-# date (the shortest, a week date such as 0001W01, has 7).
-STAMPS = st.datetimes(
-    datetime(2024, 1, 1), datetime(2024, 1, 3), timezones=st.none() | st.just(timezone.utc)
-)
+# Speed timestamps come from the whole range of years 1-9999, on and off
+# the 5-minute grid: the loader rejects a station whose rows span more than
+# mle.MAX_WINDOW slots before it lays out the grid.  Junk fields have at
+# most 6 characters, too few for any ISO date (the shortest, a week date
+# such as 0001W01, has 7).
+STAMPS = st.datetimes(timezones=st.none() | st.just(timezone.utc))
 ON_GRID = STAMPS.map(lambda t: t.replace(minute=t.minute // 5 * 5, second=0, microsecond=0))
 SPEED_ROWS = rows_of(
     st.sampled_from(["a", "b", ""]), (ON_GRID | STAMPS).map(datetime.isoformat), NUMBERS,

@@ -4,9 +4,16 @@ The forest is self-contained and fully deterministic for a fixed seed:
 CART trees with Gini impurity, bootstrap samples the size of the
 training set, square-root feature subsampling per split, unlimited
 depth, and a minimum of two samples per split.  A prediction is the
-fraction of trees voting for the positive class.  Determinism holds
-regardless of how training is parallelized because every tree draws
-from its own spawned seed.
+fraction of trees voting for the positive class.
+
+Trees grow level by level, a batch of trees at a time, and their nodes
+are numbered breadth first.  Each feature is rank-encoded once per
+training set, and each bootstrap becomes integer row weights, so the
+weighted counts at every cut are the counts of the duplicated rows and
+the exact argsort search picks the same split.  Every tree draws from
+its own spawned generator: first its bootstrap, then, once per level,
+the candidate features of all its splittable nodes in breadth-first
+order.  A tree therefore does not depend on which trees share its batch.
 """
 
 from __future__ import annotations
@@ -108,69 +115,194 @@ class RocResult:
     auc_std: float | None = None
 
 
-def _grow_tree(x: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> _Tree:
-    n, d = x.shape
-    max_features = max(1, int(np.sqrt(d)))
-    feature, threshold, left, right, vote = [], [], [], [], []
+_BATCH_DRAWS = 2**15  # bootstrap draws grown together in one batch of trees
+# An entry's packed weight holds its bootstrap count in the low 32 bits and
+# its count of positives above them.  Sums over a batch stay exact while
+# the batch holds fewer than 2**31 draws.
+_LOW = 0xFFFFFFFF
 
-    def new_node() -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        vote.append(0)
-        return len(feature) - 1
 
-    def majority(idx: np.ndarray) -> int:
-        pos = int(np.count_nonzero(y[idx]))
-        return 1 if pos * 2 > idx.size else 0
+def _candidates(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
+    """Candidate features of ``m`` nodes of one level, in draw order."""
+    k = max(1, int(np.sqrt(d)))
+    return rng.random((m, d)).argsort(axis=1, kind="stable")[:, :k]
 
-    root = new_node()
-    stack = [(root, np.arange(n))]
-    while stack:
-        node, idx = stack.pop()
-        vote[node] = majority(idx)
-        pos = int(np.count_nonzero(y[idx]))
-        if pos == 0 or pos == idx.size or idx.size < 2:
-            continue
-        candidates = rng.choice(d, size=max_features, replace=False)
-        best = None  # (weighted_gini, feature, threshold, order, split_at)
-        for f in candidates:
-            col = x[idx, f]
-            order = np.argsort(col, kind="stable")
-            xs = col[order]
-            ones = np.cumsum(y[idx][order])
-            ks = np.flatnonzero(xs[1:] > xs[:-1]) + 1
-            if ks.size == 0:
-                continue
-            n_l = ks.astype(np.float64)
-            n_r = idx.size - n_l
-            p1_l = ones[ks - 1] / n_l
-            p1_r = (pos - ones[ks - 1]) / n_r
-            gini = n_l * (1.0 - p1_l**2 - (1.0 - p1_l) ** 2) + n_r * (
-                1.0 - p1_r**2 - (1.0 - p1_r) ** 2
-            )
-            k = int(np.argmin(gini))
-            score = gini[k] / idx.size
-            if best is None or score < best[0]:
-                split = int(ks[k])
-                best = (score, int(f), (xs[split - 1] + xs[split]) / 2.0, order, split)
-        if best is None:
-            continue  # every candidate feature constant: leaf
-        _, f, thr, order, split = best
-        feature[node] = f
-        threshold[node] = thr
-        l_id, r_id = new_node(), new_node()
-        left[node], right[node] = l_id, r_id
-        stack.append((r_id, idx[order[split:]]))
-        stack.append((l_id, idx[order[:split]]))
-    return _Tree(
-        np.asarray(feature, dtype=np.int32),
-        np.asarray(threshold, dtype=np.float64),
-        np.asarray(left, dtype=np.int32),
-        np.asarray(right, dtype=np.int32),
-        np.asarray(vote, dtype=np.int8),
+
+def _splittable(size: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Nodes holding both classes and at least two samples."""
+    return (pos > 0) & (pos < size) & (size >= 2)
+
+
+def _best_splits(rank, cum, before, inside, node_of, size, pos, drawn):
+    """Best cut of every drawn node along one attribute list.
+
+    The list holds the live entries ordered by (open node, rank), and
+    ``cum`` is the running sum of their packed weights.  A cut may fall
+    after any position whose rank differs from the next one in the same
+    node.  The packed sums there are the exact left-side counts and
+    positives of the duplicated bootstrap rows, fed into the same float
+    expression as a per-node sort; each node keeps its first Gini
+    minimum.  Returns the nodes with a cut, the position of each cut, its
+    packed left sum and its Gini score normalised by node size.
+    """
+    cut = np.flatnonzero((rank[1:] != rank[:-1]) & inside)
+    nb = node_of[cut]
+    ok = drawn[nb]
+    cut, nb = cut[ok], nb[ok]
+    if cut.size == 0:
+        return nb, cut, cut, np.empty(0)
+    left = cum[cut] - before[nb]
+    ones = left >> 32
+    n_l = (left & _LOW).astype(np.float64)
+    n_r = size[nb] - n_l
+    p1_l = ones / n_l
+    p1_r = (pos[nb] - ones) / n_r
+    gini = n_l * (1.0 - p1_l**2 - (1.0 - p1_l) ** 2) + n_r * (
+        1.0 - p1_r**2 - (1.0 - p1_r) ** 2
     )
+    count = np.bincount(nb)
+    nodes = np.flatnonzero(count)
+    count = count[nodes]
+    first = np.cumsum(count) - count
+    low = np.repeat(np.minimum.reduceat(gini, first), count)
+    best = np.minimum.reduceat(np.where(gini == low, np.arange(nb.size), nb.size), first)
+    return nodes, cut[best], left[best], gini[best] / size[nodes]
+
+
+def _grow_batch(
+    ranks: np.ndarray,
+    values: np.ndarray,
+    orders: np.ndarray,
+    y: np.ndarray,
+    rngs: list[np.random.Generator],
+) -> list[_Tree]:
+    """Grow one tree per generator, all of them together, level by level.
+
+    ``ranks[j]`` is each row's rank among the distinct values
+    ``values[j]`` of feature ``j``, and ``orders[j]`` lists the rows by
+    that rank.  Each tree's bootstrap becomes integer row weights.  An
+    entry is one (tree, row) pair of positive weight, and each feature
+    keeps an attribute list of the live entries ordered by (open node,
+    rank); a node's entries sit at the same positions of every list.
+    Each level finds the splits of all open nodes with one pass per list,
+    then partitions every list stably into the next level's open nodes,
+    so no list is sorted by value twice.  Entries of nodes that stop
+    splitting leave the lists.
+    """
+    n, d, n_t = y.size, ranks.shape[0], len(rngs)
+    boot = np.stack([np.bincount(r.integers(0, n, n), minlength=n) for r in rngs])
+    root_pos = boot @ y
+    votes = [(np.arange(n_t), np.zeros(n_t, dtype=np.int64), 2 * root_pos > n)]
+    splits = []
+    next_id = np.ones(n_t, dtype=np.int64)
+
+    # open nodes of the current level, in (tree, breadth-first) order
+    tree = np.flatnonzero(_splittable(np.full(n_t, n), root_pos))
+    nid = np.zeros(tree.size, dtype=np.int64)
+    size = np.full(tree.size, n, dtype=np.int64)
+    pos = root_pos[tree]
+    live = np.zeros(boot.shape, dtype=bool)
+    live[tree] = boot[tree] > 0
+    cnt = live[tree].sum(axis=1)
+    w = boot[live]
+    packed = w + ((w * y[np.flatnonzero(live) % n]) << 32)
+    del boot, w
+    entry = np.cumsum(live, dtype=np.int32).reshape(live.shape) - 1
+    ents = np.empty((d, packed.size), dtype=np.int32)
+    lists = np.empty((d, packed.size), dtype=ranks.dtype)
+    for j in range(d):
+        cell = np.flatnonzero(live[:, orders[j]])
+        row = orders[j][cell % n]
+        ents[j] = entry[cell // n, row]
+        lists[j] = ranks[j, row]
+    del entry, live, cell, row
+
+    while tree.size:
+        m = tree.size
+        bounds = np.flatnonzero(np.diff(tree, prepend=-1, append=-1))
+        cand = np.concatenate(
+            [_candidates(rngs[tree[a]], b - a, d) for a, b in zip(bounds[:-1], bounds[1:])]
+        )
+        drawn = np.zeros((d, m), dtype=bool)
+        drawn[cand, np.arange(m)[:, None]] = True
+        start = np.cumsum(cnt) - cnt
+        node_of = np.repeat(np.arange(m), cnt)
+        inside = node_of[1:] == node_of[:-1]
+        score = np.full((d, m), np.inf)
+        at = np.zeros((d, m), dtype=np.int64)
+        below = np.zeros((d, m), dtype=np.int64)
+        for j in range(d):
+            weights = packed[ents[j]]
+            cum = np.cumsum(weights)
+            before = cum[start] - weights[start]
+            del weights
+            s, at[j, s], below[j, s], score[j, s] = _best_splits(
+                lists[j], cum, before, inside, node_of, size, pos, drawn[j]
+            )
+            del cum
+        del inside
+
+        # first strict minimum across each node's candidates, in draw order
+        node = np.arange(m)
+        f = cand[node, score[cand, node[:, None]].argmin(axis=1)]
+        s = np.flatnonzero(np.isfinite(score[f, node]))
+        if s.size == 0:
+            break
+        f = f[s]
+        cut = at[f, s]
+        below = below[f, s]
+        threshold = (values[f, lists[f, cut]] + values[f, lists[f, cut + 1]]) / 2.0
+
+        # children in breadth-first order: (left, right) of each split
+        t_s = tree[s]
+        left = next_id[t_s] + 2 * (np.arange(s.size) - np.searchsorted(t_s, t_s))
+        next_id += 2 * np.bincount(t_s, minlength=n_t)
+        splits.append((t_s, nid[s], f, threshold, left))
+        n_l, ones = below & _LOW, below >> 32
+        cnt_l = cut - start[s] + 1
+        c_tree = np.repeat(t_s, 2)
+        c_nid = np.column_stack([left, left + 1]).ravel()
+        c_size = np.column_stack([n_l, size[s] - n_l]).ravel()
+        c_pos = np.column_stack([ones, pos[s] - ones]).ravel()
+        c_cnt = np.column_stack([cnt_l, cnt[s] - cnt_l]).ravel()
+        votes.append((c_tree, c_nid, 2 * c_pos > c_size))
+        keep = _splittable(c_size, c_pos)
+        n_next = int(np.count_nonzero(keep))
+        slot = np.where(keep, np.cumsum(keep) - 1, n_next).reshape(-1, 2)
+
+        # route each entry of a split node to its child's slot among the
+        # next open nodes; every other entry gets n_next and drops out
+        dest = np.full(packed.size, n_next, dtype=np.min_scalar_type(n_next))
+        k = np.full(m, -1)
+        k[s] = np.arange(s.size)
+        p = np.flatnonzero(np.repeat(k >= 0, cnt))
+        kp = k[node_of[p]]
+        dest[ents[f[kp], p]] = np.where(p <= cut[kp], slot[kp, 0], slot[kp, 1])
+        del node_of, p, kp
+
+        # stable partition of every list by destination
+        tree, nid, size, pos, cnt = (a[keep] for a in (c_tree, c_nid, c_size, c_pos, c_cnt))
+        order = np.argsort(dest[ents], axis=1, kind="stable")[:, : cnt.sum()]
+        order += np.arange(0, ents.size, ents.shape[1])[:, None]
+        ents = ents.ravel()[order]
+        lists = lists.ravel()[order]
+        del dest, order
+
+    off = np.append(0, np.cumsum(next_id))
+    feature = np.full(off[-1], -1, dtype=np.int32)
+    threshold = np.zeros(off[-1])
+    left = np.full(off[-1], -1, dtype=np.int32)
+    vote = np.zeros(off[-1], dtype=np.int8)
+    for t, i, v in votes:
+        vote[off[t] + i] = v
+    for t, i, f, thr, lft in splits:
+        g = off[t] + i
+        feature[g], threshold[g], left[g] = f, thr, lft
+    right = np.where(feature >= 0, left + 1, -1).astype(np.int32)
+    return [
+        _Tree(feature[a:b], threshold[a:b], left[a:b], right[a:b], vote[a:b])
+        for a, b in zip(off[:-1], off[1:])
+    ]
 
 
 def train_forest(
@@ -179,6 +311,7 @@ def train_forest(
     n_trees: int = 1000,
     seed: int = 0,
     feature_mask: tuple[int, ...] | None = None,
+    _batch_draws: int = _BATCH_DRAWS,
 ) -> ForestModel:
     """Train a bootstrap ensemble of CART trees on the masked features."""
     x = np.asarray(features, dtype=np.float64)
@@ -198,13 +331,19 @@ def train_forest(
     if not np.all(np.isin(classes, (0, 1))):
         raise ParameterError("labels must be 0 or 1")
 
-    xm = x[:, mask]
-    n = xm.shape[0]
+    n = x.shape[0]
+    columns = [np.unique(x[:, j], return_inverse=True) for j in mask]
+    values = np.zeros((len(mask), max(v.size for v, _ in columns)))
+    for j, (v, _) in enumerate(columns):
+        values[j, : v.size] = v
+    ranks = np.stack([r for _, r in columns]).astype(np.min_scalar_type(values.shape[1]))
+    orders = np.argsort(ranks, axis=1, kind="stable")
+    del columns
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n_trees)]
+    per_batch = max(1, _batch_draws // n)
     trees = []
-    for child in np.random.SeedSequence(seed).spawn(n_trees):
-        rng = np.random.default_rng(child)
-        boot = rng.integers(0, n, n)
-        trees.append(_grow_tree(xm[boot], y[boot], rng))
+    for b in range(0, n_trees, per_batch):
+        trees += _grow_batch(ranks, values, orders, y, rngs[b : b + per_batch])
     return ForestModel(trees, n_trees, seed, mask, x.shape[1])
 
 
@@ -236,12 +375,16 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> RocResult:
 
     Equal scores collapse into one threshold, producing diagonal curve
     segments; the integer-accumulated trapezoid then equals the tie-aware
-    Mann-Whitney statistic exactly.
+    Mann-Whitney statistic exactly.  It is accumulated in int64, which
+    holds twice the area, at most ``2 * n_pos * n_neg``, for fewer than
+    2**32 scores.
     """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if s.shape != y.shape or s.ndim != 1:
         raise ParameterError("scores and labels must be equal-length vectors")
+    if s.size >= 2**32:
+        raise ParameterError(f"{s.size} scores: the exact AUC needs fewer than 2**32")
     if not np.all(np.isfinite(s)):
         raise ParameterError("scores must be finite")
     n_pos = int(np.count_nonzero(y == 1))
@@ -258,12 +401,8 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> RocResult:
     fp = ends - tp
     thresholds = ss[ends - 1]
 
-    trap2 = 0  # twice the un-normalized area, exact in integers
-    prev_tp = 0
-    prev_fp = 0
-    for t, f in zip(tp.tolist(), fp.tolist()):
-        trap2 += (f - prev_fp) * (t + prev_tp)
-        prev_tp, prev_fp = t, f
+    # twice the un-normalized area, exact in integers
+    trap2 = int(np.dot(np.diff(fp, prepend=0), tp + np.append(0, tp[:-1])))
     auc = trap2 / (2 * n_pos * n_neg)
 
     fpr = np.concatenate(([0.0], fp / n_neg))

@@ -487,9 +487,11 @@ def _grid_stations(path, rows: _SpeedRows) -> list[SpeedSeries]:
         faults = faults[station[faults] == r]
         off_grid = faults[rem[faults] != 0]
         if off_grid.size:
+            k = row(off_grid[0])
             raise FormatError(
-                f"station {sid}: timestamp {rows.stamp(row(off_grid[0])).isoformat()} not on "
-                f"the 5-minute grid anchored at {rows.stamp(row(starts[r])).isoformat()}"
+                f"{path}: line {rows.line(k)}: station {sid}: timestamp "
+                f"{rows.stamp(k).isoformat()} not on the 5-minute grid anchored at "
+                f"{rows.stamp(row(starts[r])).isoformat()}"
             )
         k = row(faults[0])
         raise ConsistencyError(
@@ -536,13 +538,23 @@ def _slot_stamps(s: SpeedSeries) -> list[str]:
     naive start time."""
     if s.start_time.tzinfo is not None or not len(s):
         return [s.slot_time(j).isoformat() for j in range(len(s))]
-    s.slot_time(len(s) - 1)  # raises OverflowError past year 9999, as slot by slot
     times = np.datetime64(s.start_time, "s") + np.arange(len(s)) * np.timedelta64(SLOT_MINUTES, "m")
     return np.datetime_as_string(times, unit="s").tolist()
 
 
 def write_speed_csv(path, series: list[SpeedSeries]) -> None:
-    """Write series back to the speed CSV schema, one row per slot."""
+    """Write series back to the speed CSV schema, one row per slot.  A
+    series whose last slot falls after year 9999 raises before the file
+    is opened."""
+    for s in series:
+        if len(s):
+            try:
+                s.slot_time(len(s) - 1)
+            except OverflowError:
+                raise FormatError(
+                    f"station {s.station_id}: {len(s)} slots from "
+                    f"{s.start_time.isoformat()} run past year 9999"
+                ) from None
     write_csv(path, SPEED_HEADER, chain.from_iterable(
         zip(repeat(s.station_id), _slot_stamps(s), map(repr, s.speeds.tolist()),
             s.imputed.astype(np.uint8).tolist())

@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
+from nexica.classify import _Tree
 from nexica.errors import ConsistencyError, FormatError, ParseError
 from nexica.ingest import (
     SLOT,
@@ -85,6 +86,80 @@ def mann_whitney_auc(scores, labels) -> Fraction:
             elif p == n:
                 twice += 1
     return Fraction(twice, 2 * len(pos) * len(neg))
+
+
+def grow_tree_reference(x, y, boot, rng) -> _Tree:
+    """One CART tree on the bootstrap rows ``x[boot]``, node by node.
+
+    Each node sorts its rows per candidate feature and scans every cut
+    between distinct values.  Nodes are numbered and visited breadth
+    first; each level draws the candidates of all its splittable nodes
+    with one call on ``rng``, as the forest does.
+    """
+    xb = np.asarray(x, dtype=np.float64)[boot]
+    yb = np.asarray(y, dtype=np.int8)[boot]
+    n, d = xb.shape
+    max_features = max(1, int(np.sqrt(d)))
+    feature, threshold, left, right, vote = [], [], [], [], []
+
+    def new_node() -> int:
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        vote.append(0)
+        return len(feature) - 1
+
+    level = [(new_node(), np.arange(n))]
+    while level:
+        splittable = []
+        for node, idx in level:
+            pos = int(np.count_nonzero(yb[idx]))
+            vote[node] = 1 if pos * 2 > idx.size else 0
+            if 0 < pos < idx.size and idx.size >= 2:
+                splittable.append((node, idx, pos))
+        if not splittable:
+            break
+        draws = rng.random((len(splittable), d)).argsort(axis=1, kind="stable")
+        level = []
+        for (node, idx, pos), candidates in zip(splittable, draws[:, :max_features]):
+            best = None  # (weighted_gini, feature, threshold, order, split_at)
+            for f in candidates:
+                col = xb[idx, f]
+                order = np.argsort(col, kind="stable")
+                xs = col[order]
+                ones = np.cumsum(yb[idx][order])
+                ks = np.flatnonzero(xs[1:] > xs[:-1]) + 1
+                if ks.size == 0:
+                    continue
+                n_l = ks.astype(np.float64)
+                n_r = idx.size - n_l
+                p1_l = ones[ks - 1] / n_l
+                p1_r = (pos - ones[ks - 1]) / n_r
+                gini = n_l * (1.0 - p1_l**2 - (1.0 - p1_l) ** 2) + n_r * (
+                    1.0 - p1_r**2 - (1.0 - p1_r) ** 2
+                )
+                k = int(np.argmin(gini))
+                score = gini[k] / idx.size
+                if best is None or score < best[0]:
+                    split = int(ks[k])
+                    best = (score, int(f), (xs[split - 1] + xs[split]) / 2.0, order, split)
+            if best is None:
+                continue  # every candidate feature constant: leaf
+            _, f, thr, order, split = best
+            feature[node] = f
+            threshold[node] = thr
+            l_id, r_id = new_node(), new_node()
+            left[node], right[node] = l_id, r_id
+            level.append((l_id, idx[order[:split]]))
+            level.append((r_id, idx[order[split:]]))
+    return _Tree(
+        np.asarray(feature, dtype=np.int32),
+        np.asarray(threshold, dtype=np.float64),
+        np.asarray(left, dtype=np.int32),
+        np.asarray(right, dtype=np.int32),
+        np.asarray(vote, dtype=np.int8),
+    )
 
 
 def safe_log_likelihood(a00, a01, a10, a11, ps, pc) -> float:

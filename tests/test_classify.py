@@ -1,7 +1,10 @@
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nexica.classify import (
     cross_validate,
@@ -13,7 +16,7 @@ from nexica.classify import (
 )
 from nexica.errors import ConsistencyError, DomainError, ParameterError, TrainingError
 
-from oracles import mann_whitney_auc
+from oracles import grow_tree_reference, mann_whitney_auc
 
 
 # --- ROC / AUC ---------------------------------------------------------------
@@ -44,6 +47,28 @@ def test_roc_equals_mann_whitney_exactly():
         result = roc_auc(scores, labels)
         oracle = mann_whitney_auc(scores.tolist(), labels.tolist())
         assert result.auc == float(oracle)
+
+
+def test_roc_is_exact_on_a_large_tied_input():
+    rng = np.random.default_rng(4)
+    n = 150_000
+    labels = (rng.random(n) < 0.4).astype(np.int64)
+    scores = rng.integers(0, 50, n) / 7.0
+    # grouped Mann-Whitney: each positive beats the negatives below its score
+    # and ties with the negatives at it
+    pos, neg = Counter(scores[labels == 1].tolist()), Counter(scores[labels == 0].tolist())
+    twice, below = 0, 0
+    for v in sorted(set(pos) | set(neg)):
+        twice += pos[v] * (2 * below + neg[v])
+        below += neg[v]
+    n_pos, n_neg = sum(pos.values()), sum(neg.values())
+    assert roc_auc(scores, labels).auc == float(Fraction(twice, 2 * n_pos * n_neg))
+
+
+def test_roc_rejects_inputs_too_long_for_the_exact_trapezoid():
+    n = 2**32  # zero-stride views: nothing of this length is allocated
+    with pytest.raises(ParameterError, match=r"fewer than 2\*\*32"):
+        roc_auc(np.broadcast_to(0.5, n), np.broadcast_to(np.int64(1), n))
 
 
 def test_roc_curve_is_monotone_and_integrates_to_auc():
@@ -140,6 +165,59 @@ def test_model_dict_roundtrip_preserves_hash():
     clone = ForestModel.from_dict(json.loads(json.dumps(model.to_dict())))
     assert clone.model_hash() == model.model_hash()
     assert np.array_equal(predict_proba(clone, x), predict_proba(model, x))
+
+
+def _reference_trees(x, y, n_trees, seed, feature_mask):
+    xm = np.asarray(x, dtype=np.float64)[:, list(feature_mask)]
+    n = xm.shape[0]
+    for child in np.random.SeedSequence(seed).spawn(n_trees):
+        rng = np.random.default_rng(child)
+        boot = rng.integers(0, n, n)
+        yield grow_tree_reference(xm, y, boot, rng)
+
+
+@st.composite
+def _training_sets(draw):
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 6))
+    if draw(st.booleans()):  # few distinct values: ties, duplicated rows, constant columns
+        levels = draw(st.integers(1, 4))
+        cells = st.integers(0, levels - 1).map(float)
+    else:
+        cells = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    pool = draw(st.lists(st.lists(cells, min_size=d, max_size=d), min_size=1, max_size=n))
+    x = np.array([pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), min_size=n,
+                                                 max_size=n))])
+    if draw(st.booleans()):  # equal-Gini candidates: copies and mirrors of column 0
+        signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=d, max_size=d))
+        x = x[:, :1] * np.array(signs)
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int8)
+    y[:2] = (0, 1)
+    mask = tuple(draw(st.permutations(range(d)))[: draw(st.integers(1, d))])
+    return x, y, mask
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_training_sets(), n_trees=st.integers(1, 6), seed=st.integers(0, 2**16),
+       batch_draws=st.integers(1, 200))
+def test_forest_grows_the_reference_trees(data, n_trees, seed, batch_draws):
+    x, y, mask = data
+    model = train_forest(x, y, n_trees=n_trees, seed=seed, feature_mask=mask,
+                         _batch_draws=batch_draws)
+    for tree, ref in zip(model.trees, _reference_trees(x, y, n_trees, seed, mask), strict=True):
+        for name in ("feature", "threshold", "left", "right", "vote"):
+            got, want = getattr(tree, name), getattr(ref, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def test_model_hash_does_not_depend_on_batching():
+    rng = np.random.default_rng(12)
+    x = rng.integers(0, 30, (300, 4)).astype(float)
+    y = (rng.random(300) < x[:, 0] / 40).astype(np.int8)
+    one_by_one = train_forest(x, y, n_trees=12, seed=3, _batch_draws=1)
+    all_at_once = train_forest(x, y, n_trees=12, seed=3, _batch_draws=300 * 12)
+    assert one_by_one.model_hash() == all_at_once.model_hash()
+    assert one_by_one.model_hash() == train_forest(x, y, n_trees=12, seed=3).model_hash()
 
 
 def test_single_class_training_error():

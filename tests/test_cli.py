@@ -298,13 +298,18 @@ def test_grid_search_rejects_a_bad_list_item(tmp_path, capsys, flag, value):
         (["events", "--alpha", "0.25", "--out", "e.csv", "--speeds"],
          b"station_id,timestamp_iso8601,mean_speed,imputed\na,2024-01-01T00:00:00,x,0\n",
          "line 2: bad speed 'x'"),
+        (["events", "--alpha", "0.25", "--out", "e.csv", "--speeds"],
+         b"station_id,timestamp_iso8601,mean_speed,imputed\n"
+         b"a,2024-01-01T00:00:00+00:00,60,0\na,2024-01-01T00:05:00+00:02:30,60,0\n",
+         "line 3: station a: timestamp 2024-01-01T00:05:00+00:02:30 not on the 5-minute grid "
+         "anchored at 2024-01-01T00:00:00+00:00"),
         (["mle", "--out", "m.csv", "--counts"], b"\xff\xfecause,effect\n", "not UTF-8 text"),
         (["mle", "--out", "m.csv", "--counts"],
          b"cause,effect,lag,a00,a01,a10,a11\na,b,1," + b"x" * 200_000 + b"\n",
          "line 2: field larger than field limit"),
         (["run", "--config"], b"", "Expecting value"),
     ],
-    ids=["bad-speed", "not-utf8", "long-field", "empty-config"],
+    ids=["bad-speed", "off-grid-aware", "not-utf8", "long-field", "empty-config"],
 )
 def test_bad_input_exits_1_naming_the_file(tmp_path, monkeypatch, capsys, argv, content, message):
     monkeypatch.chdir(tmp_path)

@@ -275,9 +275,11 @@ def test_loader_matches_the_per_row_reference(tmp_path_factory, chunk, content, 
     kwargs = {"_chunk_bytes": data.draw(st.integers(1, 40))} if chunk == "tiny" else {}
     expected = _outcome(load_speed_csv_reference, path)
     got = _outcome(lambda p: load_speed_csv(p, **kwargs), path)
-    if isinstance(expected, tuple) and expected[0] is ConsistencyError:
-        # the duplicate-slot error now names the file and line
-        assert got[0] is ConsistencyError
+    if isinstance(expected, tuple) and (
+        expected[0] is ConsistencyError or "not on the 5-minute grid" in expected[1]
+    ):
+        # the duplicate-slot and off-grid errors now name the file and line
+        assert got[0] is expected[0]
         assert re.fullmatch(f"{re.escape(str(path))}: line \\d+: {re.escape(expected[1])}", got[1])
     else:
         assert got == expected
@@ -334,6 +336,18 @@ def test_writer_matches_the_per_row_reference(tmp_path, offset):
     write_speed_csv(tmp_path / "new.csv", series)
     write_speed_csv_reference(tmp_path / "old.csv", series)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("offset", [None, timezone(timedelta(hours=-8))])
+def test_writer_rejects_a_series_past_year_9999_before_opening_the_file(tmp_path, offset):
+    series = [
+        SpeedSeries("a", T0.replace(tzinfo=offset), [60.0], [False]),
+        SpeedSeries("z", datetime(9999, 12, 31, 23, 55, tzinfo=offset), [1.0, 2.0], [False, False]),
+    ]
+    path = tmp_path / "speeds.csv"
+    with pytest.raises(FormatError, match="^station z: 2 slots from 9999-12-31T23:55:00"):
+        write_speed_csv(path, series)
+    assert not path.exists()
 
 
 def test_completeness_values():

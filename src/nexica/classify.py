@@ -204,9 +204,8 @@ def _grow_batch(
     live = np.zeros(boot.shape, dtype=bool)
     live[tree] = boot[tree] > 0
     cnt = live[tree].sum(axis=1)
-    w = boot[live]
-    packed = w + ((w * y[np.flatnonzero(live) % n]) << 32)
-    del boot, w
+    packed = (boot * (1 + (y.astype(np.int64) << 32)))[live]
+    del boot
     entry = np.cumsum(live, dtype=np.int32).reshape(live.shape) - 1
     ents = np.empty((d, packed.size), dtype=np.int32)
     lists = np.empty((d, packed.size), dtype=ranks.dtype)
@@ -240,7 +239,6 @@ def _grow_batch(
                 lists[j], cum, before, inside, node_of, size, pos, drawn[j]
             )
             del cum
-        del inside
 
         # first strict minimum across each node's candidates, in draw order
         node = np.arange(m)
@@ -273,12 +271,12 @@ def _grow_batch(
         # route each entry of a split node to its child's slot among the
         # next open nodes; every other entry gets n_next and drops out
         dest = np.full(packed.size, n_next, dtype=np.min_scalar_type(n_next))
-        k = np.full(m, -1)
-        k[s] = np.arange(s.size)
-        p = np.flatnonzero(np.repeat(k >= 0, cnt))
-        kp = k[node_of[p]]
-        dest[ents[f[kp], p]] = np.where(p <= cut[kp], slot[kp, 0], slot[kp, 1])
-        del node_of, p, kp
+        split_of = np.full(m, -1)
+        split_of[s] = np.arange(s.size)
+        p = np.flatnonzero(np.repeat(split_of >= 0, cnt))
+        sp = split_of[node_of[p]]
+        dest[ents[f[sp], p]] = np.where(p <= cut[sp], slot[sp, 0], slot[sp, 1])
+        del node_of, inside, p, sp
 
         # stable partition of every list by destination
         tree, nid, size, pos, cnt = (a[keep] for a in (c_tree, c_nid, c_size, c_pos, c_cnt))

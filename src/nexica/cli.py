@@ -8,11 +8,10 @@ import sys
 
 from . import classify as cls
 from . import pipeline as pl
-from .errors import NexicaError
+from .errors import NexicaError, ParameterError
 from .groundtruth import DatasetSpec, build_dataset, full_dataset, label_pairs
 from .ingest import load_drive_times, load_speed_csv, load_station_meta, write_csv
 from .events import extract_events
-from .mle import estimate
 from .synth import SynthSpec, write_dataset
 
 
@@ -30,6 +29,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except (NexicaError, OSError) as exc:
         print(f"nexica: {args.command}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        detail = str(exc) or type(exc).__name__
+        print(f"nexica: {args.command}: out of memory ({detail})", file=sys.stderr)
         return 1
 
 
@@ -57,7 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mle", help="append causal-probability estimates to counts")
     p.add_argument("--counts", required=True)
-    p.add_argument("--tau", type=int, default=0)
+    p.add_argument("--tau", type=int, default=0,
+                   help="checked to be >= 0; the estimates do not depend on it")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_mle)
 
@@ -162,12 +166,11 @@ def cmd_pairs(args) -> int:
 
 
 def cmd_mle(args) -> int:
-    rows = pl.read_counts_csv(args.counts, tau=args.tau)
-    pl.write_mle_rows(
-        args.out,
-        ((cause, effect, lag, counts, estimate(counts)) for cause, effect, lag, counts in rows),
-    )
-    print(f"{len(rows)} estimates -> {args.out}")
+    if args.tau < 0:
+        raise ParameterError(f"tau must be >= 0, got {args.tau}")
+    table = pl.read_counts_table(args.counts)
+    pl.write_mle_csv(args.out, table)
+    print(f"{len(table.tuples)} estimates -> {args.out}")
     return 0
 
 

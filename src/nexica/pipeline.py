@@ -15,6 +15,7 @@ import logging
 import math
 import os
 import time
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,10 +47,9 @@ from .ingest import (
     read_rows,
     write_csv,
 )
-from .mle import CASES, CausalEstimate, estimate_many
+from .mle import CASES, MAX_WINDOW, CausalEstimate, estimate_many
 
-# The per-tuple reference kernels stay importable from here for callers that
-# wrap or time them; the batched sweep does not call them.
+# Kept for perfbench's traced bodies, which wrap these re-exports; nexica does not call them.
 from .correspond import count_from_indices  # noqa: F401
 from .mle import estimate  # noqa: F401
 
@@ -108,6 +108,7 @@ class SweepTable:
     loglik: np.ndarray
     case: np.ndarray  # int8 codes into mle.CASES
 
+    # Kept for perfbench's traced run-pipeline body; nexica reads the columns.
     @functools.cached_property
     def estimates(self) -> list[CausalEstimate]:
         """The rows as ``CausalEstimate`` objects, built on first use."""
@@ -184,6 +185,9 @@ def write_events_csv(path, series: list[EventSeries]) -> None:
 
 
 def read_events_csv(path, n_slots: int) -> list[EventSeries]:
+    if not 1 <= n_slots <= MAX_WINDOW:
+        raise ParameterError(f"slots must be in 1..{MAX_WINDOW}, got {n_slots}")
+
     def parse(row):
         try:
             sid, slot, event = row[0], int(row[1]), int(row[2])
@@ -231,7 +235,8 @@ def write_counts_csv(path, table: SweepTable) -> None:
 
 def _counts_row(row: list[str]) -> tuple[tuple[str, str, int], list[int]]:
     """The (cause, effect, lag) key and the four counts of a counts.csv or
-    mle.csv row."""
+    mle.csv row: an integer lag >= 1, integer counts >= 0, all below 2**63,
+    and a window (the sum of the counts) in 1..mle.MAX_WINDOW."""
     try:
         numbers = [int(v) for v in row[2:7]]
     except ValueError:
@@ -242,27 +247,58 @@ def _counts_row(row: list[str]) -> tuple[tuple[str, str, int], list[int]]:
         )
     if any(abs(v) >= 2**63 for v in numbers):
         raise FormatError("lag and counts must fit in 64 bits")
-    return (row[0], row[1], numbers[0]), numbers[1:]
+    lag, *counts = numbers
+    if lag < 1:
+        raise FormatError(f"lag must be >= 1, got {lag}")
+    if min(counts) < 0:
+        raise FormatError(f"negative correspondence count in {counts}")
+    if not 1 <= sum(counts) <= MAX_WINDOW:
+        raise FormatError(f"window {sum(counts)} outside 1..{MAX_WINDOW}")
+    return (row[0], row[1], lag), counts
 
 
+def _read_sweep_csv(path, header_ok, header_error, tail=lambda row: ()):
+    """Tuples and ``(n, 4)`` int64 counts of a counts.csv or mle.csv, each
+    row checked by ``_counts_row``, and the floats ``tail`` parses from the
+    rest of each row as one flat float64 array."""
+    ids, tuples, counts, rest = {}, [], array("q"), array("d")  # ids: one str per station
+    rows = read_rows(path, header_ok, lambda row: (*_counts_row(row), tail(row)), header_error)
+    for (cause, effect, lag), a, values in rows:
+        tuples.append((ids.setdefault(cause, cause), ids.setdefault(effect, effect), lag))
+        counts.extend(a)
+        rest.extend(values)
+    return tuples, np.frombuffer(counts, dtype=np.int64).reshape(-1, 4), np.frombuffer(rest)
+
+
+def read_counts_table(path) -> SweepTable:
+    """A counts.csv (or the first seven columns of an mle.csv) with the
+    estimates of its counts, as ``sweep`` makes them."""
+    tuples, counts, _ = _read_sweep_csv(
+        path, lambda header: header[:7] == COUNTS_HEADER,
+        ParameterError(f"{path}: not a counts.csv (expected header {','.join(COUNTS_HEADER)})"),
+    )
+    return SweepTable(tuples, counts, *estimate_many(counts))
+
+
+# Kept for perfbench's traced stagewise-tau1 body; nexica calls read_counts_table.
 def read_counts_csv(path, tau: int = 0) -> list[tuple[str, str, int, CorrespondenceCounts]]:
     """Rows of a counts.csv (or the first seven columns of an mle.csv)."""
-    def parse(row):
-        (cause, effect, lag), a = _counts_row(row)
-        return cause, effect, lag, CorrespondenceCounts.from_counts(*a, lag=lag, tau=tau)
-
-    return list(read_rows(
-        path, lambda header: header[:7] == COUNTS_HEADER, parse,
-        ParameterError(f"{path}: not a counts.csv (expected header {','.join(COUNTS_HEADER)})"),
-    ))
+    table = read_counts_table(path)
+    return [
+        (*key, CorrespondenceCounts.from_counts(*a, lag=key[2], tau=tau))
+        for key, a in zip(table.tuples, table.counts.tolist())
+    ]
 
 
+# Kept for perfbench's traced stagewise-tau1 body; nexica calls write_mle_csv.
 def write_mle_rows(path, rows) -> None:
     """``rows`` yields (cause, effect, lag, counts, estimate) tuples."""
-    write_csv(path, MLE_HEADER, (
-        [cause, effect, lag, *counts.as_tuple(), repr(est.p_s), repr(est.p_c),
-         repr(est.p_c_raw), repr(est.log_likelihood), est.case.value]
-        for cause, effect, lag, counts, est in rows
+    rows = list(rows)
+    ests, fields = [row[4] for row in rows], ("p_s", "p_c", "p_c_raw", "log_likelihood")
+    write_mle_csv(path, SweepTable(
+        [row[:3] for row in rows], np.array([row[3].as_tuple() for row in rows]).reshape(-1, 4),
+        *(np.array([getattr(e, f) for e in ests]) for f in fields),
+        np.array([CASES.index(e.case) for e in ests], dtype=np.int8),
     ))
 
 
@@ -280,12 +316,11 @@ def read_mle_csv(path) -> SweepTable:
     file byte for byte."""
     code = {c.value: k for k, c in enumerate(CASES)}
 
-    def parse(row):
+    def tail(row):
         if len(row) != len(MLE_HEADER):
             raise FormatError(f"expected {len(MLE_HEADER)} fields")
-        key, a = _counts_row(row)
         try:
-            return key, a, [float(v) for v in row[7:11]], code[row[11]]
+            return [float(v) for v in row[7:11]] + [code[row[11]]]
         except (ValueError, KeyError):
             raise FormatError("malformed mle row") from None
 
@@ -293,13 +328,9 @@ def read_mle_csv(path) -> SweepTable:
         f"{path}: not an mle.csv (expected header {','.join(MLE_HEADER)}); "
         "run `nexica mle` on the counts first"
     )
-    rows = list(read_rows(path, MLE_HEADER.__eq__, parse, header_error))
-    tuples, counts, floats, cases = (list(column) for column in zip(*rows)) if rows else ([],) * 4
-    p_s, p_c, p_c_raw, loglik = np.asarray(floats, dtype=np.float64).reshape(-1, 4).T.copy()
-    return SweepTable(
-        tuples, np.asarray(counts, dtype=np.int64).reshape(-1, 4),
-        p_s, p_c, p_c_raw, loglik, np.asarray(cases, dtype=np.int8),
-    )
+    tuples, counts, rest = _read_sweep_csv(path, MLE_HEADER.__eq__, header_error, tail)
+    p_s, p_c, p_c_raw, loglik, case = rest.reshape(-1, 5).T.copy()
+    return SweepTable(tuples, counts, p_s, p_c, p_c_raw, loglik, case.astype(np.int8))
 
 
 def write_dataset_csv(path, dataset: GroundTruthDataset) -> None:

@@ -5,12 +5,17 @@ from datetime import datetime
 import numpy as np
 import pytest
 
+from nexica import cli
 from nexica.cli import main
+from nexica.events import EventSeries
 from nexica.ingest import (
     DriveTimeMatrix, StationMeta, SpeedSeries, load_drive_times, load_speed_csv,
     load_station_meta, write_drive_times, write_speed_csv, write_station_meta,
 )
-from nexica.pipeline import RunConfig, run_pipeline
+from nexica.mle import MAX_WINDOW
+from nexica.pipeline import (
+    RunConfig, run_pipeline, sweep, write_counts_csv, write_events_csv, write_mle_csv,
+)
 from nexica.synth import SynthSpec, write_dataset
 
 N_SLOTS = 8 * 2016  # eight weeks keeps the median-week profile robust
@@ -81,6 +86,31 @@ def test_stagewise_cli_matches_pipeline(corpus, quiet_corpus, tmp_path, capsys):
     events = (tmp_path / "quiet" / "events.csv").read_text().splitlines()
     assert "S999,0,0" in events
     assert len((tmp_path / "quiet" / "mle.csv").read_text().splitlines()) == 1 + 11 * 10 * 8
+
+
+@pytest.mark.parametrize("tau", [0, 1, 2, 3])
+def test_stagewise_pairs_and_mle_match_the_sweep(tmp_path, capsys, tau):
+    """``pairs`` then ``mle`` write what ``sweep`` gives in memory, with a
+    station without events and one whose events lie closer than tau + 1
+    slots (counted by ``lagged_counts``' greedy fallback)."""
+    m, l_max = 200, 4
+    rng = np.random.default_rng(tau)
+    bits = {"a": np.zeros(m, dtype=bool), "b": np.zeros(m, dtype=bool)}
+    bits["a"][[3, 4, 6, 10, 11, 12, 30, 31, 150]] = True
+    bits.update({sid: rng.random(m) < 0.1 for sid in ("c", "d")})
+    series = [EventSeries(sid, b, b, float("nan")) for sid, b in bits.items()]
+    write_events_csv(tmp_path / "events.csv", series)
+    table = sweep(series, l_max, tau)
+    write_counts_csv(tmp_path / "want_counts.csv", table)
+    write_mle_csv(tmp_path / "want_mle.csv", table)
+
+    assert main(["pairs", "--events", str(tmp_path / "events.csv"), "--slots", str(m),
+                 "--lmax", str(l_max), "--tau", str(tau),
+                 "--out", str(tmp_path / "counts.csv")]) == 0
+    assert main(["mle", "--counts", str(tmp_path / "counts.csv"), "--tau", str(tau),
+                 "--out", str(tmp_path / "mle.csv")]) == 0
+    for name in ("counts.csv", "mle.csv"):
+        assert (tmp_path / name).read_bytes() == (tmp_path / f"want_{name}").read_bytes(), name
 
 
 def _assert_stagewise_matches_run(corpus, tmp_path):
@@ -307,9 +337,12 @@ def test_grid_search_rejects_a_bad_list_item(tmp_path, capsys, flag, value):
         (["mle", "--out", "m.csv", "--counts"],
          b"cause,effect,lag,a00,a01,a10,a11\na,b,1," + b"x" * 200_000 + b"\n",
          "line 2: field larger than field limit"),
+        (["mle", "--out", "m.csv", "--counts"],
+         b"cause,effect,lag,a00,a01,a10,a11\na,b,1,0,0,0,0\n",
+         f"line 2: window 0 outside 1..{MAX_WINDOW}"),
         (["run", "--config"], b"", "Expecting value"),
     ],
-    ids=["bad-speed", "off-grid-aware", "not-utf8", "long-field", "empty-config"],
+    ids=["bad-speed", "off-grid-aware", "not-utf8", "long-field", "zero-window", "empty-config"],
 )
 def test_bad_input_exits_1_naming_the_file(tmp_path, monkeypatch, capsys, argv, content, message):
     monkeypatch.chdir(tmp_path)
@@ -317,6 +350,35 @@ def test_bad_input_exits_1_naming_the_file(tmp_path, monkeypatch, capsys, argv, 
     path.write_bytes(content)
     assert main(argv + [str(path)]) == 1
     assert f"nexica: {argv[0]}: {path}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("slots", [0, MAX_WINDOW + 1, 2**40])
+def test_slot_count_outside_the_window_bound_exits_1_before_reading(tmp_path, capsys, slots):
+    """The events file does not exist: the bound is checked before it is read."""
+    assert main(["pairs", "--events", str(tmp_path / "nope.csv"), "--slots", str(slots),
+                 "--out", str(tmp_path / "counts.csv")]) == 1
+    message = f"nexica: pairs: slots must be in 1..{MAX_WINDOW}, got {slots}"
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "counts.csv").exists()
+
+
+def test_out_of_memory_exits_1_naming_the_command(corpus, tmp_path, monkeypatch, capsys):
+    def label_pairs(*args):
+        raise MemoryError("Unable to allocate 8.00 TiB")
+
+    monkeypatch.setattr(cli, "label_pairs", label_pairs)
+    assert main(["ground-truth", "--meta", corpus["meta"], "--drive-times",
+                 corpus["drive_times"], "--out", str(tmp_path / "dataset.csv")]) == 1
+    assert ("nexica: ground-truth: out of memory (Unable to allocate 8.00 TiB)"
+            in capsys.readouterr().err)
+
+
+def test_mle_rejects_a_negative_tau(tmp_path, capsys):
+    counts = tmp_path / "counts.csv"
+    counts.write_text("cause,effect,lag,a00,a01,a10,a11\n")
+    out = tmp_path / "mle.csv"
+    assert main(["mle", "--counts", str(counts), "--tau", "-1", "--out", str(out)]) == 1
+    assert "nexica: mle: tau must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_missing_input_exits_nonzero(tmp_path, capsys):

@@ -25,7 +25,7 @@ from nexica.ingest import (
     load_speed_csv,
     load_station_meta,
 )
-from nexica.mle import CASES
+from nexica.mle import CASES, MAX_WINDOW, estimate
 from nexica.pipeline import (
     COUNTS_HEADER,
     DATASET_HEADER,
@@ -34,6 +34,7 @@ from nexica.pipeline import (
     RunConfig,
     dataset_features,
     read_counts_csv,
+    read_counts_table,
     read_dataset_csv,
     read_events_csv,
     read_mle_csv,
@@ -41,6 +42,7 @@ from nexica.pipeline import (
     write_counts_csv,
     write_dataset_csv,
     write_mle_csv,
+    write_mle_rows,
 )
 from nexica.synth import SynthSpec, line_geometry
 
@@ -116,10 +118,19 @@ def test_counts_csv_roundtrip(tmp_path):
     bits = [rng.random(200) < 0.1 for _ in range(3)]
     table = sweep([EventSeries(f"s{k}", b, b, float("nan")) for k, b in enumerate(bits)], 3, 1)
     write_counts_csv(tmp_path / "counts.csv", table)
+    again = read_counts_table(tmp_path / "counts.csv")
+    assert again.tuples == table.tuples
+    for name in ("counts", "p_s", "p_c", "p_c_raw", "loglik", "case"):
+        assert np.array_equal(getattr(again, name), getattr(table, name), equal_nan=True), name
+    assert again.counts.dtype == np.int64 and again.case.dtype == np.int8
+
     rows = read_counts_csv(tmp_path / "counts.csv", tau=1)
     assert [r[:3] for r in rows] == table.tuples
     assert [r[3].as_tuple() for r in rows] == [tuple(c) for c in table.counts.tolist()]
     assert {r[3].tau for r in rows} == {1}
+    write_mle_csv(tmp_path / "a.csv", table)
+    write_mle_rows(tmp_path / "b.csv", ((*r, estimate(r[3])) for r in rows))
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -128,27 +139,36 @@ def test_counts_csv_roundtrip(tmp_path):
         ("a,b,x,5,0,0,0", "integer lag and counts"),
         ("a,b,1,5,0,0.5,0", "integer lag and counts"),
         ("a,b,1,5,0", "integer lag and counts"),
-        ("a,b,1,5,-1,1,0", "negative correspondence count"),
-        ("a,b,-1,5,0,0,0", "lag and tau must be >= 0"),
+        ("a,b,1,5,-1,1,0", r"negative correspondence count in \[5, -1, 1, 0\]"),
+        ("a,b,-1,5,0,0,0", "lag must be >= 1, got -1"),
         ("a,b,1,5,0,0,9223372036854775808", "must fit in 64 bits"),
+        ("a,b,0,5,0,0,0", "lag must be >= 1, got 0"),
+        ("a,b,1,0,0,0,0", f"window 0 outside 1..{MAX_WINDOW}"),
+        (f"a,b,1,{MAX_WINDOW},0,1,0", f"window {MAX_WINDOW + 1} outside 1..{MAX_WINDOW}"),
     ],
     ids=["non-integer-lag", "non-integer-count", "short-row", "negative-count", "negative-lag",
-         "count-past-int64"],
+         "count-past-int64", "zero-lag", "zero-window", "window-past-max"],
 )
 def test_read_counts_csv_rejects_bad_rows(tmp_path, row, message):
-    path = tmp_path / "counts.csv"
-    path.write_text(f"cause,effect,lag,a00,a01,a10,a11\na,b,1,3,1,1,0\n{row}\n")
-    with pytest.raises(FormatError, match=message) as info:
-        read_counts_csv(path)
-    assert "counts.csv: line 3" in str(info.value)
+    """Both sweep readers, on the counts row alone and on the row padded
+    with valid estimate columns."""
+    estimates = ",0.5,0.5,0.5,-1.0,interior"
+    for read, header, tail in ((read_counts_table, COUNTS_HEADER, ""),
+                               (read_mle_csv, MLE_HEADER, estimates)):
+        path = tmp_path / f"{read.__name__}.csv"
+        path.write_text(f"{','.join(header)}\na,b,1,3,1,1,0{tail}\n{row}{tail}\n")
+        with pytest.raises(FormatError, match=message) as info:
+            read(path)
+        assert f"{path.name}: line 3" in str(info.value)
 
 
 def test_read_counts_csv_rejects_empty_file_and_wrong_header(tmp_path):
     for name, text in (("empty.csv", ""), ("events.csv", "station_id,slot_index,event\na,1,1\n")):
         path = tmp_path / name
         path.write_text(text)
-        with pytest.raises(ParameterError, match=f"{name}: not a counts.csv"):
-            read_counts_csv(path)
+        for read in (read_counts_table, read_counts_csv):
+            with pytest.raises(ParameterError, match=f"{name}: not a counts.csv"):
+                read(path)
 
 
 def test_dataset_csv_roundtrip_shares_ids_and_rules(tmp_path):
@@ -210,7 +230,7 @@ SPEED_ROWS = rows_of(
 )
 READERS = {
     "events": (EVENTS_HEADER, lambda path: read_events_csv(path, n_slots=10), ROWS),
-    "counts": (COUNTS_HEADER, read_counts_csv, ROWS),
+    "counts": (COUNTS_HEADER, read_counts_table, ROWS),
     "mle": (MLE_HEADER, read_mle_csv, ROWS),
     "dataset": (DATASET_HEADER, read_dataset_csv, ROWS),
     "speeds": (SPEED_HEADER, load_speed_csv, SPEED_ROWS),

@@ -27,7 +27,6 @@ import numpy as np
 from .errors import ConsistencyError, DomainError, ParameterError, TrainingError
 
 COUNT_FEATURES = ("a00", "a01", "a10", "a11")
-ALL_FEATURES = COUNT_FEATURES + ("p_c",)
 
 
 @dataclass

@@ -10,8 +10,9 @@ With a tolerance ``tau > 0`` a cause event at ``t`` also matches an
 effect event anywhere in ``[t+lag, t+lag+tau]``.  Matching is greedy
 earliest-first and one-to-one: each cause event takes the earliest
 still-unmatched effect event in its window, so no effect event is
-counted twice.  Effect events left unmatched count toward a01 when they
-sit at the exact offset ``lag`` from a cause-free slot.
+counted twice.  Effect events in ``[lag, lag + window)`` left unmatched
+count toward a01; none sits at the exact offset ``lag`` from a cause,
+because that cause would have taken it.
 
 ``count_from_indices`` counts one (pair, lag) tuple on sorted event-index
 arrays, iterating the smaller side.  ``lagged_counts`` counts every ordered
@@ -113,14 +114,7 @@ def count_from_indices(
     else:
         a11, matched = _greedy_match(c, effect_idx, lag, tau)
         a10 = int(c.size) - a11
-        # Unmatched effect events at the exact offset from a cause-free slot.
-        in_range = effect_idx[e_lo:e_hi]
-        unmatched = in_range[~matched[e_lo:e_hi]]
-        pos = np.searchsorted(c, unmatched - lag)
-        valid = pos < c.size
-        hits = np.zeros(unmatched.size, dtype=bool)
-        hits[valid] = c[pos[valid]] == unmatched[valid] - lag
-        a01 = int(np.count_nonzero(~hits))
+        a01 = int(np.count_nonzero(~matched[e_lo:e_hi]))
     a00 = window - a11 - a10 - a01
     return CorrespondenceCounts(a00, a01, a10, a11, lag, tau, window)
 

@@ -146,12 +146,8 @@ def leading_edges(u: np.ndarray) -> np.ndarray:
     return v
 
 
-def extract_events(
-    series: SpeedSeries, alpha: float, profile: WeekProfile | None = None
-) -> EventSeries:
+def extract_events(series: SpeedSeries, alpha: float) -> EventSeries:
     """Full extraction for one station: profile, slowdowns, leading edges."""
-    if profile is None:
-        profile = median_week_profile(series)
-    u = detect_slowdowns(series, profile, alpha)
+    u = detect_slowdowns(series, median_week_profile(series), alpha)
     v = leading_edges(u)
     return EventSeries(series.station_id, v, u, alpha)

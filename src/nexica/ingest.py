@@ -10,7 +10,8 @@ All input files are plain UTF-8 CSV with a header row:
 * drive times: header row/column of station ids, cells in minutes
 
 Speed rows may arrive unsorted and with missing slots; series are returned
-on a contiguous 5-minute grid with gaps marked ``imputed=True``.
+on a contiguous 5-minute grid with gaps marked ``imputed=True``, each gap
+slot repeating the speed of the station's row before it.
 """
 
 from __future__ import annotations
@@ -269,8 +270,8 @@ def load_speed_csv(path, _chunk_bytes: int = _CHUNK_BYTES) -> list[SpeedSeries]:
     """Load one or more stations' speed rows into gridded series.
 
     Rows are grouped by station and sorted by time; interior gaps become
-    ``imputed=True`` slots whose speed is copied from the nearest
-    non-imputed slot (the value is a placeholder, only the flag matters).
+    ``imputed=True`` slots that repeat the speed of the row before them
+    (the value is a placeholder, only the flag matters).
 
     A file in the form ``write_speed_csv`` writes is parsed whole columns
     at a time.  Any other file, valid or not, goes through the per-row
@@ -500,32 +501,16 @@ def _grid_stations(path, rows: _SpeedRows) -> list[SpeedSeries]:
         )
     del rem, fault
 
-    # Each row takes its own slot; a gap after it, up to the station's next
-    # row, takes placeholder speeds from the station's nearest source row:
-    # a measured row when the station has one, otherwise any row (ties
-    # prefer the earlier).  The gap's two halves are inserted after the row,
-    # and one repeat lays every segment out on the grid.
-    gap = np.diff(slot) - 1
-    gap[ends[:-1] - 1] = 0  # no gap between stations
-    runs = np.flatnonzero(gap)
+    # Each row takes its own slot and repeats its speed over the gap up to
+    # the station's next row (a placeholder, only the flag matters).
+    length = np.ones(slot.size, np.int64)
+    length[:-1] = np.diff(slot)
+    length[ends - 1] = 1
     grid_speed, grid_imputed = speed, imputed
-    if runs.size:
-        source = ~imputed
-        source |= np.repeat(~np.logical_or.reduceat(source, starts), counts)
-        source = np.flatnonzero(source)
-        pos = np.searchsorted(source, runs, side="right")
-        left = source[np.maximum(pos - 1, 0)]
-        right = source[np.minimum(pos, source.size - 1)]
-        first, last = starts[station[runs]], ends[station[runs]] - 1
-        width = gap[runs]
-        halfway = np.clip((slot[left] + slot[right]) // 2 - slot[runs], 0, width)
-        to_left = np.where(right > last, width, np.where(left < first, 0, halfway))
-        at = np.repeat(runs + 1, 2)
-        halves = np.column_stack((to_left, width - to_left)).ravel()
-        lengths = np.insert(np.ones(slot.size, np.int64), at, halves)
-        fill = np.column_stack((speed[left], speed[right])).ravel()
-        grid_speed = np.repeat(np.insert(speed, at, fill), lengths)
-        grid_imputed = np.repeat(np.insert(imputed, at, True), lengths)
+    if (length > 1).any():
+        grid_speed = np.repeat(speed, length)
+        grid_imputed = np.ones(grid_speed.size, bool)
+        grid_imputed[np.cumsum(length) - length] = imputed
     base = np.concatenate(([0], np.cumsum(slot[ends - 1] + 1)))
     return [
         SpeedSeries(ids[i], rows.stamp(row(s)), grid_speed[b:e], grid_imputed[b:e])

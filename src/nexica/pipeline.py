@@ -491,7 +491,6 @@ def _ingest(config: RunConfig):
             "stations are not aligned on a common grid: "
             f"starts={sorted(t.isoformat() for t in starts)}, lengths={sorted(lengths)}"
         )
-    series.sort(key=lambda s: s.station_id)
     meta.sort(key=lambda m: m.station_id)
     return series, meta, matrix
 

@@ -109,34 +109,24 @@ def generate_network(spec: SynthSpec) -> tuple[list[EventSeries], list[tuple[str
     are possible (and are exactly what the pair model assumes).
     """
     n = spec.n_stations
-    spont = [
+    events = [
         _stream(spec.seed, s).random(spec.n_slots) < spec.p_s for s in range(n)
     ]
     coins = [
         _stream(spec.seed, _EDGE_STREAM_BASE + k).random(spec.n_slots) < p_c
         for k, (_, _, _, p_c) in enumerate(spec.edges)
     ]
-    events = [s.copy() for s in spont]
 
-    order = _topological_station_order(n, spec.edges)
-    if order is not None:
-        rank = {s: r for r, s in enumerate(order)}
-        for k, (cause, effect, lag, _) in sorted(
-            enumerate(spec.edges), key=lambda item: rank[item[1][1]]
-        ):
-            events[effect][lag:] |= events[cause][: spec.n_slots - lag] & coins[k][: spec.n_slots - lag]
-    else:
-        # Cyclic station graph: iterate the monotone OR propagation to a
-        # fixpoint (positive lags move information strictly forward).
-        changed = True
-        while changed:
-            changed = False
-            for k, (cause, effect, lag, _) in enumerate(spec.edges):
-                add = events[cause][: spec.n_slots - lag] & coins[k][: spec.n_slots - lag]
-                before = events[effect][lag:]
-                if np.any(add & ~before):
-                    events[effect][lag:] |= add
-                    changed = True
+    # Iterate the monotone OR propagation to its least fixpoint; positive
+    # lags move events strictly forward, so the loop ends on any graph.
+    changed = True
+    while changed:
+        changed = False
+        for k, (cause, effect, lag, _) in enumerate(spec.edges):
+            add = events[cause][: spec.n_slots - lag] & coins[k][: spec.n_slots - lag]
+            if np.any(add & ~events[effect][lag:]):
+                events[effect][lag:] |= add
+                changed = True
 
     series = [
         EventSeries(spec.station_id(s), events[s], events[s], math.nan)
@@ -147,28 +137,6 @@ def generate_network(spec: SynthSpec) -> tuple[list[EventSeries], list[tuple[str
         for c, e, lag, p_c in spec.edges
     ]
     return series, truth
-
-
-def _topological_station_order(
-    n: int, edges: tuple[tuple[int, int, int, float], ...]
-) -> list[int] | None:
-    """Kahn's algorithm over the station graph; None when cyclic."""
-    succ: list[set[int]] = [set() for _ in range(n)]
-    indeg = [0] * n
-    for cause, effect, _, _ in edges:
-        if effect not in succ[cause]:
-            succ[cause].add(effect)
-            indeg[effect] += 1
-    ready = sorted(s for s in range(n) if indeg[s] == 0)
-    order = []
-    while ready:
-        s = ready.pop(0)
-        order.append(s)
-        for t in sorted(succ[s]):
-            indeg[t] -= 1
-            if indeg[t] == 0:
-                ready.append(t)
-    return order if len(order) == n else None
 
 
 def generate_event_pair(

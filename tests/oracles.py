@@ -297,8 +297,8 @@ def load_speed_csv_reference(path) -> list[SpeedSeries]:
     """Load one or more stations' speed rows into gridded series.
 
     Rows are grouped by station and sorted by time; interior gaps become
-    ``imputed=True`` slots whose speed is copied from the nearest
-    non-imputed slot (the value is a placeholder, only the flag matters).
+    ``imputed=True`` slots that repeat the speed of the row before them
+    (the value is a placeholder, only the flag matters).
     """
     aware = None  # whether the file's timestamps carry a UTC offset
 
@@ -374,18 +374,10 @@ def _grid_station_reference(
         speeds[j] = speed
         imputed[j] = imp
 
-    gaps = np.flatnonzero(~filled)
-    if gaps.size:
-        # Placeholder values come from the nearest non-imputed slot when one
-        # exists, otherwise the nearest loaded row (ties prefer the earlier).
-        source = np.flatnonzero(filled & ~imputed)
-        if source.size == 0:
-            source = np.flatnonzero(filled)
-        pos = np.searchsorted(source, gaps)
-        left = source[np.clip(pos - 1, 0, source.size - 1)]
-        right = source[np.clip(pos, 0, source.size - 1)]
-        nearest = np.where(gaps - left <= right - gaps, left, right)
-        speeds[gaps] = speeds[nearest]
+    # A gap slot repeats the speed of the slot before it; slot 0 always
+    # holds a row.
+    for j in np.flatnonzero(~filled):
+        speeds[j] = speeds[j - 1]
     return SpeedSeries(sid, start, speeds, imputed)
 
 

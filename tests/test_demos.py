@@ -1,5 +1,5 @@
-"""The demos import only names that nexica still has.  The demos are parsed,
-not run: several take minutes."""
+"""The demos import only names that nexica still has.  The demos are only
+parsed here; the tier-1 CI workflow runs each of them."""
 
 import ast
 import importlib

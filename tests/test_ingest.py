@@ -61,17 +61,21 @@ def test_three_rows_one_station(tmp_path):
     assert not s.imputed.any()
 
 
-def test_gap_becomes_imputed_slot(tmp_path):
+# Each gap slot repeats the speed of the station's row before it, even when
+# that row is imputed and a measured row lies nearer after the gap.
+@pytest.mark.parametrize("rows, speeds, imputed", [
+    ([(0, "65.0", "0"), (2, "60.0", "0")], [65, 65, 60], [False, True, False]),
+    ([(0, "65.0", "0"), (2, "50.0", "1"), (5, "60.0", "0")],
+     [65, 65, 50, 50, 50, 60], [False, True, True, True, True, False]),
+], ids=["one-slot", "after-an-imputed-row"])
+def test_gap_becomes_imputed_slot(tmp_path, rows, speeds, imputed):
     path = tmp_path / "s.csv"
     write_rows(path, [
-        ["a", "2024-01-01T00:00:00", "65.0", "0"],
-        ["a", "2024-01-01T00:10:00", "60.0", "0"],
+        ["a", (T0 + j * SLOT).isoformat(), speed, flag] for j, speed, flag in rows
     ])
     s = load_speed_csv(path)[0]
-    assert len(s) == 3
-    assert list(s.imputed) == [False, True, False]
-    # ties between neighbors prefer the earlier non-imputed slot
-    assert s.speeds[1] == 65.0
+    assert list(s.speeds) == speeds
+    assert list(s.imputed) == imputed
 
 
 def test_unsorted_rows_are_sorted(tmp_path):

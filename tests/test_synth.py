@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nexica.correspond import count_correspondences
 from nexica.errors import ValidationError
 from nexica.events import extract_events
 from nexica.mle import CausalCase, estimate
 from nexica.synth import (
+    _EDGE_STREAM_BASE,
     SynthSpec,
+    _stream,
     generate_event_pair,
     generate_network,
     line_geometry,
@@ -122,6 +126,48 @@ def test_cyclic_station_graph_converges():
     series2, _ = generate_network(spec)
     assert np.array_equal(series[0].events, series2[0].events)
     assert np.array_equal(series[1].events, series2[1].events)
+
+
+@st.composite
+def networks(draw):
+    """Small specs on random station graphs, acyclic or cyclic, with repeated
+    cause->effect pairs at different lags."""
+    n = draw(st.integers(2, 5))
+    n_slots = draw(st.integers(2, 60))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    edges = []
+    for cause, effect in draw(st.lists(pair, max_size=8)):
+        for lag in draw(st.sets(st.integers(1, min(n_slots - 1, 6)), min_size=1, max_size=2)):
+            edges.append((cause, effect, lag, draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))))
+    return SynthSpec(
+        n_stations=n, n_slots=n_slots, p_s=draw(st.sampled_from([0.0, 0.05, 0.2, 0.5])),
+        edges=tuple(edges), seed=draw(st.integers(0, 2**32)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(networks())
+def test_network_events_are_the_least_closure_of_the_spontaneous_events(spec):
+    series, _ = generate_network(spec)
+    events = [s.events for s in series]
+    m = spec.n_slots
+    spont = [_stream(spec.seed, s).random(m) < spec.p_s for s in range(spec.n_stations)]
+    coins = [
+        _stream(spec.seed, _EDGE_STREAM_BASE + k).random(m) < p_c
+        for k, (_, _, _, p_c) in enumerate(spec.edges)
+    ]
+    for s in range(spec.n_stations):
+        assert np.all(events[s][spont[s]])
+    for k, (cause, effect, lag, _) in enumerate(spec.edges):
+        for t in range(m - lag):
+            if events[cause][t] and coins[k][t]:
+                assert events[effect][t + lag]
+    for s in range(spec.n_stations):
+        for t in np.flatnonzero(events[s] & ~spont[s]).tolist():
+            assert any(
+                effect == s and lag <= t and events[cause][t - lag] and coins[k][t - lag]
+                for k, (cause, effect, lag, _) in enumerate(spec.edges)
+            ), (s, t)
 
 
 def test_rendered_speeds_reproduce_isolated_events():

@@ -67,40 +67,6 @@ class ForestModel:
                 h.update(np.ascontiguousarray(arr).tobytes())
         return h.hexdigest()
 
-    def to_dict(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "seed": self.seed,
-            "feature_mask": list(self.feature_mask),
-            "n_features_full": self.n_features_full,
-            "trees": [
-                {
-                    "feature": t.feature.tolist(),
-                    "threshold": t.threshold.tolist(),
-                    "left": t.left.tolist(),
-                    "right": t.right.tolist(),
-                    "vote": t.vote.tolist(),
-                }
-                for t in self.trees
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ForestModel":
-        trees = [
-            _Tree(
-                np.asarray(t["feature"], dtype=np.int32),
-                np.asarray(t["threshold"], dtype=np.float64),
-                np.asarray(t["left"], dtype=np.int32),
-                np.asarray(t["right"], dtype=np.int32),
-                np.asarray(t["vote"], dtype=np.int8),
-            )
-            for t in d["trees"]
-        ]
-        return cls(
-            trees, d["n_trees"], d["seed"], tuple(d["feature_mask"]), d["n_features_full"]
-        )
-
 
 @dataclass
 class RocResult:
@@ -319,6 +285,8 @@ def train_forest(
         raise ParameterError("features must be finite")
     if n_trees < 1:
         raise ParameterError("n_trees must be >= 1")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     mask = tuple(range(x.shape[1])) if feature_mask is None else tuple(feature_mask)
     if not mask or min(mask) < 0 or max(mask) >= x.shape[1]:
         raise ParameterError(f"feature mask {mask} out of range for d={x.shape[1]}")
@@ -412,6 +380,8 @@ def stratified_fold_ids(labels: np.ndarray, folds: int, seed: int) -> np.ndarray
     y = np.asarray(labels)
     if folds < 2:
         raise ParameterError("folds must be >= 2")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     ids = np.empty(y.shape[0], dtype=np.int32)
     for cls in (0, 1):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import classify as cls
@@ -79,9 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(handler=cmd_synth)
 
-    p = sub.add_parser("train", help="train a forest on labeled count features")
+    p = sub.add_parser("train", help="train a forest and write the ranked causal edges")
     _add_model_args(p)
-    p.add_argument("--model-out", required=True)
+    p.add_argument("--out", required=True, help="topk_edges.csv, as nexica run writes it")
     p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser("evaluate", help="cross-validated ROC/AUC of the forest")
@@ -197,14 +196,13 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    x, y = pl.dataset_features(pl.read_mle_csv(args.features), pl.read_dataset_csv(args.labels))
+    table = pl.read_mle_csv(args.features)
+    x, y = pl.dataset_features(table, pl.read_dataset_csv(args.labels))
     model = cls.train_forest(
         x, y, n_trees=args.n_trees, seed=args.seed, feature_mask=FEATURE_SETS[args.feature_set]
     )
-    with open(args.model_out, "w") as fh:
-        json.dump(model.to_dict(), fh, sort_keys=True)
-        fh.write("\n")
-    print(f"trained {model.n_trees} trees (hash {model.model_hash()[:12]}) -> {args.model_out}")
+    pl.write_topk_csv(args.out, table, model)
+    print(f"trained {model.n_trees} trees (hash {model.model_hash()[:12]}) -> {args.out}")
     return 0
 
 

@@ -15,9 +15,9 @@ count toward a01; none sits at the exact offset ``lag`` from a cause,
 because that cause would have taken it.
 
 ``count_from_indices`` counts one (pair, lag) tuple on sorted event-index
-arrays, iterating the smaller side.  ``lagged_counts`` counts every ordered
-pair at every lag at once, with one matrix product per lag over the
-stations' 0/1 event matrix; the per-tuple kernel is its reference.
+arrays.  ``lagged_counts`` counts every ordered pair at every lag at once,
+with one matrix product per lag over the stations' 0/1 event matrix; the
+per-tuple kernel is its reference.
 """
 
 from __future__ import annotations
@@ -98,23 +98,15 @@ def count_from_indices(
     e_hi = np.searchsorted(effect_idx, lag + window)
 
     if tau == 0:
-        # Exact alignment: membership of c+lag in the effect set, counted
-        # from the smaller side.
-        if c.size <= effect_idx.size:
-            pos = np.searchsorted(effect_idx, c + lag)
-            valid = pos < effect_idx.size
-            a11 = int(np.count_nonzero(effect_idx[pos[valid]] == c[valid] + lag))
-        else:
-            e = effect_idx[e_lo:e_hi]
-            pos = np.searchsorted(c, e - lag)
-            valid = pos < c.size
-            a11 = int(np.count_nonzero(c[pos[valid]] == e[valid] - lag))
-        a10 = int(c.size) - a11
+        # Exact alignment: membership of c+lag in the effect set.
+        pos = np.searchsorted(effect_idx, c + lag)
+        valid = pos < effect_idx.size
+        a11 = int(np.count_nonzero(effect_idx[pos[valid]] == c[valid] + lag))
         a01 = int(e_hi - e_lo) - a11
     else:
         a11, matched = _greedy_match(c, effect_idx, lag, tau)
-        a10 = int(c.size) - a11
         a01 = int(np.count_nonzero(~matched[e_lo:e_hi]))
+    a10 = int(c.size) - a11
     a00 = window - a11 - a10 - a01
     return CorrespondenceCounts(a00, a01, a10, a11, lag, tau, window)
 

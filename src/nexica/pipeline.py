@@ -392,6 +392,20 @@ COUNT_MASK = (0, 1, 2, 3)
 PC_COLUMN = 4
 
 
+def write_topk_csv(path, table: SweepTable, model: cls.ForestModel) -> None:
+    """Score every tuple of ``table`` with ``model`` and write the
+    ``TOP_K_EDGES`` best, the ranked causal edges."""
+    matrix = table.feature_matrix()
+    scores = cls.predict_proba(model, matrix)
+    # break score ties (forests saturate at 1.0) by estimated causal probability
+    top = np.lexsort((-matrix[:, PC_COLUMN], -scores))[:TOP_K_EDGES]
+    write_csv(path, TOPK_HEADER, (
+        [*table.tuples[k], repr(float(scores[k])),
+         repr(float(table.p_c[k])), repr(float(table.p_s[k]))]
+        for k in top.tolist()
+    ))
+
+
 # ---------------------------------------------------------------------------
 # the run itself
 
@@ -545,15 +559,7 @@ def _classify(config, table, ratio_set, full_set, out: Path):
     model = cls.train_forest(
         x_ratio, y_ratio, n_trees=config.n_trees, seed=config.seed, feature_mask=COUNT_MASK
     )
-    matrix = table.feature_matrix()
-    scores = cls.predict_proba(model, matrix)
-    # break score ties (forests saturate at 1.0) by estimated causal probability
-    top = np.lexsort((-matrix[:, PC_COLUMN], -scores))[:TOP_K_EDGES]
-    write_csv(out / "topk_edges.csv", TOPK_HEADER, (
-        [*table.tuples[k], repr(float(scores[k])),
-         repr(float(table.p_c[k])), repr(float(table.p_s[k]))]
-        for k in top.tolist()
-    ))
+    write_topk_csv(out / "topk_edges.csv", table, model)
     result["model_hash"] = model.model_hash()
     return result
 

@@ -35,6 +35,7 @@ from .ingest import (
     write_speed_csv,
     write_station_meta,
 )
+from .mle import MAX_WINDOW
 
 _EDGE_STREAM_BASE = 1 << 32
 
@@ -59,6 +60,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.n_stations < 1 or self.n_slots < 1:
             raise ParameterError("need at least one station and one slot")
+        if self.n_slots > MAX_WINDOW:
+            raise ParameterError(f"n_slots must be in 1..{MAX_WINDOW}, got {self.n_slots}")
         if not 0.0 <= self.p_s <= 1.0:
             raise ParameterError(f"p_s {self.p_s} outside [0, 1]")
         if not 0.0 < self.alpha < 0.5:

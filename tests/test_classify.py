@@ -155,18 +155,6 @@ def test_predict_proba_invariant_to_tree_order():
     assert np.array_equal(predict_proba(model, x), scores)
 
 
-def test_model_dict_roundtrip_preserves_hash():
-    import json
-
-    from nexica.classify import ForestModel
-
-    x, y = _separable(seed=6)
-    model = train_forest(x, y, n_trees=8, seed=2, feature_mask=(0, 2))
-    clone = ForestModel.from_dict(json.loads(json.dumps(model.to_dict())))
-    assert clone.model_hash() == model.model_hash()
-    assert np.array_equal(predict_proba(clone, x), predict_proba(model, x))
-
-
 def _reference_trees(x, y, n_trees, seed, feature_mask):
     xm = np.asarray(x, dtype=np.float64)[:, list(feature_mask)]
     n = xm.shape[0]

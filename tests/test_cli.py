@@ -14,7 +14,8 @@ from nexica.ingest import (
 )
 from nexica.mle import MAX_WINDOW
 from nexica.pipeline import (
-    RunConfig, run_pipeline, sweep, write_counts_csv, write_events_csv, write_mle_csv,
+    TOP_K_EDGES, TOPK_HEADER, RunConfig, run_pipeline, sweep, write_counts_csv,
+    write_events_csv, write_mle_csv,
 )
 from nexica.synth import SynthSpec, write_dataset
 
@@ -82,7 +83,7 @@ def test_synth_command_reproduces_library_output(corpus, tmp_path, capsys):
 
 def test_stagewise_cli_matches_pipeline(corpus, quiet_corpus, tmp_path, capsys):
     for name, paths in (("synth", corpus), ("quiet", quiet_corpus)):
-        _assert_stagewise_matches_run(paths, tmp_path / name)
+        _assert_stagewise_matches_run(paths, tmp_path / name, capsys)
     events = (tmp_path / "quiet" / "events.csv").read_text().splitlines()
     assert "S999,0,0" in events
     assert len((tmp_path / "quiet" / "mle.csv").read_text().splitlines()) == 1 + 11 * 10 * 8
@@ -113,10 +114,10 @@ def test_stagewise_pairs_and_mle_match_the_sweep(tmp_path, capsys, tau):
         assert (tmp_path / name).read_bytes() == (tmp_path / f"want_{name}").read_bytes(), name
 
 
-def _assert_stagewise_matches_run(corpus, tmp_path):
+def _assert_stagewise_matches_run(corpus, tmp_path, capsys):
     run_dir = tmp_path / "run"
     config = RunConfig(**make_config(corpus, run_dir))
-    run_pipeline(config)
+    metrics = run_pipeline(config)
 
     events_csv = tmp_path / "events.csv"
     assert main(["events", "--speeds", corpus["speeds"], "--alpha", "0.25",
@@ -139,22 +140,38 @@ def _assert_stagewise_matches_run(corpus, tmp_path):
                  "--lmax", "8", "--ratio", "1", "--out", str(gt_csv)]) == 0
     assert gt_csv.read_bytes() == (run_dir / "dataset.csv").read_bytes()
 
+    topk_csv = tmp_path / "topk_edges.csv"
+    capsys.readouterr()
+    assert main(["train", "--features", str(mle_csv), "--labels", str(gt_csv),
+                 "--n-trees", str(config.n_trees), "--seed", str(config.seed),
+                 "--out", str(topk_csv)]) == 0
+    assert topk_csv.read_bytes() == (run_dir / "topk_edges.csv").read_bytes()
+    assert f"(hash {metrics['classifier']['model_hash'][:12]})" in capsys.readouterr().out
+
     with open(tmp_path / "profiles.csv") as fh:
         header = fh.readline().strip()
     assert header == "station_id,week_slot,median_speed"
 
 
-def test_train_evaluate_ablate_commands(corpus, tmp_path, capsys):
-    run_dir = tmp_path / "run"
-    metrics = run_pipeline(RunConfig(**make_config(corpus, run_dir)))
+@pytest.fixture(scope="module")
+def run_dir(corpus, tmp_path_factory):
+    """A finished ``nexica run`` on the corpus, for the commands that read its CSVs."""
+    out = tmp_path_factory.mktemp("run")
+    run_pipeline(RunConfig(**make_config(corpus, out)))
+    return out
+
+
+def test_train_evaluate_ablate_commands(run_dir, tmp_path, capsys):
+    metrics = json.loads((run_dir / "metrics.json").read_text())
     features = str(run_dir / "mle.csv")
     labels = str(run_dir / "dataset.csv")
 
-    model_path = tmp_path / "model.json"
-    assert main(["train", "--features", features, "--labels", labels,
-                 "--n-trees", "10", "--seed", "5", "--model-out", str(model_path)]) == 0
-    model = json.loads(model_path.read_text())
-    assert model["n_trees"] == 10 and len(model["trees"]) == 10
+    topk_path = tmp_path / "topk_edges.csv"
+    assert main(["train", "--features", features, "--labels", labels, "--feature-set", "pc",
+                 "--n-trees", "10", "--seed", "5", "--out", str(topk_path)]) == 0
+    with open(topk_path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == TOPK_HEADER and len(rows) == 1 + TOP_K_EDGES
 
     metrics_path = tmp_path / "eval.json"
     roc_path = tmp_path / "roc.csv"
@@ -258,15 +275,37 @@ def test_run_rejects_bad_config_values(corpus, tmp_path, capsys, edit, message):
 
 
 @pytest.mark.parametrize(
-    "argv", [["pairs", "--events", "e.csv", "--slots", "10", "--out", "c.csv"],
-             ["run", "--config", "config.json"]],
-    ids=["pairs", "run"],
+    "argv", [["pairs", "--events", "e.csv", "--slots", "10", "--out", "c.csv", "--threads", "2"],
+             ["run", "--config", "config.json", "--threads", "2"],
+             ["train", "--features", "mle.csv", "--labels", "dataset.csv",
+              "--out", "topk_edges.csv", "--model-out", "m.json"]],
+    ids=["pairs", "run", "train-model-out"],
 )
 def test_threads_flag_is_rejected(argv, capsys):
+    """A removed flag (``--threads``, ``train --model-out``) is an argparse error."""
     with pytest.raises(SystemExit) as info:
-        main(argv + ["--threads", "2"])
+        main(argv)
     assert info.value.code == 2
-    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "ablate", "run", "grid-search"])
+def test_negative_seed_exits_1_naming_the_command(corpus, run_dir, tmp_path, capsys, command):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(make_config(corpus, tmp_path / "out", seed=-1, n_trees=5)))
+    inputs = ["--features", str(run_dir / "mle.csv"), "--labels", str(run_dir / "dataset.csv"),
+              "--seed", "-1", "--n-trees", "5"]
+    argv = {
+        "train": ["train", *inputs, "--out", str(tmp_path / "topk.csv")],
+        "evaluate": ["evaluate", *inputs, "--metrics-out", str(tmp_path / "eval.json")],
+        "ablate": ["ablate", *inputs, "--out", str(tmp_path / "ablate.csv")],
+        "run": ["run", "--config", str(cfg_path)],
+        "grid-search": ["grid-search", "--config", str(cfg_path), "--alphas", "0.25",
+                        "--taus", "0", "--out", str(tmp_path / "grid.csv")],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"nexica: {command}: ") and "seed must be >= 0, got -1" in err
 
 
 def test_config_accepts_int_as_float_and_null_truth(corpus, tmp_path):
@@ -299,9 +338,10 @@ def test_run_and_report_name_the_line_of_a_malformed_truth_file(corpus, tmp_path
         ({"start_time": "x"}, "start_time 'x' is not an ISO 8601 timestamp"),
         ({"start_time": "2024-01-01T00:01:00"},
          "timestamp 2024-01-01T00:01:00 not on a 5-minute boundary (start_time)"),
+        ({"n_slots": 10**20}, f"n_slots must be in 1..{MAX_WINDOW}, got {10**20}"),
     ],
     ids=["str-float", "unknown-key", "str-lag", "short-edge", "missing-key", "non-iso-start",
-         "off-grid-start"],
+         "off-grid-start", "huge-n-slots"],
 )
 def test_synth_rejects_bad_spec_values(tmp_path, capsys, edit, message):
     spec = {"n_stations": 3, "n_slots": 100, "p_s": 0.1, **edit}

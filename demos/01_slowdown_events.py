@@ -9,7 +9,7 @@ through the extraction: median-week profile -> relative-error threshold
 import numpy as np
 from datetime import datetime, timedelta
 
-from nexica import SpeedSeries, extract_events, median_week_profile
+from nexica import SpeedSeries, detect_slowdowns, extract_events, median_week_profile
 from nexica.events import WEEK_SLOTS, week_slot_index
 
 rng = np.random.default_rng(0)
@@ -33,14 +33,15 @@ for at, length in incidents:
 series = SpeedSeries("demo-station", start, speeds.clip(0), np.zeros(n, dtype=bool))
 
 profile = median_week_profile(series)
-monday_8am = profile.medians[week_slot_index(datetime(2024, 1, 1, 8, 0))]
-sunday_3am = profile.medians[week_slot_index(datetime(2024, 1, 7, 3, 0))]
+monday_8am = profile[week_slot_index(datetime(2024, 1, 1, 8, 0))]
+sunday_3am = profile[week_slot_index(datetime(2024, 1, 7, 3, 0))]
 print(f"median-week profile: Monday 08:00 -> {monday_8am:.1f} mph, "
       f"Sunday 03:00 -> {sunday_3am:.1f} mph")
 
 for alpha in (0.15, 0.25, 0.4):
     events = extract_events(series, alpha)
-    print(f"alpha={alpha:<4}: {int(events.slowdown_mask.sum()):>4} slowdown slots, "
+    slowdowns = int(detect_slowdowns(series, profile, alpha).sum())
+    print(f"alpha={alpha:<4}: {slowdowns:>4} slowdown slots, "
           f"{events.count():>3} leading-edge events")
 
 events = extract_events(series, 0.25)

@@ -20,7 +20,6 @@ from .classify import (
 from .errors import NexicaError
 from .events import (
     EventSeries,
-    WeekProfile,
     detect_slowdowns,
     extract_events,
     leading_edges,
@@ -79,7 +78,6 @@ __all__ = [
     "StationMeta",
     "SweepTable",
     "SynthSpec",
-    "WeekProfile",
     "build_dataset",
     "completeness",
     "count_correspondences",

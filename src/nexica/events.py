@@ -10,7 +10,7 @@ causal analysis works on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 
 import numpy as np
@@ -28,67 +28,35 @@ def week_slot_index(ts: datetime) -> int:
 
 
 @dataclass(eq=False)
-class WeekProfile:
-    """Per-week-slot median speeds; NaN marks slots with no usable samples."""
-
-    station_id: str
-    medians: np.ndarray
-
-    def __post_init__(self):
-        self.medians = np.asarray(self.medians, dtype=np.float64)
-        if self.medians.shape != (WEEK_SLOTS,):
-            raise ValidationError(
-                f"profile for {self.station_id} must have {WEEK_SLOTS} values"
-            )
-        if np.any(self.medians[np.isfinite(self.medians)] < 0):
-            raise ValidationError(f"profile for {self.station_id} has negative speeds")
-
-
-@dataclass(eq=False)
 class EventSeries:
-    """Binary slowdown events for one station.
+    """Binary slowdown events for one station, one flag per slot.
 
-    ``events`` holds the leading edges actually used for causal analysis;
-    ``slowdown_mask`` holds the full slowdown indicator it was derived
-    from.  Directly generated event streams (see :mod:`nexica.synth`) set
-    both fields to the same array, in which case adjacent events are
-    possible and the leading-edge structure does not apply.
+    Extracted series hold leading edges, so no two events are adjacent;
+    directly generated streams (see :mod:`nexica.synth`) may have them.
     """
 
     station_id: str
     events: np.ndarray
-    slowdown_mask: np.ndarray
-    alpha: float
-    _indices: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.events = np.asarray(self.events, dtype=bool)
-        self.slowdown_mask = np.asarray(self.slowdown_mask, dtype=bool)
-        if self.events.shape != self.slowdown_mask.shape or self.events.ndim != 1:
-            raise ValidationError(
-                f"station {self.station_id}: events and slowdown mask must be "
-                f"1-D and equal length"
-            )
-        if np.any(self.events & ~self.slowdown_mask):
-            raise ValidationError(
-                f"station {self.station_id}: event fired outside a slowdown"
-            )
+        if self.events.ndim != 1:
+            raise ValidationError(f"station {self.station_id}: events must be 1-D")
 
     def __len__(self) -> int:
         return self.events.size
 
     def event_indices(self) -> np.ndarray:
-        """Sorted slot indices of events (cached)."""
-        if self._indices is None:
-            self._indices = np.flatnonzero(self.events)
-        return self._indices
+        """Sorted slot indices of events."""
+        return np.flatnonzero(self.events)
 
     def count(self) -> int:
-        return int(self.event_indices().size)
+        return int(np.count_nonzero(self.events))
 
 
-def median_week_profile(series: SpeedSeries) -> WeekProfile:
-    """Lower median of non-imputed speeds per week slot.
+def median_week_profile(series: SpeedSeries) -> np.ndarray:
+    """Lower median of non-imputed speeds per week slot, as
+    ``WEEK_SLOTS`` float64 values indexed by :func:`week_slot_index`.
 
     An even sample count takes the lower of the two middle values, so the
     profile always equals an observed speed.  Week slots with no usable
@@ -108,27 +76,28 @@ def median_week_profile(series: SpeedSeries) -> WeekProfile:
     pick = np.maximum(counts - 1, 0) // 2
     medians = np.take_along_axis(order, pick[None, :], axis=0)[0]
     medians[counts == 0] = np.nan
-    return WeekProfile(series.station_id, medians)
-
-
-def profile_for_slots(profile: WeekProfile, start_time: datetime, m: int) -> np.ndarray:
-    """Predicted speed for each of ``m`` consecutive slots from ``start_time``."""
-    ws0 = week_slot_index(start_time)
-    idx = (ws0 + np.arange(m)) % WEEK_SLOTS
-    return profile.medians[idx]
+    return medians
 
 
 def detect_slowdowns(
-    series: SpeedSeries, profile: WeekProfile, alpha: float
+    series: SpeedSeries, medians: np.ndarray, alpha: float
 ) -> np.ndarray:
-    """Boolean mask of slots where (s - predicted) / predicted < -alpha.
+    """Boolean mask of slots where (s - predicted) / predicted < -alpha,
+    predicting each slot by its week slot's entry of ``medians``.
 
     Imputed slots and slots whose prediction is undefined or zero never
     count as slowdowns.
     """
     if not alpha > 0:
         raise ParameterError(f"alpha must be > 0, got {alpha}")
-    predicted = profile_for_slots(profile, series.start_time, len(series))
+    medians = np.asarray(medians, dtype=np.float64)
+    if medians.shape != (WEEK_SLOTS,):
+        raise ValidationError(
+            f"profile for {series.station_id} must have {WEEK_SLOTS} values, "
+            f"got shape {medians.shape}"
+        )
+    ws0 = week_slot_index(series.start_time)
+    predicted = medians[(ws0 + np.arange(len(series))) % WEEK_SLOTS]
     eligible = ~series.imputed & np.isfinite(predicted) & (predicted > 0)
     u = np.zeros(len(series), dtype=bool)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -149,5 +118,4 @@ def leading_edges(u: np.ndarray) -> np.ndarray:
 def extract_events(series: SpeedSeries, alpha: float) -> EventSeries:
     """Full extraction for one station: profile, slowdowns, leading edges."""
     u = detect_slowdowns(series, median_week_profile(series), alpha)
-    v = leading_edges(u)
-    return EventSeries(series.station_id, v, u, alpha)
+    return EventSeries(series.station_id, leading_edges(u))

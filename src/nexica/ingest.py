@@ -580,6 +580,7 @@ def filter_stations(
 
 
 def load_station_meta(path) -> list[StationMeta]:
+    """Station metadata in station-id order, the order of every loader."""
     seen = set()
 
     def parse(row):
@@ -595,10 +596,10 @@ def load_station_meta(path) -> list[StationMeta]:
             raise ParseError("bad coordinates") from None
         return StationMeta(sid, row[1].strip(), row[2].strip(), lat, lon, row[5].strip())
 
-    return list(read_rows(
+    return sorted(read_rows(
         path, lambda header: [h.strip() for h in header] == META_HEADER, parse,
         ParseError(f"{path}: expected header {','.join(META_HEADER)}"),
-    ))
+    ), key=lambda m: m.station_id)
 
 
 def write_station_meta(path, meta: list[StationMeta]) -> None:

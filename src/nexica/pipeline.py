@@ -209,7 +209,7 @@ def read_events_csv(path, n_slots: int) -> list[EventSeries]:
     for sid in sorted(by_station):
         ev = np.zeros(n_slots, dtype=bool)
         ev[np.asarray(by_station[sid], dtype=np.int64)] = True
-        out.append(EventSeries(sid, ev, ev, math.nan))
+        out.append(EventSeries(sid, ev))
     return out
 
 
@@ -217,7 +217,7 @@ def write_profiles_csv(path, series: list[SpeedSeries]) -> None:
     write_csv(path, ["station_id", "week_slot", "median_speed"], (
         [s.station_id, k, "" if math.isnan(v) else repr(v)]
         for s in series
-        for k, v in enumerate(median_week_profile(s).medians.tolist())
+        for k, v in enumerate(median_week_profile(s).tolist())
     ))
 
 
@@ -505,7 +505,6 @@ def _ingest(config: RunConfig):
             "stations are not aligned on a common grid: "
             f"starts={sorted(t.isoformat() for t in starts)}, lengths={sorted(lengths)}"
         )
-    meta.sort(key=lambda m: m.station_id)
     return series, meta, matrix
 
 

@@ -15,7 +15,6 @@ bit-identical and stations can be generated independently.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
@@ -131,10 +130,7 @@ def generate_network(spec: SynthSpec) -> tuple[list[EventSeries], list[tuple[str
                 events[effect][lag:] |= add
                 changed = True
 
-    series = [
-        EventSeries(spec.station_id(s), events[s], events[s], math.nan)
-        for s in range(n)
-    ]
+    series = [EventSeries(spec.station_id(s), events[s]) for s in range(n)]
     truth = [
         (spec.station_id(c), spec.station_id(e), lag, p_c)
         for c, e, lag, p_c in spec.edges

@@ -61,6 +61,16 @@ def quiet_corpus(corpus, tmp_path_factory):
     return paths
 
 
+@pytest.fixture(scope="module")
+def reversed_corpus(corpus, tmp_path_factory):
+    """The corpus with its meta.csv rows in reverse station order."""
+    tmp = tmp_path_factory.mktemp("reversed")
+    with open(corpus["meta"], "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    (tmp / "meta.csv").write_bytes(b"".join(lines[:1] + lines[:0:-1]))
+    return dict(corpus, meta=str(tmp / "meta.csv"))
+
+
 def make_config(corpus, out_dir, **overrides):
     cfg = {
         "speeds": corpus["speeds"], "meta": corpus["meta"],
@@ -81,8 +91,8 @@ def test_synth_command_reproduces_library_output(corpus, tmp_path, capsys):
         assert a == b, name
 
 
-def test_stagewise_cli_matches_pipeline(corpus, quiet_corpus, tmp_path, capsys):
-    for name, paths in (("synth", corpus), ("quiet", quiet_corpus)):
+def test_stagewise_cli_matches_pipeline(corpus, quiet_corpus, reversed_corpus, tmp_path, capsys):
+    for name, paths in (("synth", corpus), ("quiet", quiet_corpus), ("reversed", reversed_corpus)):
         _assert_stagewise_matches_run(paths, tmp_path / name, capsys)
     events = (tmp_path / "quiet" / "events.csv").read_text().splitlines()
     assert "S999,0,0" in events
@@ -99,7 +109,7 @@ def test_stagewise_pairs_and_mle_match_the_sweep(tmp_path, capsys, tau):
     bits = {"a": np.zeros(m, dtype=bool), "b": np.zeros(m, dtype=bool)}
     bits["a"][[3, 4, 6, 10, 11, 12, 30, 31, 150]] = True
     bits.update({sid: rng.random(m) < 0.1 for sid in ("c", "d")})
-    series = [EventSeries(sid, b, b, float("nan")) for sid, b in bits.items()]
+    series = [EventSeries(sid, b) for sid, b in bits.items()]
     write_events_csv(tmp_path / "events.csv", series)
     table = sweep(series, l_max, tau)
     write_counts_csv(tmp_path / "want_counts.csv", table)

@@ -1,4 +1,3 @@
-import math
 import time
 
 import numpy as np
@@ -17,8 +16,7 @@ from oracles import brute_force_counts
 
 
 def make_series(bits, station="x"):
-    arr = np.asarray(bits, dtype=bool)
-    return EventSeries(station, arr, arr, math.nan)
+    return EventSeries(station, bits)
 
 
 def test_spec_example_lag1():

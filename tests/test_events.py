@@ -3,7 +3,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from nexica.errors import ParameterError
+from nexica.errors import ParameterError, ValidationError
 from nexica.events import (
     WEEK_SLOTS,
     EventSeries,
@@ -27,7 +27,7 @@ def flat_series(weeks=3, speed=65.0, start=MONDAY, station="a"):
 
 def test_constant_speed_gives_constant_profile():
     profile = median_week_profile(flat_series())
-    assert np.all(profile.medians == 65.0)
+    assert np.all(profile == 65.0)
 
 
 def test_week_slot_median_odd_count():
@@ -36,7 +36,7 @@ def test_week_slot_median_odd_count():
     for week, v in enumerate((60.0, 64.0, 62.0)):
         s.speeds[week * WEEK_SLOTS + ws] = v
     profile = median_week_profile(s)
-    assert profile.medians[ws] == 62.0
+    assert profile[ws] == 62.0
 
 
 def test_week_slot_median_even_count_takes_lower():
@@ -45,7 +45,7 @@ def test_week_slot_median_even_count_takes_lower():
     s.speeds[ws] = 60.0
     s.speeds[WEEK_SLOTS + ws] = 64.0
     profile = median_week_profile(s)
-    assert profile.medians[ws] == 60.0
+    assert profile[ws] == 60.0
 
 
 def test_monday_ten_am_pools_only_monday_ten_am():
@@ -55,8 +55,8 @@ def test_monday_ten_am_pools_only_monday_ten_am():
     for week, v in enumerate(values):
         s.speeds[week * WEEK_SLOTS + ws] = v
     profile = median_week_profile(s)
-    assert profile.medians[ws] == 52.0  # lower median of the four Mondays
-    assert profile.medians[ws - 1] == 65.0
+    assert profile[ws] == 52.0  # lower median of the four Mondays
+    assert profile[ws - 1] == 65.0
 
 
 def test_profile_ignores_imputed_samples():
@@ -65,7 +65,7 @@ def test_profile_ignores_imputed_samples():
     s.speeds[ws] = 10.0
     s.imputed[ws] = True
     profile = median_week_profile(s)
-    assert profile.medians[ws] == 65.0
+    assert profile[ws] == 65.0
 
 
 def test_profile_undefined_when_all_samples_imputed():
@@ -74,7 +74,7 @@ def test_profile_undefined_when_all_samples_imputed():
     s.imputed[ws] = True
     s.imputed[WEEK_SLOTS + ws] = True
     profile = median_week_profile(s)
-    assert np.isnan(profile.medians[ws])
+    assert np.isnan(profile[ws])
 
 
 def test_profile_respects_start_offset():
@@ -85,7 +85,7 @@ def test_profile_respects_start_offset():
     s.speeds[0] = 30.0
     s.speeds[WEEK_SLOTS] = 32.0
     profile = median_week_profile(s)
-    assert profile.medians[7] == 30.0
+    assert profile[7] == 30.0
 
 
 def test_detect_threshold_is_strict():
@@ -109,7 +109,7 @@ def test_detect_skips_imputed_slots():
 
 def test_detect_guards_zero_and_undefined_profile():
     profile = median_week_profile(flat_series(weeks=2, speed=0.0))
-    assert np.all(profile.medians == 0.0)
+    assert np.all(profile == 0.0)
     s = flat_series(weeks=1, speed=0.0)
     assert not detect_slowdowns(s, profile, 0.25).any()
     undefined = median_week_profile(
@@ -117,6 +117,12 @@ def test_detect_guards_zero_and_undefined_profile():
     )
     s2 = flat_series(weeks=1, speed=1.0)
     assert not detect_slowdowns(s2, undefined, 0.25).any()
+
+
+@pytest.mark.parametrize("shape", [(WEEK_SLOTS - 1,), (WEEK_SLOTS + 1,), (1, WEEK_SLOTS)])
+def test_detect_rejects_a_profile_of_the_wrong_shape(shape):
+    with pytest.raises(ValidationError, match=f"must have {WEEK_SLOTS} values"):
+        detect_slowdowns(flat_series(weeks=1), np.full(shape, 65.0), 0.25)
 
 
 def test_detect_rejects_bad_alpha():
@@ -174,7 +180,7 @@ def test_events_never_fire_on_imputed_slots():
     s = SpeedSeries("a", MONDAY, speeds.clip(0), imputed)
     es = extract_events(s, 0.2)
     assert not np.any(es.events & imputed)
-    assert not np.any(es.slowdown_mask & imputed)
+    assert not np.any(detect_slowdowns(s, median_week_profile(s), 0.2) & imputed)
 
 
 def test_extract_events_structure():
@@ -184,8 +190,24 @@ def test_extract_events_structure():
     s.speeds[40] = 40.0
     es = extract_events(s, 0.25)
     assert isinstance(es, EventSeries)
-    assert es.slowdown_mask[30:33].all()
+    assert detect_slowdowns(s, median_week_profile(s), 0.25)[30:33].all()
     assert es.events[30] and not es.events[31] and not es.events[32]
     assert es.events[40]
     assert es.count() == 2
     assert np.array_equal(es.event_indices(), [30, 40])
+
+
+def test_event_series_rejects_2d_events():
+    with pytest.raises(ValidationError, match="1-D"):
+        EventSeries("a", np.zeros((2, 3), dtype=bool))
+
+
+def test_event_series_reads_its_events_after_an_in_place_edit():
+    es = EventSeries("a", [0, 1, 0, 1, 1])
+    assert es.events.dtype == bool
+    assert es.event_indices().tolist() == [1, 3, 4] and es.count() == 3
+    es.events[es.event_indices()[:1]] = False
+    es.events[0] = True
+    assert es.event_indices().tolist() == [0, 3, 4] and es.count() == 3
+    es.events[3:] = False
+    assert es.event_indices().tolist() == [0] and es.count() == 1

@@ -49,7 +49,7 @@ from nexica.synth import SynthSpec, line_geometry
 def test_mle_csv_roundtrip_is_byte_identical(tmp_path):
     rng = np.random.default_rng(4)
     bits = [rng.random(300) < p for p in (0.05, 0.2, 0.5)] + [np.zeros(300, dtype=bool)]
-    series = [EventSeries(f"s{k}", b, b, float("nan")) for k, b in enumerate(bits)]
+    series = [EventSeries(f"s{k}", b) for k, b in enumerate(bits)]
     table = sweep(series, l_max=4, tau=1)
     assert {"interior", "undefined"} <= {k for k, v in table.case_tally().items() if v}
 
@@ -65,7 +65,7 @@ def test_mle_csv_roundtrip_is_byte_identical(tmp_path):
 def _random_table(seed=4, n=5, m=300, l_max=4, tau=1):
     rng = np.random.default_rng(seed)
     bits = [rng.random(m) < p for p in np.linspace(0.0, 0.5, n)]
-    return sweep([EventSeries(f"s{k}", b, b, float("nan")) for k, b in enumerate(bits)], l_max, tau)
+    return sweep([EventSeries(f"s{k}", b) for k, b in enumerate(bits)], l_max, tau)
 
 
 def test_table_rows_do_not_depend_on_the_block_size():
@@ -116,7 +116,7 @@ def test_read_events_csv_rejects_bad_rows(tmp_path, row, message):
 def test_counts_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(5)
     bits = [rng.random(200) < 0.1 for _ in range(3)]
-    table = sweep([EventSeries(f"s{k}", b, b, float("nan")) for k, b in enumerate(bits)], 3, 1)
+    table = sweep([EventSeries(f"s{k}", b) for k, b in enumerate(bits)], 3, 1)
     write_counts_csv(tmp_path / "counts.csv", table)
     again = read_counts_table(tmp_path / "counts.csv")
     assert again.tuples == table.tuples

@@ -31,8 +31,7 @@ from nexica.pipeline import sweep
 
 
 def make_series(bits, station):
-    arr = np.asarray(bits, dtype=bool)
-    return EventSeries(station, arr, arr, math.nan)
+    return EventSeries(station, bits)
 
 
 def reference_rows(series, l_max, tau):

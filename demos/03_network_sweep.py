@@ -26,19 +26,19 @@ series, truth = generate_network(spec)
 planted = {(c, e, lag): pc for c, e, lag, pc in truth}
 
 table = sweep(series, l_max=8, tau=0)
-print(f"swept {len(table.tuples)} (cause, effect, lag) tuples")
+print(f"swept {len(table)} (cause, effect, lag) tuples")
 
 # undefined estimates (NaN p_c) rank last
 order = np.argsort(-np.nan_to_num(table.p_c, nan=-1.0), kind="stable").tolist()
 print(f"\n{'rank':>4} {'tuple':>22} {'est p_c':>8} {'planted':>8}")
 for rank, k in enumerate(order[:12], 1):
-    cuz, eff, lag = table.tuples[k]
+    cuz, eff, lag = table.key(k)
     mark = planted.get((cuz, eff, lag))
     shown = f"{mark:.2f}" if mark is not None else "-"
     print(f"{rank:>4} {f'{cuz} -> {eff} @lag {lag}':>22} {table.p_c[k]:>8.3f} {shown:>8}")
 
-hits = sum(1 for k in order[: len(planted)] if tuple(table.tuples[k]) in planted)
+hits = sum(1 for k in order[: len(planted)] if table.key(k) in planted)
 print(f"\nplanted edges in the top {len(planted)} by estimated p_c: {hits} of {len(planted)}")
 print("the 17 -> 15 tuple at lag 5 is the planted chain's composition:")
-k = table.tuples.index(("S017", "S015", 5))
+k = next(k for k in range(len(table)) if table.key(k) == ("S017", "S015", 5))
 print(f"  est p_c = {table.p_c[k]:.3f} (~0.8 * 0.8 = 0.64, no direct edge planted)")

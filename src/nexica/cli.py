@@ -160,7 +160,7 @@ def cmd_pairs(args) -> int:
     series = pl.read_events_csv(args.events, args.slots)
     table = pl.sweep(series, args.lmax, args.tau)
     pl.write_counts_csv(args.out, table)
-    print(f"{len(table.tuples)} tuples -> {args.out}")
+    print(f"{len(table)} tuples -> {args.out}")
     return 0
 
 
@@ -169,7 +169,7 @@ def cmd_mle(args) -> int:
         raise ParameterError(f"tau must be >= 0, got {args.tau}")
     table = pl.read_counts_table(args.counts)
     pl.write_mle_csv(args.out, table)
-    print(f"{len(table.tuples)} estimates -> {args.out}")
+    print(f"{len(table)} estimates -> {args.out}")
     return 0
 
 

@@ -1,7 +1,8 @@
 """Loading and validation of speed series, station metadata, and drive times;
-the one CSV reader, CSV writer and JSON loader behind every file of nexica.
-Speed files in the form ``write_speed_csv`` writes are also read column-wise,
-a chunk at a time; any other speed file goes through the CSV reader.
+the one CSV reader, the CSV writers and the JSON loader behind every file of
+nexica.  Speed files in the form ``write_speed_csv`` writes are also read
+column-wise, a chunk at a time; any other speed file goes through the CSV
+reader.  ``write_columns`` writes large tables a column at a time.
 
 All input files are plain UTF-8 CSV with a header row:
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import math
 from collections.abc import Callable
@@ -184,6 +186,33 @@ def write_csv(path, header: list[str], rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _csv_field(value) -> str:
+    """``value`` as ``csv.writer`` writes it in a row of two or more fields."""
+    out = io.StringIO()
+    # A one-field row of "" is written as '""', and a writer with another
+    # line terminator does not quote \r and \n: write two fields, drop ",\r\n".
+    csv.writer(out).writerow([value, ""])
+    return out.getvalue()[:-3]
+
+
+def write_columns(path, header: list[str], columns: list[np.ndarray], block: int = 1 << 13) -> None:
+    """``write_csv`` of the rows of equal-length ``columns``, built one
+    column at a time, ``block`` rows at a time: a number as ``repr`` writes
+    it, an object column's values CSV-quoted once per distinct value.  Rows
+    stream to the file: joining a whole block into one string saves little
+    time, and its large transient strings raised the peak RSS of the
+    stages that ran after it."""
+    quoted = [
+        {v: _csv_field(v) for v in set(c.tolist())}.__getitem__ if c.dtype == object else repr
+        for c in columns
+    ]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        for start in range(0, len(columns[0]), block):
+            texts = [map(q, c[start:start + block].tolist()) for c, q in zip(columns, quoted)]
+            fh.writelines(",".join(fields) + "\r\n" for fields in zip(*texts))
 
 
 def load_json(path):

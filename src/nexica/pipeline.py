@@ -1,9 +1,13 @@
 """End-to-end orchestration: events -> counts -> MLE -> labels -> classifier.
 
 Every stage writes a plain CSV so any stage can be re-run from the
-previous stage's output.  ``metrics.json`` contains only deterministic
-content (identical config and seed give byte-identical bytes); wall
-times go to ``timings.json``.
+previous stage's output.  The sweep is a ``SweepTable`` of columns, its
+(cause, effect, lag) keys included: station ids once, int32 station codes
+and an int64 lag per row.  The large artifacts (events, counts, mle and
+dataset CSVs) are written a column and a block of rows at a time by
+``ingest.write_columns``, with the bytes of a row-wise ``csv.writer``.
+``metrics.json`` contains only deterministic content (identical config
+and seed give byte-identical bytes); wall times go to ``timings.json``.
 """
 
 from __future__ import annotations
@@ -16,7 +20,10 @@ import math
 import os
 import time
 from array import array
+from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import count, repeat
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +52,7 @@ from .ingest import (
     load_speed_csv,
     load_station_meta,
     read_rows,
+    write_columns,
     write_csv,
 )
 from .mle import CASES, MAX_WINDOW, CausalEstimate, estimate_many
@@ -98,15 +106,46 @@ class RunConfig:
 @dataclass
 class SweepTable:
     """Counts and estimates for every swept (cause, effect, lag) tuple, as
-    columns: row ``k`` of each array belongs to ``tuples[k]``."""
+    columns: row ``k`` of each array belongs to the tuple ``key(k)``."""
 
-    tuples: list[tuple[str, str, int]]
+    station_ids: list[str]
+    cause: np.ndarray  # int32 codes into station_ids
+    effect: np.ndarray  # int32 codes into station_ids
+    lag: np.ndarray  # int64
     counts: np.ndarray  # (n, 4) int64 columns a00, a01, a10, a11
     p_s: np.ndarray
     p_c: np.ndarray
     p_c_raw: np.ndarray
     loglik: np.ndarray
     case: np.ndarray  # int8 codes into mle.CASES
+
+    def __len__(self) -> int:
+        return len(self.lag)
+
+    def key(self, k: int) -> tuple[str, str, int]:
+        """The (cause, effect, lag) tuple of row ``k``."""
+        return self.station_ids[self.cause[k]], self.station_ids[self.effect[k]], int(self.lag[k])
+
+    def key_columns(self) -> list[np.ndarray]:
+        """Columns cause, effect (object arrays of ids) and lag, as the CSV artifacts hold them."""
+        ids = np.array(self.station_ids, dtype=object)
+        return [ids[self.cause], ids[self.effect], self.lag]
+
+    def feature_matrix(self, rows=slice(None)) -> np.ndarray:
+        """Columns a00, a01, a10, a11, p_c of ``rows`` (all by default); undefined p_c maps to 0."""
+        pc = self.p_c[rows]
+        return np.column_stack([self.counts[rows], np.where(np.isnan(pc), 0.0, pc)])
+
+    def case_tally(self) -> dict[str, int]:
+        tally = np.bincount(self.case, minlength=len(CASES)).tolist()
+        return {c.value: n for c, n in zip(CASES, tally)}
+
+    # Kept for perfbench's bodies, which take len(table.tuples) and table.tuples[k];
+    # nexica calls len(table) and table.key(k).
+    @property
+    def tuples(self) -> Sequence[tuple[str, str, int]]:
+        """A read-only sequence view of ``key`` over the rows."""
+        return _Keys(self)
 
     # Kept for perfbench's traced run-pipeline body; nexica reads the columns.
     @functools.cached_property
@@ -120,19 +159,18 @@ class SweepTable:
             )
         ]
 
-    @functools.cached_property
-    def index(self) -> dict[tuple[str, str, int], int]:
-        """Row of each tuple, built on first use."""
-        return {t: k for k, t in enumerate(self.tuples)}
 
-    def feature_matrix(self, rows=slice(None)) -> np.ndarray:
-        """Columns a00, a01, a10, a11, p_c of ``rows`` (all by default); undefined p_c maps to 0."""
-        pc = self.p_c[rows]
-        return np.column_stack([self.counts[rows], np.where(np.isnan(pc), 0.0, pc)])
+class _Keys(Sequence):
+    """``SweepTable.tuples``: ``key`` as a read-only sequence."""
 
-    def case_tally(self) -> dict[str, int]:
-        tally = np.bincount(self.case, minlength=len(CASES)).tolist()
-        return {c.value: n for c, n in zip(CASES, tally)}
+    def __init__(self, table: SweepTable):
+        self.table = table
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def __getitem__(self, k: int) -> tuple[str, str, int]:
+        return self.table.key(k)
 
 
 # ---------------------------------------------------------------------------
@@ -153,13 +191,13 @@ def sweep(series: list[EventSeries], l_max: int, tau: int = 0) -> SweepTable:
     m = lengths.pop()
     n = len(series)
     counts = lagged_counts([s.event_indices() for s in series], m, l_max, tau)
-    ids = [s.station_id for s in series]
-    tuples = [
-        (ids[i], ids[j], lag)
-        for i in range(n) for j in range(n) if j != i for lag in range(1, l_max + 1)
-    ]
+    cause, effect, lag = np.indices((n, n, l_max)).reshape(3, -1)
+    keep = cause != effect
     counts = counts[~np.eye(n, dtype=bool)].reshape(-1, 4)
-    return SweepTable(tuples, counts, *estimate_many(counts))
+    return SweepTable(
+        [s.station_id for s in series], cause[keep].astype(np.int32),
+        effect[keep].astype(np.int32), lag[keep] + 1, counts, *estimate_many(counts),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +215,13 @@ def write_events_csv(path, series: list[EventSeries]) -> None:
     station without events so that it survives the round trip.  Pair
     counting needs the slot count separately since trailing slots may
     hold no events."""
-    write_csv(path, EVENTS_HEADER, (
-        row for s in series
-        for row in [[s.station_id, j, 1] for j in s.event_indices().tolist()]
-        or [[s.station_id, 0, 0]]
-    ))
+    indices = [s.event_indices() for s in series]
+    n_rows = [max(ix.size, 1) for ix in indices]
+    write_columns(path, EVENTS_HEADER, [
+        np.repeat(np.array([s.station_id for s in series], dtype=object), n_rows),
+        np.concatenate([np.zeros(0, np.int64), *(ix if ix.size else [0] for ix in indices)]),
+        np.repeat(np.array([ix.size > 0 for ix in indices], dtype=np.int64), n_rows),
+    ])
 
 
 def read_events_csv(path, n_slots: int) -> list[EventSeries]:
@@ -193,6 +233,8 @@ def read_events_csv(path, n_slots: int) -> list[EventSeries]:
             sid, slot, event = row[0], int(row[1]), int(row[2])
         except (ValueError, IndexError):
             raise FormatError("expected station_id,slot,event") from None
+        if not sid:
+            raise FormatError("empty station id")
         if not 0 <= slot < n_slots:
             raise FormatError(f"slot {slot} outside 0..{n_slots - 1}")
         if event not in (0, 1):
@@ -221,22 +263,15 @@ def write_profiles_csv(path, series: list[SpeedSeries]) -> None:
     ))
 
 
-def _table_rows(table: SweepTable, *columns: np.ndarray, block: int = 8192):
-    """``(tuple, *values)`` per row of ``table``; ``columns`` become Python
-    objects ``block`` rows at a time, not a hundred megabytes at once."""
-    for k in range(0, len(table.tuples), block):
-        rows = slice(k, k + block)
-        yield from zip(table.tuples[rows], *(c[rows].tolist() for c in columns))
-
-
 def write_counts_csv(path, table: SweepTable) -> None:
-    write_csv(path, COUNTS_HEADER, ([*t, *row] for t, row in _table_rows(table, table.counts)))
+    write_columns(path, COUNTS_HEADER, [*table.key_columns(), *table.counts.T])
 
 
-def _counts_row(row: list[str]) -> tuple[tuple[str, str, int], list[int]]:
-    """The (cause, effect, lag) key and the four counts of a counts.csv or
-    mle.csv row: an integer lag >= 1, integer counts >= 0, all below 2**63,
-    and a window (the sum of the counts) in 1..mle.MAX_WINDOW."""
+def _counts_row(row: list[str]) -> tuple[str, str, list[int]]:
+    """The cause, the effect, and the lag and four counts of a counts.csv or
+    mle.csv row: non-empty station ids, an integer lag >= 1, integer counts
+    >= 0, all below 2**63, and a window (the sum of the counts) in
+    1..mle.MAX_WINDOW."""
     try:
         numbers = [int(v) for v in row[2:7]]
     except ValueError:
@@ -245,6 +280,8 @@ def _counts_row(row: list[str]) -> tuple[tuple[str, str, int], list[int]]:
         raise FormatError(
             "expected cause,effect,lag,a00,a01,a10,a11 with integer lag and counts"
         )
+    if not row[0] or not row[1]:
+        raise FormatError("empty station id")
     if any(abs(v) >= 2**63 for v in numbers):
         raise FormatError("lag and counts must fit in 64 bits")
     lag, *counts = numbers
@@ -254,30 +291,35 @@ def _counts_row(row: list[str]) -> tuple[tuple[str, str, int], list[int]]:
         raise FormatError(f"negative correspondence count in {counts}")
     if not 1 <= sum(counts) <= MAX_WINDOW:
         raise FormatError(f"window {sum(counts)} outside 1..{MAX_WINDOW}")
-    return (row[0], row[1], lag), counts
+    return row[0], row[1], numbers
 
 
 def _read_sweep_csv(path, header_ok, header_error, tail=lambda row: ()):
-    """Tuples and ``(n, 4)`` int64 counts of a counts.csv or mle.csv, each
-    row checked by ``_counts_row``, and the floats ``tail`` parses from the
-    rest of each row as one flat float64 array."""
-    ids, tuples, counts, rest = {}, [], array("q"), array("d")  # ids: one str per station
+    """Station ids, key columns and ``(n, 4)`` int64 counts of a counts.csv
+    or mle.csv, each row checked by ``_counts_row``, and the floats ``tail``
+    parses from the rest of each row as one flat float64 array."""
+    ids: dict[str, int] = defaultdict(count().__next__)  # station id -> code
+    codes, numbers, rest = array("i"), array("q"), array("d")
     rows = read_rows(path, header_ok, lambda row: (*_counts_row(row), tail(row)), header_error)
-    for (cause, effect, lag), a, values in rows:
-        tuples.append((ids.setdefault(cause, cause), ids.setdefault(effect, effect), lag))
-        counts.extend(a)
-        rest.extend(values)
-    return tuples, np.frombuffer(counts, dtype=np.int64).reshape(-1, 4), np.frombuffer(rest)
+    for cause, effect, values, floats in rows:
+        codes.append(ids[cause])
+        codes.append(ids[effect])
+        numbers.extend(values)
+        rest.extend(floats)
+    cause, effect = np.frombuffer(codes, dtype=np.intc).reshape(-1, 2).T
+    numbers = np.frombuffer(numbers, dtype=np.int64).reshape(-1, 5)
+    return (list(ids), cause.copy(), effect.copy(), numbers[:, 0].copy(), numbers[:, 1:].copy(),
+            np.frombuffer(rest))
 
 
 def read_counts_table(path) -> SweepTable:
     """A counts.csv (or the first seven columns of an mle.csv) with the
     estimates of its counts, as ``sweep`` makes them."""
-    tuples, counts, _ = _read_sweep_csv(
+    *keys, counts, _ = _read_sweep_csv(
         path, lambda header: header[:7] == COUNTS_HEADER,
         ParameterError(f"{path}: not a counts.csv (expected header {','.join(COUNTS_HEADER)})"),
     )
-    return SweepTable(tuples, counts, *estimate_many(counts))
+    return SweepTable(*keys, counts, *estimate_many(counts))
 
 
 # Kept for perfbench's traced stagewise-tau1 body; nexica calls read_counts_table.
@@ -293,22 +335,23 @@ def read_counts_csv(path, tau: int = 0) -> list[tuple[str, str, int, Corresponde
 # Kept for perfbench's traced stagewise-tau1 body; nexica calls write_mle_csv.
 def write_mle_rows(path, rows) -> None:
     """``rows`` yields (cause, effect, lag, counts, estimate) tuples."""
-    rows = list(rows)
+    rows, ids = list(rows), {}
     ests, fields = [row[4] for row in rows], ("p_s", "p_c", "p_c_raw", "log_likelihood")
+    keys = [(ids.setdefault(c, len(ids)), ids.setdefault(e, len(ids)), lag) for c, e, lag, *_ in rows]
     write_mle_csv(path, SweepTable(
-        [row[:3] for row in rows], np.array([row[3].as_tuple() for row in rows]).reshape(-1, 4),
+        list(ids), *np.array(keys, dtype=np.int64).reshape(-1, 3).T,
+        np.array([row[3].as_tuple() for row in rows]).reshape(-1, 4),
         *(np.array([getattr(e, f) for e in ests]) for f in fields),
         np.array([CASES.index(e.case) for e in ests], dtype=np.int8),
     ))
 
 
 def write_mle_csv(path, table: SweepTable) -> None:
-    names = [c.value for c in CASES]
-    write_csv(path, MLE_HEADER, (
-        [*t, *row, repr(p_s), repr(p_c), repr(raw), repr(ll), names[case]]
-        for t, row, p_s, p_c, raw, ll, case in _table_rows(
-            table, table.counts, table.p_s, table.p_c, table.p_c_raw, table.loglik, table.case)
-    ))
+    names = np.array([c.value for c in CASES], dtype=object)
+    write_columns(path, MLE_HEADER, [
+        *table.key_columns(), *table.counts.T,
+        table.p_s, table.p_c, table.p_c_raw, table.loglik, names[table.case],
+    ])
 
 
 def read_mle_csv(path) -> SweepTable:
@@ -328,17 +371,14 @@ def read_mle_csv(path) -> SweepTable:
         f"{path}: not an mle.csv (expected header {','.join(MLE_HEADER)}); "
         "run `nexica mle` on the counts first"
     )
-    tuples, counts, rest = _read_sweep_csv(path, MLE_HEADER.__eq__, header_error, tail)
+    *keys, counts, rest = _read_sweep_csv(path, MLE_HEADER.__eq__, header_error, tail)
     p_s, p_c, p_c_raw, loglik, case = rest.reshape(-1, 5).T.copy()
-    return SweepTable(tuples, counts, p_s, p_c, p_c_raw, loglik, case.astype(np.int8))
+    return SweepTable(*keys, counts, p_s, p_c, p_c_raw, loglik, case.astype(np.int8))
 
 
 def write_dataset_csv(path, dataset: GroundTruthDataset) -> None:
     p = dataset.pairs
-    write_csv(path, DATASET_HEADER, zip(
-        p.cause.tolist(), p.effect.tolist(), p.lag.tolist(), p.label.tolist(),
-        p.rule.tolist(), map(repr, p.drive_time.tolist()),
-    ))
+    write_columns(path, DATASET_HEADER, [p.cause, p.effect, p.lag, p.label, p.rule, p.drive_time])
 
 
 def read_dataset_csv(path) -> LabeledPairs:
@@ -346,6 +386,8 @@ def read_dataset_csv(path) -> LabeledPairs:
 
     def parse(row):
         cause, effect, lag, label = row[0], row[1], int(row[2]), int(row[3])
+        if not cause or not effect:
+            raise FormatError("empty station id")
         if cause == effect:
             raise FormatError("cause and effect must differ")
         if not 1 <= lag < 2**63:
@@ -378,14 +420,28 @@ def dump_json(path, payload) -> None:
 # feature assembly
 
 def dataset_features(table: SweepTable, pairs: LabeledPairs) -> tuple[np.ndarray, np.ndarray]:
-    """Feature matrix (a00, a01, a10, a11, p_c) and labels for a dataset."""
-    index = table.index
-    try:
-        keys = zip(pairs.cause.tolist(), pairs.effect.tolist(), pairs.lag.tolist())
-        rows = [index[key] for key in keys]
-    except KeyError as exc:
-        raise ConsistencyError(f"dataset tuple {exc.args[0]} was not swept") from None
-    return table.feature_matrix(np.asarray(rows, dtype=np.int64)), pairs.label
+    """Feature matrix (a00, a01, a10, a11, p_c) and labels for a dataset.
+    A tuple's int64 key is ``(cause * n + effect) * L + lag rank`` over n
+    station ids and the L distinct lags of both sides, below n * n * L, so a
+    lag up to 2**63 - 1 does not overflow it; a tuple swept twice takes its
+    last row."""
+    code = {sid: k for k, sid in enumerate(table.station_ids)}
+    cause, effect = (np.fromiter(map(code.get, ids.tolist(), repeat(-1)), np.int64, len(pairs))
+                     for ids in (pairs.cause, pairs.effect))
+    lags, rank = np.unique(np.concatenate([table.lag, pairs.lag]), return_inverse=True)
+    key = (np.concatenate([table.cause, cause]) * len(code)
+           + np.concatenate([table.effect, effect])) * len(lags) + rank
+    keys, wanted = key[:len(table)], key[len(table):]
+    order, asked = np.argsort(keys, kind="stable"), np.argsort(wanted)
+    at = np.empty_like(wanted)  # searchsorted runs faster on sorted needles
+    at[asked] = np.searchsorted(keys[order], wanted[asked], side="right") - 1
+    found = (at >= 0) & (cause >= 0) & (effect >= 0)
+    found[found] = keys[order[at[found]]] == wanted[found]
+    if not found.all():
+        k = int(np.argmin(found))
+        missing = (pairs.cause[k], pairs.effect[k], int(pairs.lag[k]))
+        raise ConsistencyError(f"dataset tuple {missing} was not swept")
+    return table.feature_matrix(order[at]), pairs.label
 
 
 COUNT_MASK = (0, 1, 2, 3)
@@ -400,7 +456,7 @@ def write_topk_csv(path, table: SweepTable, model: cls.ForestModel) -> None:
     # break score ties (forests saturate at 1.0) by estimated causal probability
     top = np.lexsort((-matrix[:, PC_COLUMN], -scores))[:TOP_K_EDGES]
     write_csv(path, TOPK_HEADER, (
-        [*table.tuples[k], repr(float(scores[k])),
+        [*table.key(k), repr(float(scores[k])),
          repr(float(table.p_c[k])), repr(float(table.p_s[k]))]
         for k in top.tolist()
     ))
@@ -449,7 +505,7 @@ def run_pipeline(config: RunConfig) -> dict:
         },
         "n_stations": len(speeds),
         "n_slots": len(speeds[0]) if speeds else 0,
-        "n_tuples": len(table.tuples),
+        "n_tuples": len(table),
         "mle_cases": table.case_tally(),
         "diagnostics": {"corr_a01_a10": _corr_a01_a10(table)},
         "ground_truth": {
@@ -477,7 +533,7 @@ def _corr_a01_a10(table: SweepTable) -> float | None:
     Reported as a diagnostic only: it is a property of the dataset, not
     an invariant of the method.
     """
-    if len(table.tuples) < 2:
+    if len(table) < 2:
         return None
     a01 = table.counts[:, 1].astype(np.float64)
     a10 = table.counts[:, 2].astype(np.float64)
@@ -721,7 +777,7 @@ def _planted_comparison(truth_path: str, ranked: list, mle_path: Path) -> list[s
         table = read_mle_csv(mle_path)
         defined = np.flatnonzero(~np.isnan(table.p_c))
         by_pc = defined[np.argsort(-table.p_c[defined], kind="stable")]
-        pc_hits = sum(1 for r in by_pc[:k].tolist() if table.tuples[r] in planted)
+        pc_hits = sum(1 for r in by_pc[:k].tolist() if table.key(r) in planted)
         lines.append(
             f"  planted edges recovered in top {k} by estimated p_c: "
             f"{pc_hits} of {len(planted)}"

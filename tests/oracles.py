@@ -25,6 +25,8 @@ from nexica.ingest import (
     read_rows,
     write_csv,
 )
+from nexica.mle import CASES
+from nexica.pipeline import COUNTS_HEADER, DATASET_HEADER, EVENTS_HEADER, MLE_HEADER
 
 
 def brute_force_counts(cause, effect, lag, tau):
@@ -387,4 +389,41 @@ def write_speed_csv_reference(path, series: list[SpeedSeries]) -> None:
         [s.station_id, s.slot_time(j).isoformat(), repr(speed), int(imputed)]
         for s in series
         for j, (speed, imputed) in enumerate(zip(s.speeds.tolist(), s.imputed.tolist()))
+    ))
+
+
+# The stage artifacts row by row through ``csv.writer``: the bytes that the
+# column-at-a-time writers of ``nexica.pipeline`` must reproduce.
+
+def write_events_csv_reference(path, series) -> None:
+    write_csv(path, EVENTS_HEADER, (
+        row for s in series
+        for row in [[s.station_id, j, 1] for j in s.event_indices().tolist()]
+        or [[s.station_id, 0, 0]]
+    ))
+
+
+def _table_rows(table, *columns):
+    """``(tuple, *values)`` per row of a ``SweepTable``."""
+    return zip(map(table.key, range(len(table))), *(c.tolist() for c in columns))
+
+
+def write_counts_csv_reference(path, table) -> None:
+    write_csv(path, COUNTS_HEADER, ([*t, *row] for t, row in _table_rows(table, table.counts)))
+
+
+def write_mle_csv_reference(path, table) -> None:
+    names = [c.value for c in CASES]
+    write_csv(path, MLE_HEADER, (
+        [*t, *row, repr(p_s), repr(p_c), repr(raw), repr(ll), names[case]]
+        for t, row, p_s, p_c, raw, ll, case in _table_rows(
+            table, table.counts, table.p_s, table.p_c, table.p_c_raw, table.loglik, table.case)
+    ))
+
+
+def write_dataset_csv_reference(path, dataset) -> None:
+    p = dataset.pairs
+    write_csv(path, DATASET_HEADER, zip(
+        p.cause.tolist(), p.effect.tolist(), p.lag.tolist(), p.label.tolist(),
+        p.rule.tolist(), map(repr, p.drive_time.tolist()),
     ))

@@ -309,9 +309,9 @@ def test_criterion_08_full_scale_sweep_performance():
     table = sweep(events, l_max=8, tau=0)
     t_sweep = time.perf_counter() - t0
     elapsed = time.perf_counter() - t_total
-    assert len(table.tuples) == 195 * 194 * 8 == 302640
+    assert len(table) == 195 * 194 * 8 == 302640
     assert elapsed <= 300.0
-    per_tuple = t_sweep / len(table.tuples)
+    per_tuple = t_sweep / len(table)
     assert per_tuple < 1e-3
     print(
         f"\nACCEPTANCE 8: full-scale sweep: PASS "

@@ -172,8 +172,9 @@ def test_sweep_covers_all_ordered_pairs():
     rng = np.random.default_rng(3)
     series = [make_series(rng.random(40) < 0.3, f"s{k}") for k in range(4)]
     table = sweep(series, l_max=3)
-    assert len(table.tuples) == 4 * 3 * 3
-    for (cause_id, effect_id, lag), counts in zip(table.tuples, table.counts.tolist()):
+    assert len(table) == 4 * 3 * 3
+    for k, counts in enumerate(table.counts.tolist()):
+        cause_id, effect_id, lag = table.key(k)
         assert cause_id != effect_id
         assert sum(counts) == 40 - lag
     with pytest.raises(ParameterError):

@@ -1,13 +1,16 @@
 import csv
+import functools
+import math
 import re
 from datetime import datetime, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nexica import pipeline
+from nexica import ingest, pipeline
 from nexica.errors import ConsistencyError, FormatError, NexicaError, ParameterError
 from nexica.events import EventSeries
 from nexica.groundtruth import (
@@ -32,6 +35,7 @@ from nexica.pipeline import (
     EVENTS_HEADER,
     MLE_HEADER,
     RunConfig,
+    SweepTable,
     dataset_features,
     read_counts_csv,
     read_counts_table,
@@ -41,10 +45,22 @@ from nexica.pipeline import (
     sweep,
     write_counts_csv,
     write_dataset_csv,
+    write_events_csv,
     write_mle_csv,
     write_mle_rows,
 )
 from nexica.synth import SynthSpec, line_geometry
+from oracles import (
+    write_counts_csv_reference,
+    write_dataset_csv_reference,
+    write_events_csv_reference,
+    write_mle_csv_reference,
+)
+
+
+def keys(table):
+    return [table.key(k) for k in range(len(table))]
+
 
 def test_mle_csv_roundtrip_is_byte_identical(tmp_path):
     rng = np.random.default_rng(4)
@@ -56,7 +72,7 @@ def test_mle_csv_roundtrip_is_byte_identical(tmp_path):
     first = tmp_path / "a.csv"
     write_mle_csv(first, table)
     again = read_mle_csv(first)
-    assert again.tuples == table.tuples
+    assert keys(again) == keys(table)
     assert np.array_equal(again.counts, table.counts)
     write_mle_csv(tmp_path / "b.csv", again)
     assert (tmp_path / "b.csv").read_bytes() == first.read_bytes()
@@ -68,21 +84,116 @@ def _random_table(seed=4, n=5, m=300, l_max=4, tau=1):
     return sweep([EventSeries(f"s{k}", b) for k, b in enumerate(bits)], l_max, tau)
 
 
-def test_table_rows_do_not_depend_on_the_block_size():
+# Station ids that csv.writer must quote (",", '"', "\r", "\n"), or that it
+# writes bare (spaces, non-ASCII, the empty id); floats whose repr is unusual.
+ODD_IDS = st.text(st.sampled_from(',"\r\n éß€😀a'), max_size=4) | st.text(max_size=4)
+ODD_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16]) | st.floats()
+
+
+@st.composite
+def artifacts(draw):
+    """A ``SweepTable``, event series and a dataset over the same odd ids."""
+    ids = draw(st.lists(ODD_IDS, min_size=1, max_size=5))
+    n = draw(st.integers(0, 12))
+
+    def column(elements, dtype):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)), dtype=dtype)
+
+    code, count, lag = st.integers(0, len(ids) - 1), st.integers(0, 2**63 - 1), st.integers(1, 2**63 - 1)
+    table = SweepTable(
+        ids, column(code, np.int32), column(code, np.int32), column(lag, np.int64),
+        np.stack([column(count, np.int64) for _ in range(4)], axis=1).reshape(-1, 4),
+        *(column(ODD_FLOATS, np.float64) for _ in range(4)),
+        column(st.integers(0, len(CASES) - 1), np.int8),
+    )
+    series = [
+        EventSeries(sid, np.array(draw(st.lists(st.booleans(), min_size=6, max_size=6))))
+        for sid in ids
+    ]
+    pick = st.sampled_from(ids)
+    pairs = LabeledPairs(
+        column(pick, object), column(pick, object), column(lag, np.int64),
+        column(st.integers(0, 1), np.int8), column(st.sampled_from([*RULES, *ids]), object),
+        column(ODD_FLOATS, np.float64),
+    )
+    return table, series, GroundTruthDataset(pairs)
+
+
+def assert_writers_match_the_row_writers(directory, artifact, block):
+    """Each column writer at ``block`` rows (None: its default) writes the
+    bytes of its row-wise ``csv.writer`` oracle."""
+    table, series, dataset = artifact
+    blocked = functools.partial(ingest.write_columns, **({} if block is None else {"block": block}))
+    with mock.patch.object(pipeline, "write_columns", blocked):
+        for write, reference, value in (
+            (write_counts_csv, write_counts_csv_reference, table),
+            (write_mle_csv, write_mle_csv_reference, table),
+            (write_events_csv, write_events_csv_reference, series),
+            (write_dataset_csv, write_dataset_csv_reference, dataset),
+        ):
+            write(directory / "new.csv", value)
+            reference(directory / "old.csv", value)
+            new, old = (directory / "new.csv").read_bytes(), (directory / "old.csv").read_bytes()
+            assert new == old, write.__name__
+
+
+@settings(max_examples=150, deadline=None)
+@given(artifact=artifacts(), block=st.sampled_from([1, 7, None]))
+def test_column_writers_write_the_row_writers_bytes(tmp_path_factory, artifact, block):
+    assert_writers_match_the_row_writers(tmp_path_factory.mktemp("writers"), artifact, block)
+
+
+def read_counts_table_of(tmp_path, rows):
+    path = tmp_path / "rows.csv"
+    path.write_text("\n".join([",".join(COUNTS_HEADER), *rows]) + "\n")
+    return read_counts_table(path)
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_column_writers_on_a_sweep_with_every_case(tmp_path, block):
+    """A sweep of 80 rows (at 7: eleven full blocks and a short one) with
+    every MLE case, odd ids and floats, then an empty table."""
     table = _random_table()
-    columns = (table.counts, table.p_c, table.case)
-    whole = repr(list(zip(table.tuples, *(c.tolist() for c in columns))))  # repr: nan != nan
-    assert len(table.tuples) == 80
-    for block in (1, 7, 80, 8192):  # at 7: eleven full blocks and a short one
-        assert repr(list(pipeline._table_rows(table, *columns, block=block))) == whole
+    table.station_ids = ["a,b", 'q"uote', "cr\rlf\n", " ", "é€😀"]
+    table.case[:4] = range(len(CASES))
+    table.p_c[:7] = table.p_c_raw[:7] = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.0]
+    table.p_c_raw[6] = -0.0  # equal to p_c under ==, not in its bits
+    series = [EventSeries(sid, np.arange(9) % (k + 2) == 0) for k, sid in enumerate(table.station_ids)]
+    series.append(EventSeries("", np.zeros(9, dtype=bool)))
+    pairs = LabeledPairs(*zip(*keys(table)), [1] * 80, [RULES[0]] * 80, table.p_c)
+    assert_writers_match_the_row_writers(tmp_path, (table, series, GroundTruthDataset(pairs)), block)
+    empty = (read_counts_table_of(tmp_path, []), [], GroundTruthDataset(pairs.take(slice(0))))
+    assert_writers_match_the_row_writers(tmp_path, empty, block)
+
+
+def test_dataset_features_find_rows_of_a_shuffled_table(tmp_path):
+    """The table comes from a row-shuffled counts.csv holding a lag of 2**62,
+    the pairs come in another order; the features are the matching rows."""
+    write_counts_csv(tmp_path / "counts.csv", _random_table())
+    rows = (tmp_path / "counts.csv").read_text().splitlines()[1:]
+    rng = np.random.default_rng(1)
+    rows = [rows[k] for k in rng.permutation(len(rows)).tolist()] + [f"s1,s0,{2**62},5,0,0,1"]
+    table = read_counts_table_of(tmp_path, rows)
+    row_of = {t: k for k, t in enumerate(keys(table))}
+    assert len(row_of) == 81 and ("s1", "s0", 2**62) in row_of
+
+    picked = [keys(table)[k] for k in rng.permutation(80).tolist()[:40]] + [("s1", "s0", 2**62)]
+    pairs = LabeledPairs(*zip(*picked), [1] * 41, ["r"] * 41, [1.0] * 41)
+    x, _ = dataset_features(table, pairs)
+    assert np.array_equal(x, table.feature_matrix([row_of[t] for t in picked]))
+
+    for missing in (("s1", "s0", 2**62 - 1), ("s0", "s0", 1), ("s9", "s0", 1), ("s0", "s9", 1)):
+        bad = LabeledPairs(*zip(*picked, missing), [1] * 42, ["r"] * 42, [1.0] * 42)
+        with pytest.raises(ConsistencyError, match=re.escape(f"dataset tuple {missing} was not swept")):
+            dataset_features(table, bad)
 
 
 def test_dataset_features_are_the_table_rows_of_the_pairs():
     table = _random_table()
     assert np.isnan(table.p_c).any()
     rng = np.random.default_rng(0)
-    picks = rng.permutation(len(table.tuples))[:30]
-    tuples = [table.tuples[k] for k in picks.tolist()]
+    picks = rng.permutation(len(table))[:30]
+    tuples = [table.key(k) for k in picks.tolist()]
     labels = [k % 2 for k in picks.tolist()]
     pairs = LabeledPairs(*zip(*tuples), labels, ["r"] * 30, [1.0] * 30)
     x, y = dataset_features(table, pairs)
@@ -102,8 +213,9 @@ def test_dataset_features_are_the_table_rows_of_the_pairs():
         ("a,10,1", "slot 10"),
         ("a,1.5,1", "expected station_id,slot,event"),
         ("a,2,2", "event must be 0 or 1"),
+        (",3,1", "empty station id"),
     ],
-    ids=["negative-slot", "slot-past-end", "non-integer", "bad-event"],
+    ids=["negative-slot", "slot-past-end", "non-integer", "bad-event", "empty-id"],
 )
 def test_read_events_csv_rejects_bad_rows(tmp_path, row, message):
     path = tmp_path / "events.csv"
@@ -119,13 +231,13 @@ def test_counts_csv_roundtrip(tmp_path):
     table = sweep([EventSeries(f"s{k}", b) for k, b in enumerate(bits)], 3, 1)
     write_counts_csv(tmp_path / "counts.csv", table)
     again = read_counts_table(tmp_path / "counts.csv")
-    assert again.tuples == table.tuples
+    assert keys(again) == keys(table)
     for name in ("counts", "p_s", "p_c", "p_c_raw", "loglik", "case"):
         assert np.array_equal(getattr(again, name), getattr(table, name), equal_nan=True), name
     assert again.counts.dtype == np.int64 and again.case.dtype == np.int8
 
     rows = read_counts_csv(tmp_path / "counts.csv", tau=1)
-    assert [r[:3] for r in rows] == table.tuples
+    assert [r[:3] for r in rows] == keys(table)
     assert [r[3].as_tuple() for r in rows] == [tuple(c) for c in table.counts.tolist()]
     assert {r[3].tau for r in rows} == {1}
     write_mle_csv(tmp_path / "a.csv", table)
@@ -145,9 +257,12 @@ def test_counts_csv_roundtrip(tmp_path):
         ("a,b,0,5,0,0,0", "lag must be >= 1, got 0"),
         ("a,b,1,0,0,0,0", f"window 0 outside 1..{MAX_WINDOW}"),
         (f"a,b,1,{MAX_WINDOW},0,1,0", f"window {MAX_WINDOW + 1} outside 1..{MAX_WINDOW}"),
+        (",b,1,5,0,0,0", "empty station id"),
+        ("a,,1,5,0,0,0", "empty station id"),
     ],
     ids=["non-integer-lag", "non-integer-count", "short-row", "negative-count", "negative-lag",
-         "count-past-int64", "zero-lag", "zero-window", "window-past-max"],
+         "count-past-int64", "zero-lag", "zero-window", "window-past-max", "empty-cause",
+         "empty-effect"],
 )
 def test_read_counts_csv_rejects_bad_rows(tmp_path, row, message):
     """Both sweep readers, on the counts row alone and on the row padded
@@ -191,8 +306,11 @@ def test_dataset_csv_roundtrip_shares_ids_and_rules(tmp_path):
         ("a,b,1,1", "list index out of range"),
         ("a,a,1,1,r,5.0", "cause and effect must differ"),
         ("a,b,0,0,r,5.0", r"lag 0 outside 1\.\.2\*\*63-1"),
+        (",b,1,1,r,5.0", "empty station id"),
+        ("a,,1,1,r,5.0", "empty station id"),
     ],
-    ids=["non-integer-lag", "bad-label", "short-row", "self-pair", "zero-lag"],
+    ids=["non-integer-lag", "bad-label", "short-row", "self-pair", "zero-lag", "empty-cause",
+         "empty-effect"],
 )
 def test_read_dataset_csv_rejects_bad_rows(tmp_path, row, message):
     path = tmp_path / "dataset.csv"

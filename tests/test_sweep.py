@@ -51,9 +51,9 @@ def reference_rows(series, l_max, tau):
 
 def table_rows(table):
     return [
-        (t, tuple(c), repr(p_s), repr(p_c), repr(raw), repr(ll), CASES[case])
-        for t, c, p_s, p_c, raw, ll, case in zip(
-            table.tuples, table.counts.tolist(), table.p_s.tolist(), table.p_c.tolist(),
+        (table.key(k), tuple(c), repr(p_s), repr(p_c), repr(raw), repr(ll), CASES[case])
+        for k, c, p_s, p_c, raw, ll, case in zip(
+            range(len(table)), table.counts.tolist(), table.p_s.tolist(), table.p_c.tolist(),
             table.p_c_raw.tolist(), table.loglik.tolist(), table.case.tolist(),
         )
     ]
@@ -98,7 +98,7 @@ def test_leading_edges_adjacent_events_and_degenerate_stations(tau):
         make_series(np.ones(m, dtype=bool), "always"),
     ]
     table = assert_matches_reference(series, l_max=6, tau=tau)
-    never = [k for k, t in enumerate(table.tuples) if t[0] in ("never", "always")]
+    never = [k for k in range(len(table)) if table.key(k)[0] in ("never", "always")]
     assert {CASES[c] for c in table.case[never].tolist()} == {CausalCase.UNDEFINED}
 
 
@@ -120,7 +120,7 @@ def test_sweep_parameter_errors():
         sweep(series, l_max=5, tau=0)
     with pytest.raises(ParameterError, match="leaves no window"):
         sweep(series, l_max=2, tau=3)
-    assert len(sweep(series, l_max=2, tau=2).tuples) == 4
+    assert len(sweep(series, l_max=2, tau=2)) == 4
 
 
 def test_product_dtype_switches_at_float32_exactness_bound():

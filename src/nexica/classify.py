@@ -87,6 +87,16 @@ _BATCH_DRAWS = 2**15  # bootstrap draws grown together in one batch of trees
 _LOW = 0xFFFFFFFF
 
 
+def _binary_labels(labels) -> np.ndarray:
+    """``labels`` as int8; a label other than 0 or 1 is a ``ParameterError``
+    naming it, raised before the cast could wrap 256 to 0."""
+    y = np.asarray(labels)
+    bad = y[(y != 0) & (y != 1)]
+    if bad.size:
+        raise ParameterError(f"labels must be 0 or 1, got {bad.ravel().tolist()[0]!r}")
+    return y.astype(np.int8)
+
+
 def _candidates(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
     """Candidate features of ``m`` nodes of one level, in draw order."""
     k = max(1, int(np.sqrt(d)))
@@ -278,7 +288,7 @@ def train_forest(
 ) -> ForestModel:
     """Train a bootstrap ensemble of CART trees on the masked features."""
     x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int8)
+    y = _binary_labels(labels)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ParameterError("features must be (n, d) with one label per row")
     if not np.all(np.isfinite(x)):
@@ -290,11 +300,8 @@ def train_forest(
     mask = tuple(range(x.shape[1])) if feature_mask is None else tuple(feature_mask)
     if not mask or min(mask) < 0 or max(mask) >= x.shape[1]:
         raise ParameterError(f"feature mask {mask} out of range for d={x.shape[1]}")
-    classes = np.unique(y)
-    if classes.size < 2:
+    if np.unique(y).size < 2:
         raise TrainingError("training set contains a single class")
-    if not np.all(np.isin(classes, (0, 1))):
-        raise ParameterError("labels must be 0 or 1")
 
     n = x.shape[0]
     columns = [np.unique(x[:, j], return_inverse=True) for j in mask]
@@ -345,11 +352,12 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> RocResult:
     2**32 scores.
     """
     s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
+    y = np.asarray(labels)
     if s.shape != y.shape or s.ndim != 1:
         raise ParameterError("scores and labels must be equal-length vectors")
     if s.size >= 2**32:
         raise ParameterError(f"{s.size} scores: the exact AUC needs fewer than 2**32")
+    y = _binary_labels(y)
     if not np.all(np.isfinite(s)):
         raise ParameterError("scores must be finite")
     n_pos = int(np.count_nonzero(y == 1))
@@ -377,7 +385,7 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> RocResult:
 
 def stratified_fold_ids(labels: np.ndarray, folds: int, seed: int) -> np.ndarray:
     """Deterministic class-proportion-preserving fold assignment."""
-    y = np.asarray(labels)
+    y = _binary_labels(labels)
     if folds < 2:
         raise ParameterError("folds must be >= 2")
     if seed < 0:
@@ -409,7 +417,7 @@ def cross_validate(
     the sample standard deviation of the per-fold AUCs.
     """
     x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int8)
+    y = _binary_labels(labels)
     fold_ids = stratified_fold_ids(y, folds, seed)
     root = np.random.SeedSequence(seed)
     fold_seeds = [int(c.generate_state(1, dtype=np.uint32)[0]) for c in root.spawn(folds)]

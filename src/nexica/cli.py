@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_evaluate)
 
     p = sub.add_parser("ablate", help="AUC for every subset of the four counts")
-    p.add_argument("--features", required=True, help="mle.csv from the mle stage")
+    p.add_argument("--features", required=True, help="counts.csv or mle.csv")
     p.add_argument("--labels", required=True, help="dataset.csv from ground-truth")
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--n-trees", type=int, default=1000)
@@ -134,7 +134,7 @@ def _comma_list(kind):
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--features", required=True, help="mle.csv from the mle stage")
+    p.add_argument("--features", required=True, help="counts.csv or mle.csv")
     p.add_argument("--labels", required=True, help="dataset.csv from ground-truth")
     p.add_argument(
         "--feature-set",
@@ -196,7 +196,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    table = pl.read_mle_csv(args.features)
+    table = pl.read_counts_table(args.features)
     x, y = pl.dataset_features(table, pl.read_dataset_csv(args.labels))
     model = cls.train_forest(
         x, y, n_trees=args.n_trees, seed=args.seed, feature_mask=FEATURE_SETS[args.feature_set]
@@ -207,7 +207,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    x, y = pl.dataset_features(pl.read_mle_csv(args.features), pl.read_dataset_csv(args.labels))
+    x, y = pl.dataset_features(pl.read_counts_table(args.features), pl.read_dataset_csv(args.labels))
     if args.feature_set == "pc":
         roc = cls.roc_auc(x[:, pl.PC_COLUMN], y)
         payload = {"feature_set": args.feature_set, "auc": roc.auc}
@@ -230,7 +230,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    x, y = pl.dataset_features(pl.read_mle_csv(args.features), pl.read_dataset_csv(args.labels))
+    x, y = pl.dataset_features(pl.read_counts_table(args.features), pl.read_dataset_csv(args.labels))
     rows = cls.feature_ablation(
         x[:, pl.COUNT_MASK], y, folds=args.folds, n_trees=args.n_trees, seed=args.seed
     )

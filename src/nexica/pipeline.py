@@ -6,8 +6,11 @@ previous stage's output.  The sweep is a ``SweepTable`` of columns, its
 and an int64 lag per row.  The large artifacts (events, counts, mle and
 dataset CSVs) are written a column and a block of rows at a time by
 ``ingest.write_columns``, with the bytes of a row-wise ``csv.writer``.
-``metrics.json`` contains only deterministic content (identical config
-and seed give byte-identical bytes); wall times go to ``timings.json``.
+``read_counts_table`` reads a counts.csv or an mle.csv back by its counts
+alone and recomputes every estimate, so nexica ignores an mle.csv's
+estimate columns.  ``metrics.json`` contains only deterministic content
+(identical config and seed give byte-identical bytes); wall times go to
+``timings.json``.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from .ingest import (
     load_json,
     load_speed_csv,
     load_station_meta,
+    numbered_rows,
     read_rows,
     write_columns,
     write_csv,
@@ -294,32 +298,36 @@ def _counts_row(row: list[str]) -> tuple[str, str, list[int]]:
     return row[0], row[1], numbers
 
 
-def _read_sweep_csv(path, header_ok, header_error, tail=lambda row: ()):
-    """Station ids, key columns and ``(n, 4)`` int64 counts of a counts.csv
-    or mle.csv, each row checked by ``_counts_row``, and the floats ``tail``
-    parses from the rest of each row as one flat float64 array."""
+def read_counts_table(path) -> SweepTable:
+    """The rows of a counts.csv, or the first seven columns of an mle.csv,
+    each checked by ``_counts_row``, with the estimates of their counts as
+    ``sweep`` makes them; an mle.csv's own estimate columns are not read.
+    A (cause, effect, lag) tuple on two rows is a ``FormatError`` naming
+    both lines."""
     ids: dict[str, int] = defaultdict(count().__next__)  # station id -> code
-    codes, numbers, rest = array("i"), array("q"), array("d")
-    rows = read_rows(path, header_ok, lambda row: (*_counts_row(row), tail(row)), header_error)
-    for cause, effect, values, floats in rows:
+    codes, numbers = array("i"), array("q")  # per row: line, lag and counts
+    header_error = ParameterError(
+        f"{path}: not a counts.csv (expected header {','.join(COUNTS_HEADER)})")
+    rows = numbered_rows(path, lambda head: head[:7] == COUNTS_HEADER, _counts_row, header_error)
+    for line, (cause, effect, values) in rows:
         codes.append(ids[cause])
         codes.append(ids[effect])
+        numbers.append(line)
         numbers.extend(values)
-        rest.extend(floats)
     cause, effect = np.frombuffer(codes, dtype=np.intc).reshape(-1, 2).T
-    numbers = np.frombuffer(numbers, dtype=np.int64).reshape(-1, 5)
-    return (list(ids), cause.copy(), effect.copy(), numbers[:, 0].copy(), numbers[:, 1:].copy(),
-            np.frombuffer(rest))
-
-
-def read_counts_table(path) -> SweepTable:
-    """A counts.csv (or the first seven columns of an mle.csv) with the
-    estimates of its counts, as ``sweep`` makes them."""
-    *keys, counts, _ = _read_sweep_csv(
-        path, lambda header: header[:7] == COUNTS_HEADER,
-        ParameterError(f"{path}: not a counts.csv (expected header {','.join(COUNTS_HEADER)})"),
-    )
-    return SweepTable(*keys, counts, *estimate_many(counts))
+    numbers = np.frombuffer(numbers, dtype=np.int64).reshape(-1, 6)
+    line, counts = numbers[:, 0], numbers[:, 2:].copy()
+    table = SweepTable(list(ids), cause.copy(), effect.copy(), numbers[:, 1].copy(), counts,
+                       *estimate_many(counts))
+    key = _tuple_keys(len(ids), table.cause, table.effect, table.lag)
+    order = np.argsort(key, kind="stable")
+    repeats = np.flatnonzero(key[order[1:]] == key[order[:-1]])
+    if repeats.size:
+        k = repeats[np.argmin(order[repeats + 1])]  # the repeat that comes first in the file
+        first, again = order[k], order[k + 1]
+        raise FormatError(
+            f"{path}: line {line[again]}: tuple {table.key(again)} repeats line {line[first]}")
+    return table
 
 
 # Kept for perfbench's traced stagewise-tau1 body; nexica calls read_counts_table.
@@ -352,28 +360,6 @@ def write_mle_csv(path, table: SweepTable) -> None:
         *table.key_columns(), *table.counts.T,
         table.p_s, table.p_c, table.p_c_raw, table.loglik, names[table.case],
     ])
-
-
-def read_mle_csv(path) -> SweepTable:
-    """Inverse of ``write_mle_csv``: writing the result back reproduces the
-    file byte for byte."""
-    code = {c.value: k for k, c in enumerate(CASES)}
-
-    def tail(row):
-        if len(row) != len(MLE_HEADER):
-            raise FormatError(f"expected {len(MLE_HEADER)} fields")
-        try:
-            return [float(v) for v in row[7:11]] + [code[row[11]]]
-        except (ValueError, KeyError):
-            raise FormatError("malformed mle row") from None
-
-    header_error = ParameterError(
-        f"{path}: not an mle.csv (expected header {','.join(MLE_HEADER)}); "
-        "run `nexica mle` on the counts first"
-    )
-    *keys, counts, rest = _read_sweep_csv(path, MLE_HEADER.__eq__, header_error, tail)
-    p_s, p_c, p_c_raw, loglik, case = rest.reshape(-1, 5).T.copy()
-    return SweepTable(*keys, counts, p_s, p_c, p_c_raw, loglik, case.astype(np.int8))
 
 
 def write_dataset_csv(path, dataset: GroundTruthDataset) -> None:
@@ -419,18 +405,22 @@ def dump_json(path, payload) -> None:
 # ---------------------------------------------------------------------------
 # feature assembly
 
+def _tuple_keys(n_ids: int, cause: np.ndarray, effect: np.ndarray, lag: np.ndarray) -> np.ndarray:
+    """One int64 key per (cause, effect, lag) row: ``(cause * n + effect) *
+    L + lag rank`` over ``n_ids`` station codes and the L distinct lags,
+    below n * n * L, so a lag up to 2**63 - 1 does not overflow it."""
+    lags, rank = np.unique(lag, return_inverse=True)
+    return (cause.astype(np.int64) * n_ids + effect) * len(lags) + rank
+
+
 def dataset_features(table: SweepTable, pairs: LabeledPairs) -> tuple[np.ndarray, np.ndarray]:
-    """Feature matrix (a00, a01, a10, a11, p_c) and labels for a dataset.
-    A tuple's int64 key is ``(cause * n + effect) * L + lag rank`` over n
-    station ids and the L distinct lags of both sides, below n * n * L, so a
-    lag up to 2**63 - 1 does not overflow it; a tuple swept twice takes its
-    last row."""
+    """Feature matrix (a00, a01, a10, a11, p_c) and labels for a dataset,
+    the rows found by ``_tuple_keys`` over the tuples of both sides."""
     code = {sid: k for k, sid in enumerate(table.station_ids)}
     cause, effect = (np.fromiter(map(code.get, ids.tolist(), repeat(-1)), np.int64, len(pairs))
                      for ids in (pairs.cause, pairs.effect))
-    lags, rank = np.unique(np.concatenate([table.lag, pairs.lag]), return_inverse=True)
-    key = (np.concatenate([table.cause, cause]) * len(code)
-           + np.concatenate([table.effect, effect])) * len(lags) + rank
+    key = _tuple_keys(len(code), *(np.concatenate(pair) for pair in (
+        (table.cause, cause), (table.effect, effect), (table.lag, pairs.lag))))
     keys, wanted = key[:len(table)], key[len(table):]
     order, asked = np.argsort(keys, kind="stable"), np.argsort(wanted)
     at = np.empty_like(wanted)  # searchsorted runs faster on sorted needles
@@ -774,7 +764,7 @@ def _planted_comparison(truth_path: str, ranked: list, mle_path: Path) -> list[s
         f"{forest_hits} of {len(planted)}"
     ]
     if mle_path.exists():
-        table = read_mle_csv(mle_path)
+        table = read_counts_table(mle_path)
         defined = np.flatnonzero(~np.isnan(table.p_c))
         by_pc = defined[np.argsort(-table.p_c[defined], kind="stable")]
         pc_hits = sum(1 for r in by_pc[:k].tolist() if table.key(r) in planted)

@@ -243,6 +243,25 @@ def test_stratification_error_when_too_few_positives():
         stratified_fold_ids(y, 5, seed=0)
 
 
+@pytest.mark.parametrize("labels, bad", [([0, 256, 1, 0, 257, 1], "256"),
+                                         ([0, 2, 1, 0, 1, 1], "2"),
+                                         ([0, 1, 0.5, 0, 1, 1], "0.5"),
+                                         ([0, 1, 1, 0, -1, 1], "-1")])
+@pytest.mark.parametrize("call", [
+    lambda y: train_forest(np.arange(12.0).reshape(6, 2), y, n_trees=2),
+    lambda y: cross_validate(np.arange(12.0).reshape(6, 2), y, folds=2, n_trees=2),
+    lambda y: roc_auc(np.arange(6.0), y),
+    lambda y: stratified_fold_ids(y, 2, seed=0),
+], ids=["train_forest", "cross_validate", "roc_auc", "stratified_fold_ids"])
+def test_a_label_other_than_0_or_1_is_rejected_before_any_cast(call, labels, bad):
+    """An int8 cast would turn 256 into 0 and 257 into 1, and a label of 2
+    would sit in neither class; each function names the first bad label."""
+    with pytest.raises(ParameterError, match=f"labels must be 0 or 1, got {bad}$"):
+        call(labels)
+    with pytest.raises(ParameterError, match=f"labels must be 0 or 1, got {bad}$"):
+        call(np.array(labels))
+
+
 def test_cv_on_perfectly_predictive_feature():
     rng = np.random.default_rng(11)
     y = rng.integers(0, 2, 60)

@@ -7,7 +7,7 @@ import pytest
 
 from nexica import cli
 from nexica.cli import main
-from nexica.events import EventSeries
+from nexica.events import EventSeries, extract_events
 from nexica.ingest import (
     DriveTimeMatrix, StationMeta, SpeedSeries, load_drive_times, load_speed_csv,
     load_station_meta, write_drive_times, write_speed_csv, write_station_meta,
@@ -172,46 +172,49 @@ def run_dir(corpus, tmp_path_factory):
 
 
 def test_train_evaluate_ablate_commands(run_dir, tmp_path, capsys):
+    """The commands on the run's mle.csv, then on its counts.csv: they read
+    only the counts of ``--features``, so both write the same bytes."""
     metrics = json.loads((run_dir / "metrics.json").read_text())
-    features = str(run_dir / "mle.csv")
     labels = str(run_dir / "dataset.csv")
+    for name in ("mle", "counts"):
+        features = str(run_dir / f"{name}.csv")
+        out = tmp_path / name
+        out.mkdir()
 
-    topk_path = tmp_path / "topk_edges.csv"
-    assert main(["train", "--features", features, "--labels", labels, "--feature-set", "pc",
-                 "--n-trees", "10", "--seed", "5", "--out", str(topk_path)]) == 0
-    with open(topk_path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == TOPK_HEADER and len(rows) == 1 + TOP_K_EDGES
+        topk_path = out / "topk_edges.csv"
+        assert main(["train", "--features", features, "--labels", labels, "--feature-set", "pc",
+                     "--n-trees", "10", "--seed", "5", "--out", str(topk_path)]) == 0
+        with open(topk_path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == TOPK_HEADER and len(rows) == 1 + TOP_K_EDGES
 
-    metrics_path = tmp_path / "eval.json"
-    roc_path = tmp_path / "roc.csv"
-    assert main(["evaluate", "--features", features, "--labels", labels,
-                 "--n-trees", "30", "--seed", "3", "--folds", "5",
-                 "--metrics-out", str(metrics_path), "--roc-out", str(roc_path)]) == 0
-    payload = json.loads(metrics_path.read_text())
-    assert payload["auc"] == metrics["classifier"]["ratio_forest"]["auc"]
-    assert len(payload["fold_aucs"]) == 5
-    assert roc_path.read_bytes() == (run_dir / "roc_ratio.csv").read_bytes()
+        metrics_path = out / "eval.json"
+        roc_path = out / "roc.csv"
+        assert main(["evaluate", "--features", features, "--labels", labels,
+                     "--n-trees", "30", "--seed", "3", "--folds", "5",
+                     "--metrics-out", str(metrics_path), "--roc-out", str(roc_path)]) == 0
+        payload = json.loads(metrics_path.read_text())
+        assert payload["auc"] == metrics["classifier"]["ratio_forest"]["auc"]
+        assert len(payload["fold_aucs"]) == 5
+        assert roc_path.read_bytes() == (run_dir / "roc_ratio.csv").read_bytes()
 
-    assert main(["evaluate", "--features", features, "--labels", labels,
-                 "--feature-set", "pc", "--metrics-out", str(tmp_path / "pc.json")]) == 0
-    pc = json.loads((tmp_path / "pc.json").read_text())
-    assert pc["auc"] == metrics["classifier"]["ratio_scalar_pc"]["auc"]
+        assert main(["evaluate", "--features", features, "--labels", labels,
+                     "--feature-set", "pc", "--metrics-out", str(out / "pc.json")]) == 0
+        pc = json.loads((out / "pc.json").read_text())
+        assert pc["auc"] == metrics["classifier"]["ratio_scalar_pc"]["auc"]
 
-    capsys.readouterr()
-    counts = str(run_dir / "counts.csv")
-    assert main(["evaluate", "--features", counts, "--labels", labels,
-                 "--feature-set", "pc", "--metrics-out", str(tmp_path / "bad.json")]) == 1
-    err = capsys.readouterr().err
-    assert counts in err and "nexica mle" in err
+        ablate_path = out / "ablate.csv"
+        assert main(["ablate", "--features", features, "--labels", labels,
+                     "--folds", "3", "--n-trees", "5", "--seed", "1",
+                     "--out", str(ablate_path)]) == 0
+        with open(ablate_path) as fh:
+            rows = fh.read().strip().splitlines()
+        assert len(rows) == 16  # header + 15 subsets
 
-    ablate_path = tmp_path / "ablate.csv"
-    assert main(["ablate", "--features", features, "--labels", labels,
-                 "--folds", "3", "--n-trees", "5", "--seed", "1",
-                 "--out", str(ablate_path)]) == 0
-    with open(ablate_path) as fh:
-        rows = fh.read().strip().splitlines()
-    assert len(rows) == 16  # header + 15 subsets
+    written = sorted(path.name for path in (tmp_path / "mle").iterdir())
+    assert written == ["ablate.csv", "eval.json", "pc.json", "roc.csv", "topk_edges.csv"]
+    for name in written:
+        assert (tmp_path / "counts" / name).read_bytes() == (tmp_path / "mle" / name).read_bytes()
 
 
 def test_run_and_report_commands(corpus, tmp_path, capsys):
@@ -223,7 +226,18 @@ def test_run_and_report_commands(corpus, tmp_path, capsys):
     assert "planted edges recovered" in out
 
     assert main(["report", "--run", str(tmp_path / "out")]) == 0
-    assert "run summary" in capsys.readouterr().out
+    report = capsys.readouterr().out
+    assert "run summary" in report
+
+    # The p_c line counts from the run's mle.csv what an in-memory sweep gives.
+    table = sweep([extract_events(s, 0.25) for s in load_speed_csv(corpus["speeds"])], 8, 0)
+    with open(corpus["truth"], newline="") as fh:
+        planted = {(c, e, int(lag)) for c, e, lag, _ in list(csv.reader(fh))[1:]}
+    defined = [k for k in range(len(table)) if not np.isnan(table.p_c[k])]
+    by_pc = sorted(defined, key=lambda k: -table.p_c[k])[:len(planted)]
+    hits = sum(table.key(k) in planted for k in by_pc)
+    assert hits > 0
+    assert f"in top {len(planted)} by estimated p_c: {hits} of {len(planted)}\n" in report
 
 
 def test_pipeline_determinism_byte_identical(corpus, tmp_path):

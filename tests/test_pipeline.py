@@ -41,7 +41,6 @@ from nexica.pipeline import (
     read_counts_table,
     read_dataset_csv,
     read_events_csv,
-    read_mle_csv,
     sweep,
     write_counts_csv,
     write_dataset_csv,
@@ -71,9 +70,10 @@ def test_mle_csv_roundtrip_is_byte_identical(tmp_path):
 
     first = tmp_path / "a.csv"
     write_mle_csv(first, table)
-    again = read_mle_csv(first)
+    again = read_counts_table(first)
     assert keys(again) == keys(table)
-    assert np.array_equal(again.counts, table.counts)
+    for name in ("counts", "p_s", "p_c", "p_c_raw", "loglik", "case"):
+        assert np.array_equal(getattr(again, name), getattr(table, name), equal_nan=True), name
     write_mle_csv(tmp_path / "b.csv", again)
     assert (tmp_path / "b.csv").read_bytes() == first.read_bytes()
 
@@ -265,16 +265,28 @@ def test_counts_csv_roundtrip(tmp_path):
          "empty-effect"],
 )
 def test_read_counts_csv_rejects_bad_rows(tmp_path, row, message):
-    """Both sweep readers, on the counts row alone and on the row padded
-    with valid estimate columns."""
+    """The sweep reader, on the counts row alone and on the row padded
+    with valid estimate columns under the mle.csv header."""
     estimates = ",0.5,0.5,0.5,-1.0,interior"
-    for read, header, tail in ((read_counts_table, COUNTS_HEADER, ""),
-                               (read_mle_csv, MLE_HEADER, estimates)):
-        path = tmp_path / f"{read.__name__}.csv"
+    for name, header, tail in (("counts", COUNTS_HEADER, ""), ("mle", MLE_HEADER, estimates)):
+        path = tmp_path / f"{name}.csv"
         path.write_text(f"{','.join(header)}\na,b,1,3,1,1,0{tail}\n{row}{tail}\n")
         with pytest.raises(FormatError, match=message) as info:
-            read(path)
+            read_counts_table(path)
         assert f"{path.name}: line 3" in str(info.value)
+
+
+@pytest.mark.parametrize("header", [COUNTS_HEADER, MLE_HEADER], ids=["counts", "mle"])
+def test_read_counts_table_rejects_a_repeated_tuple(tmp_path, header):
+    """The second row of a repeated (cause, effect, lag) is an error that
+    names the file, both lines and the tuple, whatever the counts."""
+    tail = ",0.5,0.5,0.5,-1.0,interior" if header == MLE_HEADER else ""
+    rows = ["a,b,1,5,1,1,1", "b,a,1,5,1,1,1", "a,b,2,5,1,1,1", "", "a,b,1,9,0,0,1", "b,a,1,9,0,0,1"]
+    path = tmp_path / "rows.csv"
+    path.write_text("\n".join([",".join(header), *(r and r + tail for r in rows)]) + "\n")
+    message = f"{path}: line 6: tuple ('a', 'b', 1) repeats line 2"
+    with pytest.raises(FormatError, match=re.escape(message)):
+        read_counts_table(path)
 
 
 def test_read_counts_csv_rejects_empty_file_and_wrong_header(tmp_path):
@@ -349,7 +361,7 @@ SPEED_ROWS = rows_of(
 READERS = {
     "events": (EVENTS_HEADER, lambda path: read_events_csv(path, n_slots=10), ROWS),
     "counts": (COUNTS_HEADER, read_counts_table, ROWS),
-    "mle": (MLE_HEADER, read_mle_csv, ROWS),
+    "mle": (MLE_HEADER, read_counts_table, ROWS),
     "dataset": (DATASET_HEADER, read_dataset_csv, ROWS),
     "speeds": (SPEED_HEADER, load_speed_csv, SPEED_ROWS),
     "meta": (META_HEADER, load_station_meta, rows_of(

@@ -370,7 +370,7 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> RocResult:
     ys = y[order]
     boundary = np.flatnonzero(np.diff(ss)) + 1
     ends = np.append(boundary, ss.size)
-    tp = np.cumsum(ys)[ends - 1]
+    tp = np.cumsum(ys, dtype=np.int64)[ends - 1]
     fp = ends - tp
     thresholds = ss[ends - 1]
 

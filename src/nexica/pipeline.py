@@ -410,7 +410,7 @@ def _tuple_keys(n_ids: int, cause: np.ndarray, effect: np.ndarray, lag: np.ndarr
     L + lag rank`` over ``n_ids`` station codes and the L distinct lags,
     below n * n * L, so a lag up to 2**63 - 1 does not overflow it."""
     lags, rank = np.unique(lag, return_inverse=True)
-    return (cause.astype(np.int64) * n_ids + effect) * len(lags) + rank
+    return (cause.astype(np.int64, copy=False) * n_ids + effect) * len(lags) + rank
 
 
 def dataset_features(table: SweepTable, pairs: LabeledPairs) -> tuple[np.ndarray, np.ndarray]:

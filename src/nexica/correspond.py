@@ -168,15 +168,15 @@ def lagged_counts(indices: list[np.ndarray], m: int, l_max: int, tau: int = 0) -
     Leading edges always satisfy this at tau <= 1.  Then
 
         a10 = causes in [0, W) - a11
-        a01 = effects in [l, l+W) - (a11 - beyond)
+        a01 = effects in [l, l+W) - matches in [l, l+W)
 
-    where ``beyond`` counts the matches that land past the window, in
-    ``[m - tau, m)``; they can only come from causes in its last tau slots.
-    No unmatched effect sits at the exact offset from a cause, because
-    that cause would have matched it.  Cause series with events closer
-    than ``tau + 1`` slots are counted by the exact greedy loop,
-    ``count_from_indices``, row by row.  Counts are exact while ``m``
-    stays within the bound of :func:`product_dtype`.
+    The matches in the window are the same product against D', the
+    dilation of X with its last tau columns cleared (a first effect lies in
+    the window when any effect does).  D - D' is zero but in columns c0 =
+    max(m - 2 tau, 0) to m - tau, which only the last tau causes of a
+    window reach: their product is the difference.  Cause series with
+    events closer than ``tau + 1`` slots are counted row by row by the exact
+    ``count_from_indices``; counts are exact within :func:`product_dtype`'s bound.
     """
     if l_max < 1:
         raise ParameterError(f"l_max must be >= 1, got {l_max}")
@@ -191,6 +191,8 @@ def lagged_counts(indices: list[np.ndarray], m: int, l_max: int, tau: int = 0) -
     d = x.copy() if tau else x
     for shift in range(1, tau + 1):
         np.maximum(d[:, :-shift], x[:, shift:], out=d[:, :-shift])
+    c0 = max(m - 2 * tau, 0)
+    edge = d[:, c0 : m - tau] - np.maximum.accumulate(x[:, c0 : m - tau][:, ::-1], axis=1)[:, ::-1]
     spaced = [idx.size < 2 or int(np.diff(idx).min()) > tau for idx in indices]
 
     out = np.empty((n, n, l_max, 4), dtype=np.int64)
@@ -202,14 +204,8 @@ def lagged_counts(indices: list[np.ndarray], m: int, l_max: int, tau: int = 0) -
             dtype=np.int64,
         )
         a11 = (x[:, :window] @ d[:, lag : lag + window].T).astype(np.int64)
-        beyond = np.zeros((n, n), dtype=np.int64)
-        for i, idx in enumerate(indices):
-            if not spaced[i]:
-                continue
-            for t in idx[np.searchsorted(idx, window - tau) : causes[i]].tolist():
-                reach = x[:, t + lag : t + lag + tau + 1]
-                first = reach.argmax(axis=1)
-                beyond[i] += reach.any(axis=1) & (t + lag + first >= m - tau)
+        start = max(window - tau, 0)  # the first cause whose window reaches column c0
+        beyond = (x[:, start:window] @ edge[:, start + lag - c0 :].T).astype(np.int64) if tau else 0
         a10 = causes[:, None] - a11
         a01 = effects[None, :] - (a11 - beyond)
         cell = out[:, :, lag - 1]

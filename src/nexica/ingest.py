@@ -1,8 +1,8 @@
 """Loading and validation of speed series, station metadata, and drive times;
 the one CSV reader, the CSV writers and the JSON loader behind every file of
-nexica.  Speed files in the form ``write_speed_csv`` writes are also read
-column-wise, a chunk at a time; any other speed file goes through the CSV
-reader.  ``write_columns`` writes large tables a column at a time.
+nexica.  ``read_columns`` reads speeds, events, counts and mle files in
+their writers' form a chunk of columns at a time; any other file goes
+through the CSV reader.  ``write_columns`` writes large tables a column at a time.
 
 All input files are plain UTF-8 CSV with a header row:
 
@@ -22,11 +22,9 @@ import dataclasses
 import io
 import json
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from itertools import chain, repeat
-from typing import NamedTuple
 
 import numpy as np
 
@@ -266,13 +264,11 @@ def load_fields(path, cls, label: str) -> dict:
     return raw
 
 
-# The columnar speeds parser reads this many bytes at a time.  Its per-field
-# objects live for one chunk, so the chunk size bounds their memory.
+# ``read_columns`` reads this many bytes at a time, which bounds its per-field objects.
 _CHUNK_BYTES = 1 << 18
 _US = timedelta(microseconds=1)
 _SLOT_US = SLOT // _US
 _EPOCH = datetime(1970, 1, 1)
-_LINE_SEPARATORS = np.frombuffer(b",,,\n", np.uint8)
 _LF_TO_COMMA = bytes.maketrans(b"\n", b",")
 # A naive stamp has digits everywhere except at these separators.
 _STAMP = np.frombuffer(b"0000-00-00T00:00:00", np.uint8)
@@ -281,140 +277,138 @@ _STAMP_DIGIT = _STAMP == ord("0")
 _YEAR_1 = np.datetime64("0001-01-01T00:00:00", "s").astype(np.int64)
 
 
-class _SpeedRows(NamedTuple):
-    """Speed rows as columns.  Row k is station ``ids[code[k]]`` at
-    ``micros[k]`` microseconds after 1970-01-01 (UTC for timezone-aware
-    stamps); ``stamp(k)`` is its parsed timestamp and ``line(k)`` its line."""
-
-    ids: list[str]
-    code: np.ndarray
-    micros: np.ndarray
-    speed: np.ndarray
-    imputed: np.ndarray
-    stamp: Callable[[int], datetime]
-    line: Callable[[int], int]
+def _require(ok) -> None:
+    if not ok:
+        raise ValueError("not in the writer's form")
 
 
-def load_speed_csv(path, _chunk_bytes: int = _CHUNK_BYTES) -> list[SpeedSeries]:
+def _ints(tokens: list[bytes], size: np.ndarray) -> np.ndarray:
+    joined = b",".join(tokens)
+    _require(((size >= 1) & (size <= 18)).all() and not joined.translate(None, b"0123456789,"))
+    return np.fromstring(joined, np.int64, sep=",")
+
+
+def _flags(tokens: list[bytes], size: np.ndarray) -> np.ndarray:
+    joined = b"".join(tokens)
+    _require((size == 1).all() and not joined.translate(None, b"01"))
+    return np.frombuffer(joined, np.uint8) == ord("1")
+
+
+def _stamps(tokens: list[bytes], size: np.ndarray) -> np.ndarray:
+    _require((size == _STAMP.size).all())
+    stamps = np.frombuffer(b"".join(tokens), f"S{_STAMP.size}")
+    chars = stamps.view(np.uint8).reshape(-1, _STAMP.size)
+    _require((chars[:, _STAMP_DIGIT] - ord("0") < 10).all()
+             and (chars[:, ~_STAMP_DIGIT] == _STAMP[~_STAMP_DIGIT]).all())
+    seconds = stamps.astype("datetime64[s]").astype(np.int64)
+    _require((seconds >= _YEAR_1).all() and not (seconds % (SLOT_MINUTES * 60)).any())
+    return seconds * 10**6
+
+
+def _speeds(tokens: list[bytes], size: np.ndarray) -> np.ndarray:
+    speed = np.fromiter(map(float, tokens), np.float64, len(tokens))
+    _require((np.isfinite(speed) & (speed >= 0)).all())
+    return speed
+
+
+ID, INT, FLAG, STAMP, SPEED, SKIP = "id", _ints, _flags, _stamps, _speeds, None  # column kinds
+
+
+def read_columns(path, forms: dict[str, tuple], chunk_bytes: int | None = None):
+    """``(ids, columns)`` of a file in its writer's form, read a chunk of
+    whole lines at a time; None for any other file or one without rows.
+    ``forms`` maps each header line a file may start with to its column
+    kinds; ``columns`` has an array per kind but ``SKIP``: ``ID``, an id
+    without surrounding whitespace, as an int32 code into ``ids`` (numbered
+    by first appearance, row by row); ``INT``, 1 to 18 digits, as int64;
+    ``FLAG``, 0 or 1, as bool; ``STAMP``, a naive ``YYYY-MM-DDTHH:MM:SS``
+    of year 1 or later on the 5-minute grid, as int64 microseconds after 1970;
+    ``SPEED``, a finite float >= 0.  Fields are unquoted UTF-8 within csv's
+    field limit, and every line ends as the header does.  Row k is on line k + 2."""
+    codes: dict[bytes, int] = {}
+    chunks, pending = [], b""
+    with open(path, "rb") as fh:
+        first = fh.readline()
+        eol = b"\r\n" if first.endswith(b"\r\n") else b"\n"
+        kinds = forms.get(first[:-len(eol)].decode("latin-1")) if first.endswith(b"\n") else None
+        if kinds is None:
+            return None
+        try:
+            for block in iter(lambda: fh.read(chunk_bytes or _CHUNK_BYTES), b""):
+                pending += block
+                cut = pending.rfind(b"\n") + 1
+                if cut:
+                    chunks.append(_parse_chunk(pending[:cut], kinds, len(eol) - 1, codes))
+                    pending = pending[cut:]
+            if pending:  # the last line has no line end
+                chunks.append(_parse_chunk(pending + eol, kinds, len(eol) - 1, codes))
+        except ValueError:  # UnicodeDecodeError included
+            return None
+    if not chunks:
+        return None
+    # Each column's chunks are let go as soon as it is joined.
+    columns = [np.concatenate([c.pop(0) for c in chunks]) for _ in range(len(chunks[0]))]
+    return [sid.decode() for sid in codes], columns
+
+
+def _parse_chunk(text: bytes, kinds: tuple, cr: int, codes: dict[bytes, int]) -> list:
+    """The columns of ``text``, whole lines of one field per kind, each
+    ending in CRLF if ``cr`` else LF; a ValueError unless every field is of
+    its kind.  ``codes`` numbers the ids across chunks."""
+    width = len(kinds)
+    raw = np.frombuffer(text, np.uint8)
+    seps = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
+    n, ends, lf = seps.size // width, seps[width - 1::width], raw[seps] == ord("\n")
+    _require(b'"' not in text and seps.size == width * n and lf[width - 1::width].all()
+             and np.count_nonzero(lf) == n and np.count_nonzero(raw == ord("\r")) == cr * n
+             and (not cr or (raw[ends - 1] == ord("\r")).all()))
+    size = np.diff(seps, prepend=-1).reshape(n, width) - 1
+    size[:, -1] -= cr
+    _require((size < csv.field_size_limit()).all())
+    text.decode()
+
+    values = text.translate(_LF_TO_COMMA, b"\r").split(b",")
+    fields = [values[k:width * n:width] for k in range(width)]
+    # One code per id, row by row across the id columns.
+    sids = list(chain.from_iterable(zip(*(f for f, kind in zip(fields, kinds) if kind is ID))))
+    same = sids.count(sids[0]) == len(sids)
+    for sid in [sids[0]] if same else dict.fromkeys(sids):
+        if sid not in codes:
+            name = sid.decode()
+            _require(name and name == name.strip())
+            codes[sid] = len(codes)
+    code = np.full(len(sids), codes[sids[0]], np.int32) if same else np.fromiter(
+        map(codes.__getitem__, sids), np.int32, len(sids))
+    code = iter(code.reshape(n, -1).T)
+    return [
+        next(code) if kind is ID else kind(tokens, length)
+        for kind, tokens, length in zip(kinds, fields, size.T) if kind is not SKIP
+    ]
+
+
+def load_speed_csv(path, _chunk_bytes: int | None = None) -> list[SpeedSeries]:
     """Load one or more stations' speed rows into gridded series.
 
     Rows are grouped by station and sorted by time; interior gaps become
     ``imputed=True`` slots that repeat the speed of the row before them
-    (the value is a placeholder, only the flag matters).
-
-    A file in the form ``write_speed_csv`` writes is parsed whole columns
-    at a time.  Any other file, valid or not, goes through the per-row
-    parser, which gives the same series and is the one place that names
-    the line of a bad row.
+    (the value is a placeholder, only the flag matters).  A valid file in
+    ``write_speed_csv``'s form goes through ``read_columns``; any other
+    file, valid or not, through the per-row parser, which gives the same
+    series and is the one place that names the line of a bad row.
     """
-    rows = _speed_columns(path, _chunk_bytes)
-    if rows is None:
-        rows = _speed_rows(path)
-    return _grid_stations(path, rows)
-
-
-def _speed_columns(path, chunk_bytes: int) -> _SpeedRows | None:
-    """The rows of a speeds file in ``write_speed_csv``'s form, parsed a
-    chunk of whole lines at a time; None for any other file."""
-    header = ",".join(SPEED_HEADER).encode()
-    codes: dict[bytes, int] = {}
-    chunks = []
-    with open(path, "rb") as fh:
-        first = fh.readline()
-        if first not in (header + b"\n", header + b"\r\n"):
-            return None
-        pending = b""
-        while True:
-            block = fh.read(chunk_bytes)
-            if not block:
-                if not pending:
-                    break
-                block = first[len(header):]  # the last line has no line end
-            pending += block
-            cut = pending.rfind(b"\n") + 1
-            if cut:
-                chunk = _parse_speed_chunk(pending[:cut], codes)
-                if chunk is None:
-                    return None
-                chunks.append(chunk)
-                pending = pending[cut:]
-    if not chunks:  # no rows: the per-row parser returns no series
-        return None
-    code, micros, speed, imputed = map(np.concatenate, zip(*chunks))
-    micros *= 10**6  # from seconds
-    return _SpeedRows(
-        [sid.decode() for sid in codes], code, micros, speed, imputed,
-        lambda k: _EPOCH + int(micros[k]) * _US, lambda k: k + 2,
+    table = read_columns(path, {",".join(SPEED_HEADER): (ID, STAMP, SPEED, FLAG)}, _chunk_bytes)
+    if table is None:
+        return _grid_stations(path, *_speed_rows(path))
+    ids, (code, micros, speed, imputed) = table
+    return _grid_stations(
+        path, ids, code, micros, speed, imputed, lambda k: _EPOCH + int(micros[k]) * _US, lambda k: k + 2
     )
 
 
-def _parse_speed_chunk(text: bytes, codes: dict[bytes, int]):
-    """``(code, seconds, speed, imputed)`` columns of ``text``, whole lines
-    that each read ``id,YYYY-MM-DDTHH:MM:SS,speed,0|1`` with one line end
-    (LF or CRLF), an id without surrounding whitespace, a naive stamp of
-    year 1 or later on the 5-minute grid and a finite speed >= 0; None
-    otherwise.  ``codes`` numbers the ids across chunks."""
-    raw = np.frombuffer(text, np.uint8)
-    seps = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
-    n = seps.size // 4
-    if b'"' in text or seps.size != 4 * n or (raw[seps] != np.tile(_LINE_SEPARATORS, n)).any():
-        return None
-    fields, ends = seps.reshape(n, 4), seps[3::4]
-    cr = b"\r" in text  # then every line must end in CRLF
-    if cr and (np.count_nonzero(raw == ord("\r")) != n or (raw[ends - 1] != ord("\r")).any()):
-        return None
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    flag = raw[fields[:, 2] + 1]
-    if (
-        (fields[:, 1] - fields[:, 0] != 1 + _STAMP.size).any()
-        or (ends - fields[:, 2] != 2 + cr).any()
-        or (ends - starts > csv.field_size_limit()).any()
-        or ((flag != ord("0")) & (flag != ord("1"))).any()
-    ):
-        return None
-
-    values = text.translate(_LF_TO_COMMA).split(b",")
-    stamps = np.frombuffer(b"".join(values[1::4]), f"S{_STAMP.size}")
-    chars = stamps.view(np.uint8).reshape(n, _STAMP.size)
-    if not (
-        (chars[:, _STAMP_DIGIT] - ord("0") < 10).all()
-        and (chars[:, ~_STAMP_DIGIT] == _STAMP[~_STAMP_DIGIT]).all()
-    ):
-        return None
-    try:
-        seconds = stamps.astype("datetime64[s]").astype(np.int64)
-        speed = np.fromiter(map(float, values[2::4]), np.float64, n)
-    except ValueError:
-        return None
-    if (
-        (seconds < _YEAR_1).any()
-        or (seconds % (SLOT_MINUTES * 60)).any()
-        or not (np.isfinite(speed) & (speed >= 0)).all()
-    ):
-        return None
-
-    sids = values[0:4 * n:4]
-    same = sids.count(sids[0]) == n
-    for sid in [sids[0]] if same else dict.fromkeys(sids):
-        if sid not in codes:
-            try:
-                name = sid.decode()
-            except UnicodeDecodeError:
-                return None
-            if not name or name != name.strip():
-                return None
-            codes[sid] = len(codes)
-    if same:
-        code = np.full(n, codes[sids[0]], np.int32)
-    else:
-        code = np.fromiter(map(codes.__getitem__, sids), np.int32, n)
-    return code, seconds, speed, flag == ord("1")
-
-
-def _speed_rows(path) -> _SpeedRows:
-    """The rows of any speeds file, parsed one csv row at a time; a
-    ``ParseError`` or ``FormatError`` naming the file and line of the first
-    row that is not a valid speed row."""
+def _speed_rows(path) -> tuple:
+    """The arguments of ``_grid_stations`` after the path for any speeds
+    file, parsed one csv row at a time; a ``ParseError`` or ``FormatError``
+    naming the file and line of the first row that is not a valid speed row."""
     aware = None  # whether the file's timestamps carry a UTC offset
 
     def header_ok(header):
@@ -460,7 +454,7 @@ def _speed_rows(path) -> _SpeedRows:
         imputed.append(imp)
         lines.append(line)
     epoch = _EPOCH.replace(tzinfo=timezone.utc) if aware else _EPOCH
-    return _SpeedRows(
+    return (
         list(codes), np.array(code, np.int32),
         np.array([(ts - epoch) // _US for ts in stamps], np.int64),
         np.array(speeds, np.float64), np.array(imputed, bool),
@@ -468,31 +462,32 @@ def _speed_rows(path) -> _SpeedRows:
     )
 
 
-def _grid_stations(path, rows: _SpeedRows) -> list[SpeedSeries]:
+def _grid_stations(path, ids, code, micros, speed, imputed, stamp, line) -> list[SpeedSeries]:
     """Every station's rows on its own 5-minute grid, in station id order,
-    by one stable sort on (station, time) and one repeat.  The first
-    station in id order with a fault raises: rows spanning more than
-    ``mle.MAX_WINDOW`` slots, else a stamp off the grid of its first stamp,
-    else the second of two rows in one slot."""
+    by one stable sort on (station, time) and one repeat.  Row k is station
+    ``ids[code[k]]`` at ``micros[k]`` microseconds after 1970-01-01 (UTC for
+    timezone-aware stamps), ``stamp(k)`` is its timestamp and ``line(k)``
+    its line.  The first station in id order with a fault raises: rows
+    spanning more than ``mle.MAX_WINDOW`` slots, else a stamp off the grid
+    of its first stamp, else the second of two rows in one slot."""
     from .mle import MAX_WINDOW  # imported here: mle imports this module through events
 
     # Row-sized temporaries are deleted once used, to keep the peak memory
     # at a few columns.
-    ids = rows.ids
     if not ids:
         return []
     by_id = sorted(range(len(ids)), key=ids.__getitem__)
     rank = np.empty(len(ids), np.int32)
     rank[by_id] = np.arange(len(ids))
-    station, micros, speed, imputed = rank[rows.code], rows.micros, rows.speed, rows.imputed
+    station = rank[code]
     row = int  # the input row of sorted row k
-    step = np.diff(station)
-    if not ((step > 0) | ((step == 0) & (np.diff(micros) >= 0))).all():
+    same = station[1:] == station[:-1]
+    if not ((station[1:] > station[:-1]) | (same & (micros[1:] >= micros[:-1]))).all():
         order = np.lexsort((micros, station))
         station, micros = station[order], micros[order]
         speed, imputed = speed[order], imputed[order]
         row = order.__getitem__
-    del step
+    del same
     counts = np.bincount(station, minlength=len(ids))
     ends = np.cumsum(counts)
     starts = ends - counts
@@ -500,8 +495,10 @@ def _grid_stations(path, rows: _SpeedRows) -> list[SpeedSeries]:
     # Whole seconds after the station's first row, as int(total_seconds())
     # of their timedelta: below the span bound (under 2**34 s) its float
     # quotient never rounds a microsecond fraction up to the next second.
-    seconds = (micros - np.repeat(micros[starts], counts)) // 10**6
-    slot, rem = np.divmod(seconds, SLOT_MINUTES * 60)
+    seconds = np.repeat(micros[starts], counts)
+    np.subtract(micros, seconds, out=seconds)
+    seconds //= 10**6
+    slot, rem = np.divmod(seconds, SLOT_MINUTES * 60, out=(seconds, None))
     del seconds
     fault = rem != 0
     fault[1:] |= (slot[1:] == slot[:-1]) & (station[1:] == station[:-1])
@@ -519,21 +516,21 @@ def _grid_stations(path, rows: _SpeedRows) -> list[SpeedSeries]:
         if off_grid.size:
             k = row(off_grid[0])
             raise FormatError(
-                f"{path}: line {rows.line(k)}: station {sid}: timestamp "
-                f"{rows.stamp(k).isoformat()} not on the 5-minute grid anchored at "
-                f"{rows.stamp(row(starts[r])).isoformat()}"
+                f"{path}: line {line(k)}: station {sid}: timestamp "
+                f"{stamp(k).isoformat()} not on the 5-minute grid anchored at "
+                f"{stamp(row(starts[r])).isoformat()}"
             )
         k = row(faults[0])
         raise ConsistencyError(
-            f"{path}: line {rows.line(k)}: station {sid}: "
-            f"duplicate slot at {rows.stamp(k).isoformat()}"
+            f"{path}: line {line(k)}: station {sid}: "
+            f"duplicate slot at {stamp(k).isoformat()}"
         )
     del rem, fault
 
     # Each row takes its own slot and repeats its speed over the gap up to
     # the station's next row (a placeholder, only the flag matters).
     length = np.ones(slot.size, np.int64)
-    length[:-1] = np.diff(slot)
+    np.subtract(slot[1:], slot[:-1], out=length[:-1])
     length[ends - 1] = 1
     grid_speed, grid_imputed = speed, imputed
     if (length > 1).any():
@@ -542,7 +539,7 @@ def _grid_stations(path, rows: _SpeedRows) -> list[SpeedSeries]:
         grid_imputed[np.cumsum(length) - length] = imputed
     base = np.concatenate(([0], np.cumsum(slot[ends - 1] + 1)))
     return [
-        SpeedSeries(ids[i], rows.stamp(row(s)), grid_speed[b:e], grid_imputed[b:e])
+        SpeedSeries(ids[i], stamp(row(s)), grid_speed[b:e], grid_imputed[b:e])
         for i, s, b, e in zip(by_id, starts.tolist(), base[:-1].tolist(), base[1:].tolist())
     ]
 

@@ -6,11 +6,10 @@ previous stage's output.  The sweep is a ``SweepTable`` of columns, its
 and an int64 lag per row.  The large artifacts (events, counts, mle and
 dataset CSVs) are written a column and a block of rows at a time by
 ``ingest.write_columns``, with the bytes of a row-wise ``csv.writer``.
-``read_counts_table`` reads a counts.csv or an mle.csv back by its counts
-alone and recomputes every estimate, so nexica ignores an mle.csv's
-estimate columns.  ``metrics.json`` contains only deterministic content
-(identical config and seed give byte-identical bytes); wall times go to
-``timings.json``.
+events.csv, counts.csv and mle.csv are read back column-wise, and their
+values checked once on the columns; nexica skips an mle.csv's estimate
+columns and recomputes them.  ``metrics.json`` is deterministic (same
+config and seed, same bytes); wall times go to ``timings.json``.
 """
 
 from __future__ import annotations
@@ -23,10 +22,9 @@ import math
 import os
 import time
 from array import array
-from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import count, repeat
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +32,7 @@ import numpy as np
 from . import classify as cls
 from .correspond import CorrespondenceCounts, lagged_counts
 from .errors import (
-    ConsistencyError, FormatError, NexicaError, ParameterError, StageError,
+    ConsistencyError, FormatError, NexicaError, ParameterError, ParseError, StageError,
 )
 from .events import EventSeries, extract_events, median_week_profile
 from .groundtruth import (
@@ -47,16 +45,8 @@ from .groundtruth import (
     label_pairs,
 )
 from .ingest import (
-    SpeedSeries,
-    filter_stations,
-    load_drive_times,
-    load_fields,
-    load_json,
-    load_speed_csv,
-    load_station_meta,
-    numbered_rows,
-    read_rows,
-    write_columns,
+    FLAG, ID, INT, SKIP, SpeedSeries, filter_stations, load_drive_times, load_fields, load_json,
+    load_speed_csv, load_station_meta, numbered_rows, read_columns, read_rows, write_columns,
     write_csv,
 )
 from .mle import CASES, MAX_WINDOW, CausalEstimate, estimate_many
@@ -229,34 +219,81 @@ def write_events_csv(path, series: list[EventSeries]) -> None:
 
 
 def read_events_csv(path, n_slots: int) -> list[EventSeries]:
+    """The stations of an events.csv in id order, each ``n_slots`` slots long."""
     if not 1 <= n_slots <= MAX_WINDOW:
         raise ParameterError(f"slots must be in 1..{MAX_WINDOW}, got {n_slots}")
 
+    def checks(ids, code, slot, event):
+        rules = [
+            ((slot < 0) | (slot >= n_slots), lambda k: f"slot {slot[k]} outside 0..{n_slots - 1}"),
+            ((event != 0) & (event != 1), lambda k: f"event must be 0 or 1, got {event[k]}"),
+        ]
+        key = code.astype(np.int64) * n_slots + slot
+        return rules, key, lambda k: f"station {ids[code[k]]} slot {slot[k]}"
+
+    ids, (code, slot, event) = _read_columns(
+        path, EVENTS_HEADER, (ID, INT, FLAG), EVENTS_HEADER.__eq__,
+        (FormatError(f"{path}: expected header {','.join(EVENTS_HEADER)}"),
+         "expected station_id,slot,event", "slot and event must fit in 64 bits"), checks)
+    events = np.zeros((len(ids), n_slots), dtype=bool)
+    events[code[event == 1], slot[event == 1]] = True
+    return [EventSeries(ids[i], events[i]) for i in sorted(range(len(ids)), key=ids.__getitem__)]
+
+
+def _read_columns(path, header, kinds, header_ok, errors, checks):
+    """``(ids, columns)`` of a table of station ids, then integers: by
+    ``ingest.read_columns`` in its writer's form (``header`` or its first
+    ``len(kinds)`` names), else by ``numbered_rows``.  ``errors``: the
+    header's, then those of a row without its integers or past 64 bits.
+    ``checks(ids, *columns)`` gives (row mask, message) checks, a key and a
+    name per row: the first row failing one (or with an empty id) raises,
+    even before an unreadable row, and then the first to repeat a key."""
+    n_ids, forms = kinds.count(ID), {",".join(header[:len(kinds)]): kinds}
+    forms[",".join(header)] = kinds + (SKIP,) * (len(header) - len(kinds))
+
     def parse(row):
         try:
-            sid, slot, event = row[0], int(row[1]), int(row[2])
-        except (ValueError, IndexError):
-            raise FormatError("expected station_id,slot,event") from None
-        if not sid:
-            raise FormatError("empty station id")
-        if not 0 <= slot < n_slots:
-            raise FormatError(f"slot {slot} outside 0..{n_slots - 1}")
-        if event not in (0, 1):
-            raise FormatError(f"event must be 0 or 1, got {event}")
-        return sid, slot, event
+            numbers = [int(v) for v in row[n_ids:len(kinds)]]
+        except ValueError:
+            numbers = []
+        if len(numbers) != len(kinds) - n_ids:
+            raise FormatError(errors[1])
+        if any(abs(v) >= 2**63 for v in numbers):
+            raise FormatError(errors[2])
+        return row[:n_ids], numbers
 
-    by_station: dict[str, list[int]] = {}
-    header_error = FormatError(f"{path}: expected header {','.join(EVENTS_HEADER)}")
-    for sid, slot, event in read_rows(path, EVENTS_HEADER.__eq__, parse, header_error):
-        slots = by_station.setdefault(sid, [])
-        if event:
-            slots.append(slot)
-    out = []
-    for sid in sorted(by_station):
-        ev = np.zeros(n_slots, dtype=bool)
-        ev[np.asarray(by_station[sid], dtype=np.int64)] = True
-        out.append(EventSeries(sid, ev))
-    return out
+    table, error = read_columns(path, forms), None
+    if table is not None:
+        (ids, columns), line = table, lambda k: k + 2
+    else:
+        codes: dict[str, int] = {}  # station id -> code
+        id_codes, ints, lines = array("i"), array("q"), array("q")
+        try:
+            for n, (sids, values) in numbered_rows(path, header_ok, parse, errors[0]):
+                id_codes.extend(codes.setdefault(sid, len(codes)) for sid in sids)
+                ints.extend(values)
+                lines.append(n)
+        except NexicaError as exc:
+            error = exc
+        ids, line = list(codes), lines.__getitem__
+        columns = [*np.frombuffer(id_codes, dtype=np.intc).reshape(-1, n_ids).T.copy(),
+                   *np.frombuffer(ints, dtype=np.int64).reshape(-1, len(kinds) - n_ids).T.copy()]
+    empty = np.array([not sid for sid in ids], dtype=bool)
+    rules, key, name = checks(ids, *columns)
+    rules = [(empty[columns[:n_ids]].any(axis=0), lambda k: "empty station id"), *rules]
+    faults = np.array([mask for mask, _ in rules]).T  # row by row, each row's checks in order
+    if faults.any():
+        k, r = divmod(int(np.argmax(faults)), len(rules))
+        raise ParseError(f"{path}: line {line(k)}: {rules[r][1](k)}")
+    if error is not None:
+        raise error
+    if not (key[1:] > key[:-1]).all():  # rows in key order, as nexica writes them, repeat none
+        keys, first = np.unique(key, return_index=True)  # the first row of each key
+        if keys.size < key.size:
+            k = np.setdiff1d(np.arange(key.size), first)[0]  # the first row that repeats one
+            seen = first[np.searchsorted(keys, key[k])]
+            raise FormatError(f"{path}: line {line(k)}: {name(k)} repeats line {line(seen)}")
+    return ids, columns
 
 
 def write_profiles_csv(path, series: list[SpeedSeries]) -> None:
@@ -271,63 +308,32 @@ def write_counts_csv(path, table: SweepTable) -> None:
     write_columns(path, COUNTS_HEADER, [*table.key_columns(), *table.counts.T])
 
 
-def _counts_row(row: list[str]) -> tuple[str, str, list[int]]:
-    """The cause, the effect, and the lag and four counts of a counts.csv or
-    mle.csv row: non-empty station ids, an integer lag >= 1, integer counts
-    >= 0, all below 2**63, and a window (the sum of the counts) in
-    1..mle.MAX_WINDOW."""
-    try:
-        numbers = [int(v) for v in row[2:7]]
-    except ValueError:
-        numbers = []
-    if len(numbers) != 5:
-        raise FormatError(
-            "expected cause,effect,lag,a00,a01,a10,a11 with integer lag and counts"
-        )
-    if not row[0] or not row[1]:
-        raise FormatError("empty station id")
-    if any(abs(v) >= 2**63 for v in numbers):
-        raise FormatError("lag and counts must fit in 64 bits")
-    lag, *counts = numbers
-    if lag < 1:
-        raise FormatError(f"lag must be >= 1, got {lag}")
-    if min(counts) < 0:
-        raise FormatError(f"negative correspondence count in {counts}")
-    if not 1 <= sum(counts) <= MAX_WINDOW:
-        raise FormatError(f"window {sum(counts)} outside 1..{MAX_WINDOW}")
-    return row[0], row[1], numbers
+def _counts_checks(ids, cause, effect, lag, *counts):
+    """A lag >= 1, counts >= 0 and a window (their sum) in 1..mle.MAX_WINDOW;
+    the (cause, effect, lag) tuple as the key."""
+    counts = np.column_stack(counts)
+    window = np.minimum(counts, MAX_WINDOW + 1).sum(axis=1)  # no overflow past the bound
+    rules = [
+        (lag < 1, lambda k: f"lag must be >= 1, got {lag[k]}"),
+        ((counts < 0).any(axis=1), lambda k: f"negative correspondence count in {counts[k].tolist()}"),
+        ((window < 1) | (window > MAX_WINDOW),
+         lambda k: f"window {sum(counts[k].tolist())} outside 1..{MAX_WINDOW}"),
+    ]
+    key = _tuple_keys(len(ids), cause, effect, lag)
+    return rules, key, lambda k: f"tuple {(ids[cause[k]], ids[effect[k]], int(lag[k]))}"
 
 
 def read_counts_table(path) -> SweepTable:
     """The rows of a counts.csv, or the first seven columns of an mle.csv,
-    each checked by ``_counts_row``, with the estimates of their counts as
-    ``sweep`` makes them; an mle.csv's own estimate columns are not read.
-    A (cause, effect, lag) tuple on two rows is a ``FormatError`` naming
-    both lines."""
-    ids: dict[str, int] = defaultdict(count().__next__)  # station id -> code
-    codes, numbers = array("i"), array("q")  # per row: line, lag and counts
-    header_error = ParameterError(
-        f"{path}: not a counts.csv (expected header {','.join(COUNTS_HEADER)})")
-    rows = numbered_rows(path, lambda head: head[:7] == COUNTS_HEADER, _counts_row, header_error)
-    for line, (cause, effect, values) in rows:
-        codes.append(ids[cause])
-        codes.append(ids[effect])
-        numbers.append(line)
-        numbers.extend(values)
-    cause, effect = np.frombuffer(codes, dtype=np.intc).reshape(-1, 2).T
-    numbers = np.frombuffer(numbers, dtype=np.int64).reshape(-1, 6)
-    line, counts = numbers[:, 0], numbers[:, 2:].copy()
-    table = SweepTable(list(ids), cause.copy(), effect.copy(), numbers[:, 1].copy(), counts,
-                       *estimate_many(counts))
-    key = _tuple_keys(len(ids), table.cause, table.effect, table.lag)
-    order = np.argsort(key, kind="stable")
-    repeats = np.flatnonzero(key[order[1:]] == key[order[:-1]])
-    if repeats.size:
-        k = repeats[np.argmin(order[repeats + 1])]  # the repeat that comes first in the file
-        first, again = order[k], order[k + 1]
-        raise FormatError(
-            f"{path}: line {line[again]}: tuple {table.key(again)} repeats line {line[first]}")
-    return table
+    with the estimates of their counts as ``sweep`` makes them; an mle.csv's
+    own estimate columns are not read.  A repeated tuple is a ``FormatError``."""
+    ids, (cause, effect, lag, *counts) = _read_columns(
+        path, MLE_HEADER, (ID, ID, INT, INT, INT, INT, INT), lambda head: head[:7] == COUNTS_HEADER,
+        (ParameterError(f"{path}: not a counts.csv (expected header {','.join(COUNTS_HEADER)})"),
+         "expected cause,effect,lag,a00,a01,a10,a11 with integer lag and counts",
+         "lag and counts must fit in 64 bits"), _counts_checks)
+    counts = np.column_stack(counts)
+    return SweepTable(ids, cause, effect, lag, counts, *estimate_many(counts))
 
 
 # Kept for perfbench's traced stagewise-tau1 body; nexica calls read_counts_table.

@@ -2,6 +2,7 @@ import csv
 import functools
 import math
 import re
+from contextlib import nullcontext
 from datetime import datetime, timezone
 from unittest import mock
 
@@ -296,6 +297,120 @@ def test_read_counts_csv_rejects_empty_file_and_wrong_header(tmp_path):
         for read in (read_counts_table, read_counts_csv):
             with pytest.raises(ParameterError, match=f"{name}: not a counts.csv"):
                 read(path)
+
+
+@pytest.mark.parametrize("declined", [False, True], ids=["column-path", "row-path"])
+def test_read_events_csv_rejects_a_repeated_slot(tmp_path, declined):
+    """A (station, slot) on two rows is an error naming the file, both
+    lines, the station and the slot, whatever the events."""
+    path = tmp_path / "events.csv"
+    path.write_text("station_id,slot_index,event\nb,2,1\na,5,1\nb,3,0\na,5,0\nb,2,1\n")
+    message = f"{path}: line 5: station a slot 5 repeats line 3"
+    with mock.patch.object(pipeline, "read_columns", lambda *args: None) if declined else nullcontext():
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            read_events_csv(path, n_slots=10)
+        path.write_text("station_id,slot_index,event\na,4,1\na,5,1\na,5,0\n")  # rows in key order
+        with pytest.raises(FormatError, match="line 4: station a slot 5 repeats line 3$"):
+            read_events_csv(path, n_slots=10)
+
+
+def test_a_fault_before_an_unreadable_row_is_reported_first(tmp_path):
+    path = tmp_path / "events.csv"
+    path.write_text("station_id,slot_index,event\na,3,1\na,12,1\na,x,1\n")
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: line 3: slot 12 outside 0..9$"):
+        read_events_csv(path, n_slots=10)
+    path.write_text("station_id,slot_index,event\na,3,1\na,x,1\na,12,1\n")
+    with pytest.raises(FormatError, match="line 3: expected station_id,slot,event$"):
+        read_events_csv(path, n_slots=10)
+
+
+def test_writer_files_take_the_column_path(tmp_path):
+    bits = [np.random.default_rng(k).random(300) < 0.1 for k in range(4)]
+    series = [EventSeries(f"s{k}", b) for k, b in enumerate(bits)]
+    table = sweep(series, 3, 1)
+    write_events_csv(tmp_path / "events.csv", series)
+    write_counts_csv(tmp_path / "counts.csv", table)
+    write_mle_csv(tmp_path / "mle.csv", table)
+    with mock.patch.object(pipeline, "numbered_rows", None):  # the row path would fail
+        events = read_events_csv(tmp_path / "events.csv", 300)
+        tables = [read_counts_table(tmp_path / name) for name in ("counts.csv", "mle.csv")]
+    assert [(s.station_id, s.events.tolist()) for s in events] == [
+        (s.station_id, s.events.tolist()) for s in series
+    ]
+    for again in tables:
+        assert keys(again) == keys(table) and np.array_equal(again.counts, table.counts)
+
+
+# Artifact files for the column-path parity test: rows in the writer's form,
+# then departures from it in the fields, the rows or the line ends.
+TABLE_IDS = ["a", "b", "S000", "\u00e9"]
+ODD_TABLE_IDS = ['"a"', " a", "a ", ""]
+ODD_INTS = ["+1", "1_0", " 5", "05", "-0", "\u0661", str(2**63), "-3", "x", ""]
+ESTIMATES = st.sampled_from(["0.5", "nan", "-inf", "interior", "", "\u00e9"])
+
+
+@st.composite
+def artifact_files(draw, name):
+    if name == "events":
+        keys_ = st.tuples(st.sampled_from(TABLE_IDS), st.integers(0, 9))
+        rows = [[sid, str(slot), draw(st.sampled_from("01"))]
+                for sid, slot in draw(st.lists(keys_, unique=True, max_size=12))]
+        header, n_ids, width = EVENTS_HEADER, 1, 3
+    else:
+        keys_ = st.tuples(st.sampled_from(TABLE_IDS), st.sampled_from(TABLE_IDS), st.integers(1, 8))
+        counts = st.lists(st.integers(0, 40), min_size=4, max_size=4).filter(any)
+        rows = [[c, e, str(lag), *map(str, draw(counts))]
+                for c, e, lag in draw(st.lists(keys_, unique=True, max_size=12))]
+        header, n_ids, width = COUNTS_HEADER, 2, 7
+        if name == "mle":
+            header = MLE_HEADER
+            rows = [row + [draw(ESTIMATES) for _ in range(5)] for row in rows]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2])) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        change = draw(st.sampled_from(["id", "int", "short", "long", "repeat"]))
+        if change == "id":
+            row[draw(st.integers(0, n_ids - 1))] = draw(st.sampled_from(ODD_TABLE_IDS))
+        elif change == "int":
+            row[min(draw(st.integers(n_ids, width - 1)), len(row) - 1)] = draw(st.sampled_from(ODD_INTS))
+        elif change == "short":
+            row.pop()
+        elif change == "long":
+            row.append("0")
+        else:
+            rows.insert(draw(st.integers(0, len(rows))), list(row))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    if draw(st.integers(0, 5)) == 0:
+        lines.insert(draw(st.integers(1, len(lines))), "")  # a blank line
+    text = eol.join(lines)
+    if draw(st.integers(0, 5)) == 0:
+        text = text.replace(eol, "\n" if eol == "\r\n" else "\r\n", 1)  # mixed line ends
+    return (text + eol * draw(st.sampled_from([0, 1, 1, 1]))).encode()
+
+
+def _read_outcome(name, path):
+    """What a reader gives for ``path``, as comparable values, or its error."""
+    try:
+        if name == "events":
+            return [(s.station_id, s.events.tobytes()) for s in read_events_csv(path, n_slots=10)]
+        table = read_counts_table(path)
+    except NexicaError as exc:
+        return type(exc), str(exc)
+    return [table.station_ids, *(getattr(table, f).tobytes() for f in (
+        "cause", "effect", "lag", "counts", "p_s", "p_c", "p_c_raw", "loglik", "case"))]
+
+
+@pytest.mark.parametrize("name", ["events", "counts", "mle"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_column_path_matches_the_row_path(tmp_path_factory, name, data):
+    path = tmp_path_factory.mktemp(name) / f"{name}.csv"
+    path.write_bytes(data.draw(artifact_files(name)))
+    with mock.patch.object(ingest, "_CHUNK_BYTES", data.draw(st.integers(1, 40))):
+        got = _read_outcome(name, path)
+    with mock.patch.object(pipeline, "read_columns", lambda *args: None):
+        expected = _read_outcome(name, path)
+    assert got == expected
 
 
 def test_dataset_csv_roundtrip_shares_ids_and_rules(tmp_path):

@@ -15,9 +15,10 @@ count toward a01; none sits at the exact offset ``lag`` from a cause,
 because that cause would have taken it.
 
 ``count_from_indices`` counts one (pair, lag) tuple on sorted event-index
-arrays.  ``lagged_counts`` counts every ordered pair at every lag at once,
-with one matrix product per lag over the stations' 0/1 event matrix; the
-per-tuple kernel is its reference.
+arrays.  ``lagged_counts`` counts every ordered pair at every lag at once, for
+every tau: one matrix product per lag over the stations' 0/1 event matrix,
+plus greedy steps over the events that lie within tau slots of another;
+the per-tuple kernel is its reference.
 """
 
 from __future__ import annotations
@@ -156,27 +157,26 @@ def lagged_counts(indices: list[np.ndarray], m: int, l_max: int, tau: int = 0) -
     length ``m``.  Returns an int64 array of shape ``(n, n, l_max, 4)``
     whose entry ``[i, j, lag - 1]`` equals
     ``count_from_indices(indices[i], indices[j], m, lag, tau).as_tuple()``
-    (the diagonal ``i == j`` is filled too).
-
-    a11 for lag ``l`` and window ``W = m - l - tau`` is the product
-    ``X[:, :W] @ D[:, l:l+W].T`` of the 0/1 event matrix X against the
-    dilated effect matrix ``D[j, s] = any(X[j, s:s+tau+1])`` (``D = X`` at
-    tau 0).  That product counts the causes with some effect in their
-    window, which is what greedy matching counts when no two cause events
-    of a station lie within ``tau`` slots of each other: their windows are
-    disjoint, so each cause takes the first effect of its own window.
-    Leading edges always satisfy this at tau <= 1.  Then
+    (the diagonal ``i == j`` is filled too).  For lag ``l`` and window
+    ``W = m - l - tau``,
 
         a10 = causes in [0, W) - a11
         a01 = effects in [l, l+W) - matches in [l, l+W)
 
-    The matches in the window are the same product against D', the
-    dilation of X with its last tau columns cleared (a first effect lies in
-    the window when any effect does).  D - D' is zero but in columns c0 =
-    max(m - 2 tau, 0) to m - tau, which only the last tau causes of a
-    window reach: their product is the difference.  Cause series with
-    events closer than ``tau + 1`` slots are counted row by row by the exact
-    ``count_from_indices``; counts are exact within :func:`product_dtype`'s bound.
+    A cluster is a maximal run of a station's events with gaps of at most
+    tau (leading edges have none at tau <= 1).  Clusters have disjoint
+    windows, so greedy matching treats each on its own.  A lone event takes
+    the first effect in its window: its matches are the product
+    ``X[:, :W] @ D[:, l:l+W].T`` of the 0/1 event matrix X, clustered
+    events cleared, against the dilated effect matrix
+    ``D[j, s] = any(X[j, s:s+tau+1])`` (``D = X`` at tau 0).  Those in the
+    window are the same product against D', the dilation with its last tau
+    columns cleared.  D - D' is zero but in columns c0 = max(m - 2 tau, 0)
+    to m - tau, which only the last tau causes of a window reach: their
+    product is the difference.  A cluster takes one greedy step per event
+    for all effects and lags at once; each (cluster, effect, lag) carries
+    its first unmatched slot.  Counts are exact within
+    :func:`product_dtype`'s bound.
     """
     if l_max < 1:
         raise ParameterError(f"l_max must be >= 1, got {l_max}")
@@ -193,9 +193,34 @@ def lagged_counts(indices: list[np.ndarray], m: int, l_max: int, tau: int = 0) -
         np.maximum(d[:, :-shift], x[:, shift:], out=d[:, :-shift])
     c0 = max(m - 2 * tau, 0)
     edge = d[:, c0 : m - tau] - np.maximum.accumulate(x[:, c0 : m - tau][:, ::-1], axis=1)[:, ::-1]
-    spaced = [idx.size < 2 or int(np.diff(idx).min()) > tau for idx in indices]
 
-    out = np.empty((n, n, l_max, 4), dtype=np.int64)
+    # out[..., 3] first sums the clusters' matches, out[..., 1] those inside the window.
+    out = np.zeros((n, n, l_max, 4), dtype=np.int64)
+    clustered = {}
+    for i, idx in enumerate(indices):
+        close = np.diff(idx) <= tau
+        if close.any():
+            clustered[i] = idx[np.append(close, False) | np.insert(close, 0, False)]
+    if clustered:  # first[j, s]: the first event of j at or after slot s, else m
+        first = np.empty((n, m + 1), dtype=np.int32)
+        for j, idx in enumerate(indices):
+            first[j] = np.append(idx, m)[np.searchsorted(idx, np.arange(m + 1))]
+    for i, ev in clustered.items():
+        x[i, ev] = 0
+        starts = np.flatnonzero(np.diff(ev, prepend=ev[0] - tau - 1) > tau)
+        size = np.diff(starts, append=ev.size)
+        starts = starts[np.argsort(-size)]  # the clusters live at a step come first
+        slot = np.zeros((starts.size, n, l_max), dtype=np.int32)  # the first unmatched slot
+        for q in range(size.max()):
+            live = np.count_nonzero(size > q)
+            lo = ev[starts[:live] + q, None, None] + np.arange(1, l_max + 1)  # window starts
+            hi = np.where(lo + tau < m, lo + tau, -1)  # -1: no window at this lag
+            s = first[np.arange(n)[:, None], np.maximum(slot[:live], np.minimum(lo, m))]
+            hit = s <= hi
+            np.copyto(slot[:live], s + 1, where=hit)
+            out[i, ..., 3] += hit.sum(axis=0)
+            out[i, ..., 1] += (s <= np.minimum(hi, m - tau - 1)).sum(axis=0)
+
     for lag in range(1, l_max + 1):
         window = m - lag - tau
         causes = np.array([np.searchsorted(idx, window) for idx in indices], dtype=np.int64)
@@ -203,21 +228,15 @@ def lagged_counts(indices: list[np.ndarray], m: int, l_max: int, tau: int = 0) -
             [np.searchsorted(idx, lag + window) - np.searchsorted(idx, lag) for idx in indices],
             dtype=np.int64,
         )
-        a11 = (x[:, :window] @ d[:, lag : lag + window].T).astype(np.int64)
+        lone = (x[:, :window] @ d[:, lag : lag + window].T).astype(np.int64)
         start = max(window - tau, 0)  # the first cause whose window reaches column c0
         beyond = (x[:, start:window] @ edge[:, start + lag - c0 :].T).astype(np.int64) if tau else 0
-        a10 = causes[:, None] - a11
-        a01 = effects[None, :] - (a11 - beyond)
         cell = out[:, :, lag - 1]
+        a11 = lone + cell[..., 3]
+        a10 = causes[:, None] - a11
+        a01 = effects[None, :] - (lone - beyond + cell[..., 1])
         cell[..., 0] = window - a11 - a10 - a01
         cell[..., 1] = a01
         cell[..., 2] = a10
         cell[..., 3] = a11
-
-    for i, idx in enumerate(indices):
-        if spaced[i]:
-            continue
-        for j, other in enumerate(indices):
-            for lag in range(1, l_max + 1):
-                out[i, j, lag - 1] = count_from_indices(idx, other, m, lag, tau).as_tuple()
     return out

@@ -179,6 +179,8 @@ def sweep(series: list[EventSeries], l_max: int, tau: int = 0) -> SweepTable:
     """
     if l_max < 1:
         raise ParameterError(f"l_max must be >= 1, got {l_max}")
+    if not series:
+        raise ConsistencyError("no event series to sweep")
     lengths = {len(s) for s in series}
     if len(lengths) != 1:
         raise ConsistencyError(f"event series lengths differ: {sorted(lengths)}")

@@ -103,7 +103,7 @@ def test_stagewise_cli_matches_pipeline(corpus, quiet_corpus, reversed_corpus, t
 def test_stagewise_pairs_and_mle_match_the_sweep(tmp_path, capsys, tau):
     """``pairs`` then ``mle`` write what ``sweep`` gives in memory, with a
     station without events and one whose events lie closer than tau + 1
-    slots (counted by ``lagged_counts``' greedy fallback)."""
+    slots (clusters, counted by ``lagged_counts``' greedy steps)."""
     m, l_max = 200, 4
     rng = np.random.default_rng(tau)
     bits = {"a": np.zeros(m, dtype=bool), "b": np.zeros(m, dtype=bool)}

@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nexica import correspond
+from nexica import pipeline as nx_pipeline
 from nexica.correspond import CorrespondenceCounts, count_from_indices, product_dtype
-from nexica.errors import ParameterError
+from nexica.errors import ConsistencyError, ParameterError
 from nexica.events import EventSeries, leading_edges
 from nexica.mle import (
     CASES,
@@ -68,7 +70,7 @@ def assert_matches_reference(series, l_max, tau):
 @st.composite
 def corpora(draw):
     m = draw(st.integers(4, 90))
-    tau = draw(st.integers(0, min(3, m - 2)))
+    tau = draw(st.integers(0, min(4, m - 2)))
     l_max = draw(st.integers(1, min(6, m - tau - 1)))
     series = []
     for k in range(draw(st.integers(2, 5))):
@@ -85,11 +87,11 @@ def test_sweep_matches_per_tuple_reference(corpus):
     assert_matches_reference(*corpus)
 
 
-@pytest.mark.parametrize("tau", [0, 1, 2, 3])
+@pytest.mark.parametrize("tau", [0, 1, 2, 3, 4])
 def test_leading_edges_adjacent_events_and_degenerate_stations(tau):
     rng = np.random.default_rng(tau)
     m = 400
-    raw = rng.random(m) < 0.3  # adjacent events: the exact-loop rows at tau > 0
+    raw = rng.random(m) < 0.3  # adjacent events: clustered causes at tau > 0
     series = [
         make_series(leading_edges(rng.random(m) < 0.2), "edges"),
         make_series(leading_edges(rng.random(m) < 0.5), "dense-edges"),
@@ -102,7 +104,7 @@ def test_leading_edges_adjacent_events_and_degenerate_stations(tau):
     assert {CASES[c] for c in table.case[never].tolist()} == {CausalCase.UNDEFINED}
 
 
-@pytest.mark.parametrize("tau", [0, 1, 2, 3])
+@pytest.mark.parametrize("tau", [0, 1, 2, 3, 4])
 def test_last_lag_leaves_a_one_slot_window(tau):
     """lag + tau = M - 1: causes near the end match effects in the last slots."""
     rng = np.random.default_rng(10 + tau)
@@ -121,6 +123,27 @@ def test_sweep_parameter_errors():
     with pytest.raises(ParameterError, match="leaves no window"):
         sweep(series, l_max=2, tau=3)
     assert len(sweep(series, l_max=2, tau=2)) == 4
+    with pytest.raises(ConsistencyError, match="no event series to sweep"):
+        sweep([], l_max=1)
+
+
+@pytest.mark.parametrize("tau", [2, 3, 4])
+def test_clustered_causes_take_no_per_tuple_kernel(monkeypatch, tau):
+    """Causes within tau slots of each other are counted by the batched
+    kernel too: the sweep never calls ``count_from_indices``."""
+    rng = np.random.default_rng(20 + tau)
+    m = 300
+    series = [make_series(leading_edges(rng.random(m) < 0.4), f"s{k}") for k in range(3)]
+    series.append(make_series(rng.random(m) < 0.3, "raw"))
+    assert all(np.diff(s.event_indices()).min() <= tau for s in series)
+    want = reference_rows(series, 5, tau)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep called count_from_indices")
+
+    monkeypatch.setattr(correspond, "count_from_indices", refuse)
+    monkeypatch.setattr(nx_pipeline, "count_from_indices", refuse)
+    assert table_rows(sweep(series, 5, tau)) == want
 
 
 def test_product_dtype_switches_at_float32_exactness_bound():

@@ -14,13 +14,29 @@ the exact argsort search picks the same split.  Every tree draws from
 its own spawned generator: first its bootstrap, then, once per level,
 the candidate features of all its splittable nodes in breadth-first
 order.  A tree therefore does not depend on which trees share its batch.
+
+Whole batches are split into contiguous slices between this process and
+one forked child per further usable core (``os.sched_getaffinity``):
+``train_forest`` splits its forest's batches, and ``cross_validate`` the
+batches of all its folds in one go, each child sending back its trees, or
+each batch's positive votes on its fold's held-out rows, pickled through a
+pipe.  Growth stays in this process with one usable core or one batch,
+without ``os.fork`` or ``os.sched_getaffinity``, while another thread is
+alive, or when a fork fails.  The trees, the scores and every output are
+the same either way.  The peak RSS of this process (``ru_maxrss``) does
+not count the children.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -278,17 +294,9 @@ def _grow_batch(
     ]
 
 
-def train_forest(
-    features: np.ndarray,
-    labels: np.ndarray,
-    n_trees: int = 1000,
-    seed: int = 0,
-    feature_mask: tuple[int, ...] | None = None,
-    _batch_draws: int = _BATCH_DRAWS,
-) -> ForestModel:
-    """Train a bootstrap ensemble of CART trees on the masked features."""
-    x = np.asarray(features, dtype=np.float64)
-    y = _binary_labels(labels)
+def _batches(x, y, n_trees, seed, feature_mask, batch_draws=_BATCH_DRAWS):
+    """The checked feature mask of a forest on ``x`` and ``y``, and its
+    trees' ``_grow_batch`` arguments, ``batch_draws // n`` trees a batch."""
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ParameterError("features must be (n, d) with one label per row")
     if not np.all(np.isfinite(x)):
@@ -312,11 +320,103 @@ def train_forest(
     orders = np.argsort(ranks, axis=1, kind="stable")
     del columns
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n_trees)]
-    per_batch = max(1, _batch_draws // n)
-    trees = []
-    for b in range(0, n_trees, per_batch):
-        trees += _grow_batch(ranks, values, orders, y, rngs[b : b + per_batch])
-    return ForestModel(trees, n_trees, seed, mask, x.shape[1])
+    per_batch = max(1, batch_draws // n)
+    return mask, [
+        (ranks, values, orders, y, rngs[b : b + per_batch]) for b in range(0, n_trees, per_batch)
+    ]
+
+
+def _in_slices(job, jobs: list) -> list:
+    """``[job(j) for j in jobs]``, with the jobs cut into contiguous slices:
+    this process runs the first, and one forked child runs each other one
+    and pickles its results back through a pipe.  A child's exception is
+    raised here; a child that dies or exits non-zero is a ``TrainingError``.
+    Every child is reaped before this returns or raises.  This process
+    runs every job itself without ``os.fork`` or ``os.sched_getaffinity``
+    and while another thread is alive, which a forked child could deadlock
+    on."""
+    workers = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
+        workers = min(len(jobs), len(os.sched_getaffinity(0)))
+    bounds = [len(jobs) * w // workers for w in range(workers + 1)]
+    end, children, sent, status = len(jobs), [], [], []
+    try:
+        # Fork the last slices first, so that this process keeps a prefix
+        # of the jobs whatever number of forks succeeds.
+        for start in reversed(bounds[1:-1]):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                break
+            if pid == 0:
+                _child(job, jobs[start:end], read, write)
+            os.close(write)
+            children.insert(0, (pid, read))
+            end = start
+        results = [job(j) for j in jobs[:end]]
+        for _, read in children:
+            with open(read, "rb", closefd=False) as fh:
+                sent.append(fh.read())
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, read in children:
+            os.close(read)
+            status.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for (pid, _), code in zip(children, status):
+        if code:
+            raise TrainingError(f"forest worker {pid} exited with status {code}")
+        ok, value = pickle.loads(sent.pop(0))
+        if not ok:
+            raise value
+        results += value
+    return results
+
+
+def _child(job, jobs: list, read: int, write: int):
+    """Run ``jobs`` in a forked child, send back their results or the
+    exception, and end the process without unwinding the caller's stack."""
+    code = 1
+    try:
+        os.close(read)
+        try:
+            outcome = True, [job(j) for j in jobs]
+        except BaseException as exc:
+            outcome = False, exc
+        with open(write, "wb") as fh:
+            pickle.dump(outcome, fh, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _votes(trees: list[_Tree], x: np.ndarray) -> np.ndarray:
+    """Positive votes of ``trees`` on each row of ``x``, as int64."""
+    votes = np.zeros(x.shape[0], dtype=np.int64)
+    for t in trees:
+        votes += t.apply(x)
+    return votes
+
+
+def train_forest(
+    features: np.ndarray,
+    labels: np.ndarray,
+    n_trees: int = 1000,
+    seed: int = 0,
+    feature_mask: tuple[int, ...] | None = None,
+    _batch_draws: int = _BATCH_DRAWS,
+) -> ForestModel:
+    """Train a bootstrap ensemble of CART trees on the masked features."""
+    x = np.asarray(features, dtype=np.float64)
+    y = _binary_labels(labels)
+    mask, batches = _batches(x, y, n_trees, seed, feature_mask, _batch_draws)
+    grown = _in_slices(lambda batch: _grow_batch(*batch), batches)
+    return ForestModel(list(chain.from_iterable(grown)), n_trees, seed, mask, x.shape[1])
 
 
 def predict_proba(model: ForestModel, features: np.ndarray) -> np.ndarray | float:
@@ -334,12 +434,9 @@ def predict_proba(model: ForestModel, features: np.ndarray) -> np.ndarray | floa
         raise ConsistencyError(
             f"model expects {model.n_features_full} features, got {x.shape[1]}"
         )
-    xm = np.ascontiguousarray(x[:, model.feature_mask])
-    votes = np.zeros(xm.shape[0])
-    for t in model.trees:
-        votes += t.apply(xm)
-    votes /= len(model.trees)
-    return float(votes[0]) if single else votes
+    votes = _votes(model.trees, np.ascontiguousarray(x[:, model.feature_mask]))
+    scores = votes / len(model.trees)
+    return float(scores[0]) if single else scores
 
 
 def roc_auc(scores: np.ndarray, labels: np.ndarray) -> RocResult:
@@ -421,14 +518,20 @@ def cross_validate(
     fold_ids = stratified_fold_ids(y, folds, seed)
     root = np.random.SeedSequence(seed)
     fold_seeds = [int(c.generate_state(1, dtype=np.uint32)[0]) for c in root.spawn(folds)]
+    # Every fold's batches go to one split, each with its fold's held-out rows.
+    jobs, fold_of = [], []
+    for k in range(folds):
+        test = fold_ids == k
+        mask, batches = _batches(x[~test], y[~test], n_trees, fold_seeds[k], feature_mask)
+        held_out = np.ascontiguousarray(x[test][:, mask])
+        jobs += [(batch, held_out) for batch in batches]
+        fold_of += [k] * len(batches)
+    votes = _in_slices(lambda job: _votes(_grow_batch(*job[0]), job[1]), jobs)
     oof = np.zeros(y.shape[0])
     fold_aucs = []
     for k in range(folds):
         test = fold_ids == k
-        model = train_forest(
-            x[~test], y[~test], n_trees=n_trees, seed=fold_seeds[k], feature_mask=feature_mask
-        )
-        scores = predict_proba(model, x[test])
+        scores = sum(v for v, f in zip(votes, fold_of) if f == k) / n_trees
         oof[test] = scores
         fold_aucs.append(roc_auc(scores, y[test]).auc)
     pooled = roc_auc(oof, y)

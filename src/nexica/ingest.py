@@ -367,8 +367,17 @@ def _parse_chunk(text: bytes, kinds: tuple, cr: int, codes: dict[bytes, int]) ->
     _require((size < csv.field_size_limit()).all())
     text.decode()
 
-    values = text.translate(_LF_TO_COMMA, b"\r").split(b",")
-    fields = [values[k:width * n:width] for k in range(width)]
+    keep = width
+    while kinds[keep - 1] is SKIP:
+        keep -= 1
+    if keep < width:  # split each line's kept fields only, up to the comma after them
+        starts = np.append(0, ends[:-1] + 1)
+        cuts = seps[keep - 1::width] + 1
+        spans = np.column_stack([cuts - starts, ends + 1 - cuts]).ravel()
+        values = raw[np.repeat(np.tile([True, False], n), spans)].tobytes().split(b",")
+    else:
+        values = text.translate(_LF_TO_COMMA, b"\r").split(b",")
+    fields = [values[k:keep * n:keep] for k in range(keep)]
     # One code per id, row by row across the id columns.
     sids = list(chain.from_iterable(zip(*(f for f, kind in zip(fields, kinds) if kind is ID))))
     same = sids.count(sids[0]) == len(sids)

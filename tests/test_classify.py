@@ -1,3 +1,4 @@
+import os
 from collections import Counter
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nexica import classify
 from nexica.classify import (
     cross_validate,
     feature_ablation,
@@ -206,6 +208,61 @@ def test_model_hash_does_not_depend_on_batching():
     all_at_once = train_forest(x, y, n_trees=12, seed=3, _batch_draws=300 * 12)
     assert one_by_one.model_hash() == all_at_once.model_hash()
     assert one_by_one.model_hash() == train_forest(x, y, n_trees=12, seed=3).model_hash()
+
+
+@pytest.fixture(scope="module")
+def many_batches():
+    """A set whose forests grow in several batches, with the default run's
+    model hash and cross-validated ROC.  2**15 bootstrap draws make a batch:
+    4 trees of 8,000 rows, 5 of a 6,400-row fold, so 12 trees are 3
+    batches, 15 over 5 folds."""
+    rng = np.random.default_rng(31)
+    x = rng.integers(0, 40, (8000, 4)).astype(float)
+    y = ((x[:, 0] + x[:, 1] > 40) ^ (rng.random(8000) < 0.03)).astype(np.int8)
+    model_hash = train_forest(x, y, n_trees=12, seed=6).model_hash()
+    return x, y, model_hash, cross_validate(x, y, folds=5, n_trees=12, seed=6)
+
+
+@pytest.mark.parametrize("cores, children", [({0}, 0), ({0, 1, 2}, 2)],
+                         ids=["in_process", "two_children"])
+def test_forest_does_not_depend_on_the_usable_cores(monkeypatch, many_batches, cores, children):
+    x, y, model_hash, roc = many_batches
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+    assert train_forest(x, y, n_trees=12, seed=6).model_hash() == model_hash
+    got = cross_validate(x, y, folds=5, n_trees=12, seed=6)
+    assert len(forks) == 2 * children
+    assert (got.auc, got.fold_aucs, got.auc_std) == (roc.auc, roc.fold_aucs, roc.auc_std)
+    for name in ("thresholds", "fpr", "tpr"):
+        assert np.array_equal(getattr(got, name), getattr(roc, name)), name
+
+
+@pytest.mark.parametrize("where, error, message", [
+    ("child", ValueError, "^injected$"),
+    ("parent", ValueError, "^injected$"),
+    ("child", TrainingError, "exited with status 3$"),
+])
+def test_a_failing_worker_fails_the_call_and_leaves_no_child(monkeypatch, many_batches, where,
+                                                            error, message):
+    x, y = many_batches[:2]
+    parent, grow = os.getpid(), classify._grow_batch
+
+    def failing(*args):
+        if (os.getpid() == parent) == (where == "parent"):
+            if error is TrainingError:
+                os._exit(3)
+            raise ValueError("injected")
+        return grow(*args)
+
+    monkeypatch.setattr(classify, "_grow_batch", failing)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    for call in (lambda: train_forest(x, y, n_trees=12, seed=6),
+                 lambda: cross_validate(x, y, folds=5, n_trees=12, seed=6)):
+        with pytest.raises(error, match=message):
+            call()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def test_single_class_training_error():

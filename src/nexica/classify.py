@@ -15,31 +15,28 @@ its own spawned generator: first its bootstrap, then, once per level,
 the candidate features of all its splittable nodes in breadth-first
 order.  A tree therefore does not depend on which trees share its batch.
 
-Whole batches are split into contiguous slices between this process and
-one forked child per further usable core (``os.sched_getaffinity``):
-``train_forest`` splits its forest's batches, and ``cross_validate`` the
-batches of all its folds in one go, each child sending back its trees, or
-each batch's positive votes on its fold's held-out rows, pickled through a
-pipe.  Growth stays in this process with one usable core or one batch,
-without ``os.fork`` or ``os.sched_getaffinity``, while another thread is
-alive, or when a fork fails.  The trees, the scores and every output are
-the same either way.  The peak RSS of this process (``ru_maxrss``) does
-not count the children.
+Whole batches go through ``_slices.in_slices``, the fork helper the
+column writer shares: this process grows the first contiguous slice of
+them, and one forked child per further usable core grows each other
+slice.  ``train_forest`` splits its forest's batches, and
+``cross_validate`` the batches of all its folds in one go, each child
+sending back its trees, or each batch's positive votes on its fold's
+held-out rows.  Growth stays in this process with one usable core or one
+batch, without ``os.fork`` or ``os.sched_getaffinity``, while another
+thread is alive, or when a fork fails.  The trees, the scores and every
+output are the same either way.  A dead child is a ``TrainingError``.
+The peak RSS of this process (``ru_maxrss``) does not count the children.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import pickle
-import signal
-import threading
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
+from ._slices import in_slices
 from .errors import ConsistencyError, DomainError, ParameterError, TrainingError
 
 COUNT_FEATURES = ("a00", "a01", "a10", "a11")
@@ -326,73 +323,8 @@ def _batches(x, y, n_trees, seed, feature_mask, batch_draws=_BATCH_DRAWS):
     ]
 
 
-def _in_slices(job, jobs: list) -> list:
-    """``[job(j) for j in jobs]``, with the jobs cut into contiguous slices:
-    this process runs the first, and one forked child runs each other one
-    and pickles its results back through a pipe.  A child's exception is
-    raised here; a child that dies or exits non-zero is a ``TrainingError``.
-    Every child is reaped before this returns or raises.  This process
-    runs every job itself without ``os.fork`` or ``os.sched_getaffinity``
-    and while another thread is alive, which a forked child could deadlock
-    on."""
-    workers = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
-        workers = min(len(jobs), len(os.sched_getaffinity(0)))
-    bounds = [len(jobs) * w // workers for w in range(workers + 1)]
-    end, children, sent, status = len(jobs), [], [], []
-    try:
-        # Fork the last slices first, so that this process keeps a prefix
-        # of the jobs whatever number of forks succeeds.
-        for start in reversed(bounds[1:-1]):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                break
-            if pid == 0:
-                _child(job, jobs[start:end], read, write)
-            os.close(write)
-            children.insert(0, (pid, read))
-            end = start
-        results = [job(j) for j in jobs[:end]]
-        for _, read in children:
-            with open(read, "rb", closefd=False) as fh:
-                sent.append(fh.read())
-    except BaseException:
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, read in children:
-            os.close(read)
-            status.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    for (pid, _), code in zip(children, status):
-        if code:
-            raise TrainingError(f"forest worker {pid} exited with status {code}")
-        ok, value = pickle.loads(sent.pop(0))
-        if not ok:
-            raise value
-        results += value
-    return results
-
-
-def _child(job, jobs: list, read: int, write: int):
-    """Run ``jobs`` in a forked child, send back their results or the
-    exception, and end the process without unwinding the caller's stack."""
-    code = 1
-    try:
-        os.close(read)
-        try:
-            outcome = True, [job(j) for j in jobs]
-        except BaseException as exc:
-            outcome = False, exc
-        with open(write, "wb") as fh:
-            pickle.dump(outcome, fh, pickle.HIGHEST_PROTOCOL)
-        code = 0
-    finally:
-        os._exit(code)
+def _dead_worker(pid: int, status: int) -> TrainingError:
+    return TrainingError(f"forest worker {pid} exited with status {status}")
 
 
 def _votes(trees: list[_Tree], x: np.ndarray) -> np.ndarray:
@@ -415,8 +347,9 @@ def train_forest(
     x = np.asarray(features, dtype=np.float64)
     y = _binary_labels(labels)
     mask, batches = _batches(x, y, n_trees, seed, feature_mask, _batch_draws)
-    grown = _in_slices(lambda batch: _grow_batch(*batch), batches)
-    return ForestModel(list(chain.from_iterable(grown)), n_trees, seed, mask, x.shape[1])
+    trees = []
+    in_slices(lambda batch: _grow_batch(*batch), batches, trees.extend, _dead_worker)
+    return ForestModel(trees, n_trees, seed, mask, x.shape[1])
 
 
 def predict_proba(model: ForestModel, features: np.ndarray) -> np.ndarray | float:
@@ -526,7 +459,8 @@ def cross_validate(
         held_out = np.ascontiguousarray(x[test][:, mask])
         jobs += [(batch, held_out) for batch in batches]
         fold_of += [k] * len(batches)
-    votes = _in_slices(lambda job: _votes(_grow_batch(*job[0]), job[1]), jobs)
+    votes = []
+    in_slices(lambda job: _votes(_grow_batch(*job[0]), job[1]), jobs, votes.append, _dead_worker)
     oof = np.zeros(y.shape[0])
     fold_aucs = []
     for k in range(folds):

@@ -2,7 +2,8 @@
 the one CSV reader, the CSV writers and the JSON loader behind every file of
 nexica.  ``read_columns`` reads speeds, events, counts and mle files in
 their writers' form a chunk of columns at a time; any other file goes
-through the CSV reader.  ``write_columns`` writes large tables a column at a time.
+through the CSV reader.  ``write_columns`` writes large tables a column at a time,
+its blocks of rows formatted on every usable core.
 
 All input files are plain UTF-8 CSV with a header row:
 
@@ -28,6 +29,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
+from ._slices import in_slices
 from .errors import (
     ConsistencyError,
     DomainError,
@@ -198,19 +200,29 @@ def _csv_field(value) -> str:
 def write_columns(path, header: list[str], columns: list[np.ndarray], block: int = 1 << 13) -> None:
     """``write_csv`` of the rows of equal-length ``columns``, built one
     column at a time, ``block`` rows at a time: a number as ``repr`` writes
-    it, an object column's values CSV-quoted once per distinct value.  Rows
-    stream to the file: joining a whole block into one string saves little
-    time, and its large transient strings raised the peak RSS of the
-    stages that ran after it."""
+    it, an object column's values CSV-quoted once per distinct value.  Each
+    block becomes one string.  ``_slices.in_slices`` cuts the blocks into
+    contiguous slices: this process formats the first slice and writes each
+    of its blocks as it goes, and one forked child per further usable core
+    formats each other slice, whose blocks are written as they arrive, in
+    order.  A table of one block is written in this process.  The bytes are
+    the same either way; a child that dies is a ``NexicaError`` naming the
+    file."""
     quoted = [
         {v: _csv_field(v) for v in set(c.tolist())}.__getitem__ if c.dtype == object else repr
         for c in columns
     ]
+
+    def text(start: int) -> str:
+        fields = [map(q, c[start:start + block].tolist()) for c, q in zip(columns, quoted)]
+        return "\r\n".join(map(",".join, zip(*fields))) + "\r\n"
+
+    def dead(pid: int, status: int) -> NexicaError:
+        return NexicaError(f"{path}: writer {pid} exited with status {status}")
+
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
-        for start in range(0, len(columns[0]), block):
-            texts = [map(q, c[start:start + block].tolist()) for c, q in zip(columns, quoted)]
-            fh.writelines(",".join(fields) + "\r\n" for fields in zip(*texts))
+        in_slices(text, range(0, len(columns[0]), block), fh.write, dead)
 
 
 def load_json(path):

@@ -1,6 +1,7 @@
 import csv
 import functools
 import math
+import os
 import re
 from contextlib import nullcontext
 from datetime import datetime, timezone
@@ -150,10 +151,17 @@ def read_counts_table_of(tmp_path, rows):
     return read_counts_table(path)
 
 
-@pytest.mark.parametrize("block", [1, 7, None])
-def test_column_writers_on_a_sweep_with_every_case(tmp_path, block):
+@pytest.mark.parametrize("block, cores", [(1, None), (7, None), (None, None), (7, {0}), (7, {0, 1, 2})],
+                         ids=["1", "7", "None", "7-one_core", "7-three_cores"])
+def test_column_writers_on_a_sweep_with_every_case(monkeypatch, tmp_path, block, cores):
     """A sweep of 80 rows (at 7: eleven full blocks and a short one) with
-    every MLE case, odd ids and floats, then an empty table."""
+    every MLE case, odd ids and floats, then an empty table.  With the usable
+    cores set, each writer of a table of several blocks forks one child per
+    further core, and the empty table forks nothing."""
+    forks, fork = [], os.fork
+    if cores is not None:
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
     table = _random_table()
     table.station_ids = ["a,b", 'q"uote', "cr\rlf\n", " ", "é€😀"]
     table.case[:4] = range(len(CASES))
@@ -163,8 +171,38 @@ def test_column_writers_on_a_sweep_with_every_case(tmp_path, block):
     series.append(EventSeries("", np.zeros(9, dtype=bool)))
     pairs = LabeledPairs(*zip(*keys(table)), [1] * 80, [RULES[0]] * 80, table.p_c)
     assert_writers_match_the_row_writers(tmp_path, (table, series, GroundTruthDataset(pairs)), block)
+    children = 0 if cores is None else 4 * (len(cores) - 1)  # 15 event rows: 3 blocks
+    assert len(forks) == children
     empty = (read_counts_table_of(tmp_path, []), [], GroundTruthDataset(pairs.take(slice(0))))
     assert_writers_match_the_row_writers(tmp_path, empty, block)
+    assert len(forks) == children
+
+
+@pytest.mark.parametrize("where, error, message", [
+    ("child", ValueError, "^injected$"),
+    ("parent", ValueError, "^injected$"),
+    ("child", NexicaError, r"new\.csv: writer \d+ exited with status 3$"),
+])
+def test_a_failing_writer_fails_the_call_and_leaves_no_child(monkeypatch, tmp_path, where, error,
+                                                            message):
+    """Formatting a block of 7 rows fails in the forked child or in this
+    process, or the child exits at once."""
+    parent = os.getpid()
+
+    class Failing(np.ndarray):
+        def tolist(self):
+            if (os.getpid() == parent) == (where == "parent"):
+                if error is NexicaError:
+                    os._exit(3)
+                raise ValueError("injected")
+            return super().tolist()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    columns = [np.array(["s"] * 80, dtype=object), np.arange(80.0).view(Failing)]
+    with pytest.raises(error, match=message):
+        ingest.write_columns(tmp_path / "new.csv", ["station", "value"], columns, block=7)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_dataset_features_find_rows_of_a_shuffled_table(tmp_path):

@@ -314,7 +314,7 @@ def _batches(x, y, n_trees, seed, feature_mask, batch_draws=_BATCH_DRAWS):
     for j, (v, _) in enumerate(columns):
         values[j, : v.size] = v
     ranks = np.stack([r for _, r in columns]).astype(np.min_scalar_type(values.shape[1]))
-    orders = np.argsort(ranks, axis=1, kind="stable")
+    orders = np.argsort(ranks, axis=1, kind="stable").astype(np.min_scalar_type(n))
     del columns
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n_trees)]
     per_batch = max(1, batch_draws // n)

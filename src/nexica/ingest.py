@@ -1,9 +1,10 @@
 """Loading and validation of speed series, station metadata, and drive times;
 the one CSV reader, the CSV writers and the JSON loader behind every file of
 nexica.  ``read_columns`` reads speeds, events, counts and mle files in
-their writers' form a chunk of columns at a time; any other file goes
-through the CSV reader.  ``write_columns`` writes large tables a column at a time,
-its blocks of rows formatted on every usable core.
+their writers' form, parsing spans of whole lines into columns on every
+usable core and renumbering each span's station ids in file order; any
+other file goes through the CSV reader.  ``write_columns`` writes large
+tables a column at a time, its blocks of rows formatted on every usable core.
 
 All input files are plain UTF-8 CSV with a header row:
 
@@ -23,6 +24,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from itertools import chain, repeat
@@ -276,8 +278,10 @@ def load_fields(path, cls, label: str) -> dict:
     return raw
 
 
-# ``read_columns`` reads this many bytes at a time, which bounds its per-field objects.
+# ``read_columns`` parses spans of about this many bytes, which bounds their
+# per-field objects, and reads this far ahead at a time for a span's line end.
 _CHUNK_BYTES = 1 << 18
+_SEEK_BYTES = 1 << 12
 _US = timedelta(microseconds=1)
 _SLOT_US = SLOT // _US
 _EPOCH = datetime(1970, 1, 1)
@@ -326,8 +330,8 @@ def _speeds(tokens: list[bytes], size: np.ndarray) -> np.ndarray:
 ID, INT, FLAG, STAMP, SPEED, SKIP = "id", _ints, _flags, _stamps, _speeds, None  # column kinds
 
 
-def read_columns(path, forms: dict[str, tuple], chunk_bytes: int | None = None):
-    """``(ids, columns)`` of a file in its writer's form, read a chunk of
+def read_columns(path, forms: dict[str, tuple]):
+    """``(ids, columns)`` of a file in its writer's form, parsed a span of
     whole lines at a time; None for any other file or one without rows.
     ``forms`` maps each header line a file may start with to its column
     kinds; ``columns`` has an array per kind but ``SKIP``: ``ID``, an id
@@ -336,37 +340,81 @@ def read_columns(path, forms: dict[str, tuple], chunk_bytes: int | None = None):
     ``FLAG``, 0 or 1, as bool; ``STAMP``, a naive ``YYYY-MM-DDTHH:MM:SS``
     of year 1 or later on the 5-minute grid, as int64 microseconds after 1970;
     ``SPEED``, a finite float >= 0.  Fields are unquoted UTF-8 within csv's
-    field limit, and every line ends as the header does.  Row k is on line k + 2."""
-    codes: dict[bytes, int] = {}
-    chunks, pending = [], b""
+    field limit, and every line ends as the header does.  Row k is on line k + 2.
+
+    The lines after the header are cut into spans of about ``_CHUNK_BYTES``
+    that each end at a line end, and ``_slices.in_slices`` parses them: each
+    job ``os.pread``s its own span and numbers its ids in a dict of its own,
+    and this process renumbers each span's ids into ``ids`` in span order,
+    which numbers them as one pass over the rows would.  The lines are
+    counted first, and each span's columns are copied into columns of that
+    many rows as it arrives, so that no span's arrays outlive their copy and
+    the peak memory is the columns and a span or two, however the allocator
+    places them.  A span that fails its checks, in this process or a child,
+    makes the result None; a child that dies is a ``NexicaError`` naming the
+    file."""
     with open(path, "rb") as fh:
         first = fh.readline()
         eol = b"\r\n" if first.endswith(b"\r\n") else b"\n"
         kinds = forms.get(first[:-len(eol)].decode("latin-1")) if first.endswith(b"\n") else None
         if kinds is None:
             return None
+        fd = fh.fileno()
+        size, cuts = os.fstat(fd).st_size, [len(first)]
+        while cuts[-1] < size:
+            cuts.append(_line_end(fd, cuts[-1] + _CHUNK_BYTES - 1, size))
+        spans = list(zip(cuts[:-1], cuts[1:]))
+        rows = sum(os.pread(fd, b - a, a).count(b"\n") for a, b in spans)
+        if spans and os.pread(fd, 1, size - 1) != b"\n":
+            rows += 1  # the last line, which ``parse`` gives a line end
+        kept = [kind for kind in kinds if kind is not SKIP]
+        codes: dict[bytes, int] = {}
+        columns: list[np.ndarray] = []
+        done = 0
+
+        def parse(span: tuple[int, int]) -> tuple[list[bytes], list]:
+            text = os.pread(fd, span[1] - span[0], span[0])
+            if not text.endswith(b"\n"):  # the last line has no line end
+                text += eol
+            return _parse_chunk(text, kinds, len(eol) - 1)
+
+        def take(result: tuple[list[bytes], list]) -> None:
+            nonlocal done
+            sids, parsed = result
+            to_global = np.array([codes.setdefault(sid, len(codes)) for sid in sids], np.int32)
+            if not columns:
+                columns.extend(np.empty(rows, c.dtype) for c in parsed)
+            for kind, c, column in zip(kept, parsed, columns):
+                column[done:done + len(c)] = to_global[c] if kind is ID else c
+            done += len(parsed[0])
+
+        def dead(pid: int, status: int) -> NexicaError:
+            return NexicaError(f"{path}: reader {pid} exited with status {status}")
+
         try:
-            for block in iter(lambda: fh.read(chunk_bytes or _CHUNK_BYTES), b""):
-                pending += block
-                cut = pending.rfind(b"\n") + 1
-                if cut:
-                    chunks.append(_parse_chunk(pending[:cut], kinds, len(eol) - 1, codes))
-                    pending = pending[cut:]
-            if pending:  # the last line has no line end
-                chunks.append(_parse_chunk(pending + eol, kinds, len(eol) - 1, codes))
+            in_slices(parse, spans, take, dead)
         except ValueError:  # UnicodeDecodeError included
             return None
-    if not chunks:
+    if not columns or done != rows:
         return None
-    # Each column's chunks are let go as soon as it is joined.
-    columns = [np.concatenate([c.pop(0) for c in chunks]) for _ in range(len(chunks[0]))]
     return [sid.decode() for sid in codes], columns
 
 
-def _parse_chunk(text: bytes, kinds: tuple, cr: int, codes: dict[bytes, int]) -> list:
-    """The columns of ``text``, whole lines of one field per kind, each
-    ending in CRLF if ``cr`` else LF; a ValueError unless every field is of
-    its kind.  ``codes`` numbers the ids across chunks."""
+def _line_end(fd: int, at: int, size: int) -> int:
+    """The offset after the first line end at or after ``at`` in the first
+    ``size`` bytes of ``fd``, else ``size``."""
+    for at in range(at, size, _SEEK_BYTES):
+        nl = os.pread(fd, _SEEK_BYTES, at).find(b"\n")
+        if nl >= 0:
+            return min(at + nl + 1, size)
+    return size
+
+
+def _parse_chunk(text: bytes, kinds: tuple, cr: int) -> tuple[list[bytes], list]:
+    """The ids and columns of ``text``, whole lines of one field per kind,
+    each ending in CRLF if ``cr`` else LF; a ValueError unless every field
+    is of its kind.  An ``ID`` column holds codes into the ids, which are
+    numbered by first appearance, row by row."""
     width = len(kinds)
     raw = np.frombuffer(text, np.uint8)
     seps = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
@@ -393,21 +441,19 @@ def _parse_chunk(text: bytes, kinds: tuple, cr: int, codes: dict[bytes, int]) ->
     # One code per id, row by row across the id columns.
     sids = list(chain.from_iterable(zip(*(f for f, kind in zip(fields, kinds) if kind is ID))))
     same = sids.count(sids[0]) == len(sids)
-    for sid in [sids[0]] if same else dict.fromkeys(sids):
-        if sid not in codes:
-            name = sid.decode()
-            _require(name and name == name.strip())
-            codes[sid] = len(codes)
+    codes = {sid: k for k, sid in enumerate([sids[0]] if same else dict.fromkeys(sids))}
+    for name in map(bytes.decode, codes):
+        _require(name and name == name.strip())
     code = np.full(len(sids), codes[sids[0]], np.int32) if same else np.fromiter(
         map(codes.__getitem__, sids), np.int32, len(sids))
     code = iter(code.reshape(n, -1).T)
-    return [
+    return list(codes), [
         next(code) if kind is ID else kind(tokens, length)
         for kind, tokens, length in zip(kinds, fields, size.T) if kind is not SKIP
     ]
 
 
-def load_speed_csv(path, _chunk_bytes: int | None = None) -> list[SpeedSeries]:
+def load_speed_csv(path) -> list[SpeedSeries]:
     """Load one or more stations' speed rows into gridded series.
 
     Rows are grouped by station and sorted by time; interior gaps become
@@ -417,7 +463,7 @@ def load_speed_csv(path, _chunk_bytes: int | None = None) -> list[SpeedSeries]:
     file, valid or not, through the per-row parser, which gives the same
     series and is the one place that names the line of a bad row.
     """
-    table = read_columns(path, {",".join(SPEED_HEADER): (ID, STAMP, SPEED, FLAG)}, _chunk_bytes)
+    table = read_columns(path, {",".join(SPEED_HEADER): (ID, STAMP, SPEED, FLAG)})
     if table is None:
         return _grid_stations(path, *_speed_rows(path))
     ids, (code, micros, speed, imputed) = table

@@ -1,13 +1,17 @@
 import csv
+import os
 import re
 import tracemalloc
+from contextlib import nullcontext
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nexica import ingest
 from nexica.errors import (
     ConsistencyError,
     DomainError,
@@ -276,9 +280,10 @@ def _outcome(load, path):
 def test_loader_matches_the_per_row_reference(tmp_path_factory, chunk, content, data):
     path = tmp_path_factory.mktemp("speeds") / "s.csv"
     path.write_bytes(content)
-    kwargs = {"_chunk_bytes": data.draw(st.integers(1, 40))} if chunk == "tiny" else {}
     expected = _outcome(load_speed_csv_reference, path)
-    got = _outcome(lambda p: load_speed_csv(p, **kwargs), path)
+    with mock.patch.object(ingest, "_CHUNK_BYTES", data.draw(st.integers(1, 40))) if chunk == "tiny" \
+            else nullcontext():
+        got = _outcome(load_speed_csv, path)
     if isinstance(expected, tuple) and (
         expected[0] is ConsistencyError or "not on the 5-minute grid" in expected[1]
     ):

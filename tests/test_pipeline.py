@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nexica import ingest, pipeline
-from nexica.errors import ConsistencyError, FormatError, NexicaError, ParameterError
+from nexica.errors import ConsistencyError, FormatError, NexicaError, ParameterError, ParseError
 from nexica.events import EventSeries
 from nexica.groundtruth import (
     RULES,
@@ -449,6 +449,92 @@ def test_column_path_matches_the_row_path(tmp_path_factory, name, data):
     with mock.patch.object(pipeline, "read_columns", lambda *args: None):
         expected = _read_outcome(name, path)
     assert got == expected
+
+
+# Each reader's header and column kinds, and rows of three stations whose
+# third, "late", first appears on the last two lines.
+READER_FILES = {
+    "speeds": (SPEED_HEADER, (ingest.ID, ingest.STAMP, ingest.SPEED, ingest.FLAG), [
+        [sid, f"2024-01-01T{k // 12:02d}:{k % 12 * 5:02d}:00", f"{k * 1.5}", f"{k % 2}"]
+        for sid, n in [("b", 12), ("a", 12), ("late", 2)] for k in range(n)
+    ]),
+    "events": (EVENTS_HEADER, (ingest.ID, ingest.INT, ingest.FLAG), [
+        [sid, f"{k}", f"{k % 3 == 0:d}"] for sid, n in [("b", 12), ("a", 12), ("late", 2)]
+        for k in range(n)
+    ]),
+    "counts": (COUNTS_HEADER, (ingest.ID,) * 2 + (ingest.INT,) * 5, [
+        [cause, effect, f"{lag}", *(f"{lag * k + 3}" for k in range(4))]
+        for cause, effect in [("b", "a"), ("a", "b"), ("a", "late"), ("late", "b")]
+        for lag in ([1, 2] if "late" in (cause, effect) else range(1, 7))
+    ]),
+}
+
+
+def write_reader_file(path, name, eol="\r\n"):
+    """A ``READER_FILES`` file whose last line has no line end, and its form."""
+    header, kinds, rows = READER_FILES[name]
+    path.write_bytes(eol.join(map(",".join, [header, *rows])).encode())
+    return {",".join(header): kinds}
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("name", list(READER_FILES))
+def test_readers_do_not_depend_on_the_usable_cores(monkeypatch, tmp_path, name, eol):
+    """A file of some 12 spans parses to the ids and columns of one span read
+    in process, whether one usable core parses every span in process or
+    three split them with two forked children.  The station first seen in
+    the last span takes the last code."""
+    form = write_reader_file(tmp_path / "in.csv", name, eol)
+    whole = ingest.read_columns(tmp_path / "in.csv", form)
+    assert whole[0] == ["b", "a", "late"]
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(ingest, "_CHUNK_BYTES", (tmp_path / "in.csv").stat().st_size // 12)
+    for cores, children in [({0}, 0), ({0, 1, 2}, 2)]:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+        ids, columns = ingest.read_columns(tmp_path / "in.csv", form)
+        assert len(forks) == children
+        assert ids == whole[0]
+        assert [(c.dtype, c.tobytes()) for c in columns] == [(c.dtype, c.tobytes()) for c in whole[1]]
+        forks.clear()
+
+
+@pytest.mark.parametrize("where", ["child-row", "parent", "child-exit"])
+def test_a_failing_reader_fails_the_call_and_leaves_no_child(monkeypatch, tmp_path, where):
+    """A speeds file of some 12 spans, the later half parsed by a forked
+    child: a malformed row on the last line, a span that fails in this process
+    alone, or a child that exits at once."""
+    parent, parse = os.getpid(), ingest._parse_chunk
+
+    def failing(*args):
+        if where == ("parent" if os.getpid() == parent else "child-exit"):
+            if where == "parent":
+                raise ValueError("injected")
+            os._exit(3)
+        return parse(*args)
+
+    path = tmp_path / "speeds.csv"
+    write_reader_file(path, "speeds")
+    if where == "child-row":
+        path.write_bytes(path.read_bytes()[:-1] + b"x")
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(ingest, "_CHUNK_BYTES", path.stat().st_size // 12)
+    monkeypatch.setattr(ingest, "_parse_chunk", failing)
+    if where == "child-row":  # the row reader names the line
+        message = f"{path}: line 27: imputed flag must be 0 or 1"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            load_speed_csv(path)
+    elif where == "parent":  # the row reader reads the file
+        speeds = [s.speeds.tolist() for s in load_speed_csv(path)]
+        assert speeds == [[1.5 * k for k in range(n)] for n in (12, 12, 2)]
+    else:
+        with pytest.raises(NexicaError, match=f"^{re.escape(str(path))}: reader \\d+ exited with status 3$"):
+            load_speed_csv(path)
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_dataset_csv_roundtrip_shares_ids_and_rules(tmp_path):

@@ -291,9 +291,9 @@ def _grow_batch(
     ]
 
 
-def _batches(x, y, n_trees, seed, feature_mask, batch_draws=_BATCH_DRAWS):
+def _batches(x, y, n_trees, seed, feature_mask):
     """The checked feature mask of a forest on ``x`` and ``y``, and its
-    trees' ``_grow_batch`` arguments, ``batch_draws // n`` trees a batch."""
+    trees' ``_grow_batch`` arguments, ``_BATCH_DRAWS // n`` trees a batch."""
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ParameterError("features must be (n, d) with one label per row")
     if not np.all(np.isfinite(x)):
@@ -317,7 +317,7 @@ def _batches(x, y, n_trees, seed, feature_mask, batch_draws=_BATCH_DRAWS):
     orders = np.argsort(ranks, axis=1, kind="stable").astype(np.min_scalar_type(n))
     del columns
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n_trees)]
-    per_batch = max(1, batch_draws // n)
+    per_batch = max(1, _BATCH_DRAWS // n)
     return mask, [
         (ranks, values, orders, y, rngs[b : b + per_batch]) for b in range(0, n_trees, per_batch)
     ]
@@ -341,35 +341,31 @@ def train_forest(
     n_trees: int = 1000,
     seed: int = 0,
     feature_mask: tuple[int, ...] | None = None,
-    _batch_draws: int = _BATCH_DRAWS,
 ) -> ForestModel:
     """Train a bootstrap ensemble of CART trees on the masked features."""
     x = np.asarray(features, dtype=np.float64)
     y = _binary_labels(labels)
-    mask, batches = _batches(x, y, n_trees, seed, feature_mask, _batch_draws)
+    mask, batches = _batches(x, y, n_trees, seed, feature_mask)
     trees = []
     in_slices(lambda batch: _grow_batch(*batch), batches, trees.extend, _dead_worker)
     return ForestModel(trees, n_trees, seed, mask, x.shape[1])
 
 
-def predict_proba(model: ForestModel, features: np.ndarray) -> np.ndarray | float:
-    """Fraction of trees voting positive, per input row.
+def predict_proba(model: ForestModel, features: np.ndarray) -> np.ndarray:
+    """Fraction of trees voting positive, per row of an (n, d) matrix.
 
-    Accepts a single feature vector (returns a float) or an (n, d) matrix
-    (returns an array).  The input carries the full feature width; the
-    model applies its own mask.
+    The input carries the full feature width; the model applies its own
+    mask.
     """
     x = np.asarray(features, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
+    if x.ndim != 2:
+        raise ParameterError(f"features must be an (n, d) matrix, got shape {x.shape}")
     if x.shape[1] != model.n_features_full:
         raise ConsistencyError(
             f"model expects {model.n_features_full} features, got {x.shape[1]}"
         )
     votes = _votes(model.trees, np.ascontiguousarray(x[:, model.feature_mask]))
-    scores = votes / len(model.trees)
-    return float(scores[0]) if single else scores
+    return votes / len(model.trees)
 
 
 def roc_auc(scores: np.ndarray, labels: np.ndarray) -> RocResult:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ValidationError
-from .ingest import SLOT_MINUTES, DriveTimeMatrix, StationMeta
+from .ingest import FREE_FLOW_KPH, SLOT_MINUTES, DriveTimeMatrix, StationMeta
 
 log = logging.getLogger(__name__)
 
@@ -34,6 +34,13 @@ RULE_OFF_LAG = "off-expected-lag"
 RULE_DISTANT = "distant-pool"
 RULE_RESIDUAL = "residual-pool"
 RULES = (RULE_POSITIVE, RULE_CROSS, RULE_OFF_LAG, RULE_DISTANT, RULE_RESIDUAL)
+
+# The road model of the positives: a drive time converted to a distance at
+# ``ingest.FREE_FLOW_KPH``, then to a propagation time at this speed (roughly
+# how fast congestion backs up along a highway), gives the first expected
+# lag; the window spans ``SOFT_THRESHOLD`` more lags.
+PROPAGATION_KPH = 20.0
+SOFT_THRESHOLD = 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,29 +90,17 @@ class LabeledPairs:
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """Parameters of the labeling rules and dataset assembly.
-
-    ``free_flow_speed_kph`` converts the drive-time matrix back to a
-    distance, from which the propagation time at ``propagation_speed_kph``
-    (roughly how fast congestion backs up along a highway) gives the
-    expected lag window ``{base, .., base + soft_threshold}``.
-    """
+    """Parameters of dataset assembly: the negatives per positive and the
+    longest lag labeled."""
 
     ratio: int = 1
     l_max: int = 8
-    propagation_speed_kph: float = 20.0
-    free_flow_speed_kph: float = 100.0
-    soft_threshold: int = 1
 
     def __post_init__(self):
         if self.ratio < 1:
             raise ParameterError("ratio must be >= 1")
         if self.l_max < 1:
             raise ParameterError("l_max must be >= 1")
-        if self.propagation_speed_kph <= 0 or self.free_flow_speed_kph <= 0:
-            raise ParameterError("speeds must be positive")
-        if self.soft_threshold < 0:
-            raise ParameterError("soft_threshold must be >= 0")
 
 
 @dataclass
@@ -149,7 +144,7 @@ def label_pairs(
     leave the flow direction ambiguous).  Its expected window starts at the
     effect-to-cause drive converted to a distance at free-flow speed, then
     to slots at the propagation speed, rounded half up; it spans
-    ``soft_threshold`` more lags and is clamped to [1, l_max].  Tuples
+    ``SOFT_THRESHOLD`` more lags and is clamped to [1, l_max].  Tuples
     neither clearly positive nor clearly negative go to the pool, sorted by
     descending drive time (ties broken by tuple id so output order is
     stable).  Qualifying pairs whose window is empty (too far apart at
@@ -170,11 +165,11 @@ def label_pairs(
     same_direction = direction[:, None] == direction[None, :]
     cross = distinct & ~same_road & ~same_direction
 
-    distance_km = drive.T * spec.free_flow_speed_kph / 60.0
-    propagation_minutes = distance_km / spec.propagation_speed_kph * 60.0
+    distance_km = drive.T * FREE_FLOW_KPH / 60.0
+    propagation_minutes = distance_km / PROPAGATION_KPH * 60.0
     base = np.floor(propagation_minutes / SLOT_MINUTES + 0.5)[..., None]
     lags = np.arange(1, spec.l_max + 1)
-    in_window = (lags >= base) & (lags <= base + spec.soft_threshold)
+    in_window = (lags >= base) & (lags <= base + SOFT_THRESHOLD)
     qualifies = (
         distinct & same_road & same_direction & (drive.T < drive) & in_window.any(axis=2)
     )

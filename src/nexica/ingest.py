@@ -45,6 +45,15 @@ from .errors import (
 SLOT_MINUTES = 5
 SLOT = timedelta(minutes=SLOT_MINUTES)
 
+# The longest series a loader lays out, in slots (about 319 years), and the
+# largest window for which ``mle.estimate_many`` reproduces ``mle.estimate``:
+# every integer it forms is below 2 * window**2 <= 2**51, so exact in float64.
+MAX_WINDOW = 1 << 25
+
+# Free-flow speed that turns drive-time minutes into kilometres and back, for
+# the ground-truth lag windows and the synthetic road alike.
+FREE_FLOW_KPH = 100.0
+
 DIRECTIONS = ("N", "S", "E", "W")
 
 SPEED_HEADER = ["station_id", "timestamp_iso8601", "mean_speed", "imputed"]
@@ -199,9 +208,12 @@ def _csv_field(value) -> str:
     return out.getvalue()[:-3]
 
 
-def write_columns(path, header: list[str], columns: list[np.ndarray], block: int = 1 << 13) -> None:
+_BLOCK = 1 << 13  # rows ``write_columns`` formats into one string
+
+
+def write_columns(path, header: list[str], columns: list[np.ndarray]) -> None:
     """``write_csv`` of the rows of equal-length ``columns``, built one
-    column at a time, ``block`` rows at a time: a number as ``repr`` writes
+    column at a time, ``_BLOCK`` rows at a time: a number as ``repr`` writes
     it, an object column's values CSV-quoted once per distinct value.  Each
     block becomes one string.  ``_slices.in_slices`` cuts the blocks into
     contiguous slices: this process formats the first slice and writes each
@@ -216,7 +228,7 @@ def write_columns(path, header: list[str], columns: list[np.ndarray], block: int
     ]
 
     def text(start: int) -> str:
-        fields = [map(q, c[start:start + block].tolist()) for c, q in zip(columns, quoted)]
+        fields = [map(q, c[start:start + _BLOCK].tolist()) for c, q in zip(columns, quoted)]
         return "\r\n".join(map(",".join, zip(*fields))) + "\r\n"
 
     def dead(pid: int, status: int) -> NexicaError:
@@ -224,7 +236,7 @@ def write_columns(path, header: list[str], columns: list[np.ndarray], block: int
 
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
-        in_slices(text, range(0, len(columns[0]), block), fh.write, dead)
+        in_slices(text, range(0, len(columns[0]), _BLOCK), fh.write, dead)
 
 
 def load_json(path):
@@ -535,10 +547,8 @@ def _grid_stations(path, ids, code, micros, speed, imputed, stamp, line) -> list
     ``ids[code[k]]`` at ``micros[k]`` microseconds after 1970-01-01 (UTC for
     timezone-aware stamps), ``stamp(k)`` is its timestamp and ``line(k)``
     its line.  The first station in id order with a fault raises: rows
-    spanning more than ``mle.MAX_WINDOW`` slots, else a stamp off the grid
+    spanning more than ``MAX_WINDOW`` slots, else a stamp off the grid
     of its first stamp, else the second of two rows in one slot."""
-    from .mle import MAX_WINDOW  # imported here: mle imports this module through events
-
     # Row-sized temporaries are deleted once used, to keep the peak memory
     # at a few columns.
     if not ids:

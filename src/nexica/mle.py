@@ -41,6 +41,7 @@ import numpy as np
 
 from .correspond import CorrespondenceCounts
 from .errors import DomainError, ParameterError
+from .ingest import MAX_WINDOW
 
 
 class CausalCase(enum.Enum):
@@ -207,11 +208,6 @@ def estimate(counts: CorrespondenceCounts) -> CausalEstimate:
     if ll1 > ll0:
         return CausalEstimate(ps1, 1.0, ll1, CausalCase.BOUNDARY_PC1, p_c_raw)
     return CausalEstimate(ps0, 0.0, ll0, CausalCase.BOUNDARY_PC0, p_c_raw)
-
-
-# Largest window for which ``estimate_many`` reproduces ``estimate``: every
-# integer it forms is below 2 * window**2 <= 2**51, so exact in float64.
-MAX_WINDOW = 1 << 25
 
 
 def estimate_many(

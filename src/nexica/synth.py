@@ -15,7 +15,7 @@ bit-identical and stations can be generated independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 
@@ -24,6 +24,8 @@ import numpy as np
 from .errors import NexicaError, ParameterError, ValidationError
 from .events import EventSeries
 from .ingest import (
+    FREE_FLOW_KPH,
+    MAX_WINDOW,
     DriveTimeMatrix,
     SpeedSeries,
     StationMeta,
@@ -34,7 +36,6 @@ from .ingest import (
     write_speed_csv,
     write_station_meta,
 )
-from .mle import MAX_WINDOW
 
 _EDGE_STREAM_BASE = 1 << 32
 
@@ -51,10 +52,6 @@ class SynthSpec:
     alpha: float = 0.25
     base_speed: float = 65.0
     start_time: str = "2024-01-01T00:00:00"
-    road: str = "SYN-1"
-    direction: str = "N"
-    free_flow_speed_kph: float = 100.0
-    station_spacing_km: float = field(default=0.0)
 
     def __post_init__(self):
         if self.n_stations < 1 or self.n_slots < 1:
@@ -80,10 +77,6 @@ class SynthSpec:
                 raise ValidationError(f"edge lag {lag} out of range")
             if not 0.0 <= p_c <= 1.0:
                 raise ValidationError(f"edge p_c {p_c} outside [0, 1]")
-        if self.station_spacing_km == 0.0:
-            # Default spacing puts adjacent stations one free-flow minute
-            # apart, so an edge spanning g stations expects a lag near g.
-            object.__setattr__(self, "station_spacing_km", self.free_flow_speed_kph / 60.0)
 
     @classmethod
     def from_json(cls, path) -> "SynthSpec":
@@ -167,21 +160,21 @@ def render_speed_series(
 
 
 def line_geometry(spec: SynthSpec) -> tuple[list[StationMeta], DriveTimeMatrix]:
-    """Stations evenly spaced along one virtual road, traffic flowing
-    toward higher indices (the return drive takes 1.5x as long).
+    """Stations evenly spaced along one northbound road ``SYN-1``, traffic
+    flowing toward higher indices (the return drive takes 1.5x as long).
 
-    With the default spacing, a planted edge (cause, effect, lag) whose
-    cause index exceeds its effect index by ``lag`` stations matches the
-    rule-derived expected lag window.
+    Adjacent stations lie one free-flow minute apart, so a planted edge
+    (cause, effect, lag) whose cause index exceeds its effect index by
+    ``lag`` stations matches the rule-derived expected lag window.
     """
     ids = [spec.station_id(s) for s in range(spec.n_stations)]
     meta = [
-        StationMeta(ids[s], spec.road, spec.direction, 0.0, round(s * 0.01, 6), "Mainline")
+        StationMeta(ids[s], "SYN-1", "N", 0.0, round(s * 0.01, 6), "Mainline")
         for s in range(spec.n_stations)
     ]
-    pos = np.arange(spec.n_stations) * spec.station_spacing_km
+    pos = np.arange(spec.n_stations) * (FREE_FLOW_KPH / 60.0)
     gap = np.abs(pos[None, :] - pos[:, None])
-    minutes = gap / spec.free_flow_speed_kph * 60.0
+    minutes = gap / FREE_FLOW_KPH * 60.0
     minutes[np.tril_indices(spec.n_stations, -1)] *= 1.5
     return meta, DriveTimeMatrix(ids, minutes)
 

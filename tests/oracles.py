@@ -14,9 +14,12 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
+from nexica import groundtruth
 from nexica.classify import _Tree
 from nexica.errors import ConsistencyError, FormatError, ParseError
 from nexica.ingest import (
+    FREE_FLOW_KPH,
+    MAX_WINDOW,
     SLOT,
     SLOT_MINUTES,
     SPEED_HEADER,
@@ -247,7 +250,7 @@ def label_pairs_reference(meta, matrix, spec):
     then by tuple.  A pair qualifies for positives when the effect-to-cause
     drive is strictly shorter than the reverse; its window is the drive
     converted to slots at the propagation speed, rounded half up, widened
-    by ``soft_threshold`` and clamped to [1, l_max].
+    by ``groundtruth.SOFT_THRESHOLD`` and clamped to [1, l_max].
     """
     at = {sid: k for k, sid in enumerate(matrix.station_ids)}
 
@@ -255,12 +258,11 @@ def label_pairs_reference(meta, matrix, spec):
         return float(matrix.minutes[at[i], at[j]])
 
     def expected_lags(minutes):
-        distance_km = minutes * spec.free_flow_speed_kph / 60.0
-        propagation_minutes = distance_km / spec.propagation_speed_kph * 60.0
+        distance_km = minutes * FREE_FLOW_KPH / 60.0
+        propagation_minutes = distance_km / groundtruth.PROPAGATION_KPH * 60.0
         base = int(propagation_minutes / 5 + 0.5)
-        return {
-            lag for lag in range(base, base + spec.soft_threshold + 1) if 1 <= lag <= spec.l_max
-        }
+        soft = groundtruth.SOFT_THRESHOLD
+        return {lag for lag in range(base, base + soft + 1) if 1 <= lag <= spec.l_max}
 
     usable = [m for m in meta if m.station_id in at]
     labeled, pool = [], []
@@ -347,8 +349,6 @@ def load_speed_csv_reference(path) -> list[SpeedSeries]:
 def _grid_station_reference(
     path, sid: str, triples: list[tuple[datetime, float, bool]]
 ) -> SpeedSeries:
-    from nexica.mle import MAX_WINDOW
-
     triples.sort(key=lambda t: t[0])
     start = triples[0][0]
     span = (triples[-1][0] - start) // SLOT + 1

@@ -1,6 +1,7 @@
 import os
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -143,8 +144,10 @@ def test_predict_proba_is_vote_fraction():
     x = np.array([[0.0], [1.0], [0.25]])
     y = np.array([0, 1, 0])
     model = train_forest(x, y, n_trees=2, seed=3)
-    p = predict_proba(model, np.array([0.6]))
-    assert p in (0.0, 0.5, 1.0)  # two votes -> quantized fractions
+    p = predict_proba(model, np.array([[0.6]]))
+    assert p.shape == (1,) and p[0] in (0.0, 0.5, 1.0)  # two votes -> quantized fractions
+    with pytest.raises(ParameterError):
+        predict_proba(model, np.array([0.6]))
     all_pos = predict_proba(model, np.array([[1.0]] * 4))
     assert np.all((all_pos * 2) == np.round(all_pos * 2))
 
@@ -192,8 +195,8 @@ def _training_sets(draw):
        batch_draws=st.integers(1, 200))
 def test_forest_grows_the_reference_trees(data, n_trees, seed, batch_draws):
     x, y, mask = data
-    model = train_forest(x, y, n_trees=n_trees, seed=seed, feature_mask=mask,
-                         _batch_draws=batch_draws)
+    with mock.patch.object(classify, "_BATCH_DRAWS", batch_draws):
+        model = train_forest(x, y, n_trees=n_trees, seed=seed, feature_mask=mask)
     for tree, ref in zip(model.trees, _reference_trees(x, y, n_trees, seed, mask), strict=True):
         for name in ("feature", "threshold", "left", "right", "vote"):
             got, want = getattr(tree, name), getattr(ref, name)
@@ -204,8 +207,10 @@ def test_model_hash_does_not_depend_on_batching():
     rng = np.random.default_rng(12)
     x = rng.integers(0, 30, (300, 4)).astype(float)
     y = (rng.random(300) < x[:, 0] / 40).astype(np.int8)
-    one_by_one = train_forest(x, y, n_trees=12, seed=3, _batch_draws=1)
-    all_at_once = train_forest(x, y, n_trees=12, seed=3, _batch_draws=300 * 12)
+    with mock.patch.object(classify, "_BATCH_DRAWS", 1):
+        one_by_one = train_forest(x, y, n_trees=12, seed=3)
+    with mock.patch.object(classify, "_BATCH_DRAWS", 300 * 12):
+        all_at_once = train_forest(x, y, n_trees=12, seed=3)
     assert one_by_one.model_hash() == all_at_once.model_hash()
     assert one_by_one.model_hash() == train_forest(x, y, n_trees=12, seed=3).model_hash()
 

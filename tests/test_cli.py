@@ -1,6 +1,7 @@
 import csv
 import json
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,7 +88,7 @@ def test_synth_command_reproduces_library_output(corpus, tmp_path, capsys):
     assert main(["synth", "--spec", corpus["spec"], "--out", str(tmp_path / "again")]) == 0
     for name in ("speeds.csv", "meta.csv", "drive_times.csv", "truth.csv"):
         a = (tmp_path / "again" / name).read_bytes()
-        b = open(f"{corpus['dir']}/{name}", "rb").read()
+        b = (Path(corpus["dir"]) / name).read_bytes()
         assert a == b, name
 
 
@@ -356,6 +357,7 @@ def test_run_and_report_name_the_line_of_a_malformed_truth_file(corpus, tmp_path
     [
         ({"p_s": "x"}, "spec.p_s: expected float, got 'x'"),
         ({"bogus": 1}, "unknown spec keys: ['bogus']"),
+        ({"station_spacing_km": 2.0}, "unknown spec keys: ['station_spacing_km']"),
         ({"edges": [[1, 0, "2", 0.5]]}, "spec.edges: expected"),
         ({"edges": [[1, 0, 2]]}, "spec.edges: expected"),
         ({"n_stations": None}, "missing spec keys: ['n_stations']"),
@@ -364,8 +366,8 @@ def test_run_and_report_name_the_line_of_a_malformed_truth_file(corpus, tmp_path
          "timestamp 2024-01-01T00:01:00 not on a 5-minute boundary (start_time)"),
         ({"n_slots": 10**20}, f"n_slots must be in 1..{MAX_WINDOW}, got {10**20}"),
     ],
-    ids=["str-float", "unknown-key", "str-lag", "short-edge", "missing-key", "non-iso-start",
-         "off-grid-start", "huge-n-slots"],
+    ids=["str-float", "unknown-key", "removed-key", "str-lag", "short-edge", "missing-key",
+         "non-iso-start", "off-grid-start", "huge-n-slots"],
 )
 def test_synth_rejects_bad_spec_values(tmp_path, capsys, edit, message):
     spec = {"n_stations": 3, "n_slots": 100, "p_s": 0.1, **edit}

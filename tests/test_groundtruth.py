@@ -3,12 +3,14 @@ import io
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nexica import groundtruth
 from nexica.errors import ParameterError, ValidationError
 from nexica.groundtruth import (
     RULE_CROSS,
@@ -93,8 +95,6 @@ def test_dataset_spec_validation():
         DatasetSpec(ratio=0)
     with pytest.raises(ParameterError):
         DatasetSpec(l_max=0)
-    with pytest.raises(ParameterError):
-        DatasetSpec(propagation_speed_kph=0)
 
 
 def test_labeled_pairs_columns():
@@ -240,7 +240,7 @@ def test_positives_respect_every_rule():
                 assert back < matrix.get(cause_id, effect_id)
                 # 100 kph free flow, 20 kph propagation, 5-minute slots
                 base = int(back * 100.0 / 60.0 / 20.0 * 60.0 / 5 + 0.5)
-                assert base <= lag <= base + SPEC.soft_threshold
+                assert base <= lag <= base + groundtruth.SOFT_THRESHOLD
 
 
 def _toy_truth(n_pos=3, pool=10, extra_negative=False):
@@ -312,10 +312,9 @@ def corpora(draw):
     m = len(in_matrix)
     minutes = np.array(draw(st.lists(MINUTES, min_size=m * m, max_size=m * m))).reshape(m, m)
     np.fill_diagonal(minutes, 0.0)
-    spec = DatasetSpec(
-        l_max=draw(st.integers(1, 8)), soft_threshold=draw(st.integers(0, 2))
-    )
-    return meta, DriveTimeMatrix(in_matrix, minutes), spec, draw(st.integers(1, 3))
+    spec = DatasetSpec(l_max=draw(st.integers(1, 8)))
+    soft = draw(st.integers(0, 2))
+    return meta, DriveTimeMatrix(in_matrix, minutes), spec, soft, draw(st.integers(1, 3))
 
 
 def _csv_bytes(table) -> bytes:
@@ -329,13 +328,14 @@ def _csv_bytes(table) -> bytes:
 @settings(max_examples=300, deadline=None)
 @given(corpora())
 def test_datasets_match_the_loop_reference(corpus):
-    meta, matrix, spec, ratio = corpus
-    labeled, pool = label_pairs_reference(meta, matrix, spec)
+    meta, matrix, spec, soft, ratio = corpus
+    with mock.patch.object(groundtruth, "SOFT_THRESHOLD", soft):
+        labeled, pool = label_pairs_reference(meta, matrix, spec)
+        truth = label_pairs(meta, matrix, spec)
     positives = [row for row in labeled if row[3] == 1]
     distant = [(c, e, lag, 0, RULE_DISTANT, d) for c, e, lag, d in pool[:ratio * len(positives)]]
     residual = [(c, e, lag, 0, RULE_RESIDUAL, d) for c, e, lag, d in pool]
 
-    truth = label_pairs(meta, matrix, spec)
     assert len(truth.positives()) == len(positives)
     assert len(truth.negatives()) == len(labeled) - len(positives)
     assert len(truth.pool) == len(pool)

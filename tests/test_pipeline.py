@@ -1,5 +1,4 @@
 import csv
-import functools
 import math
 import os
 import re
@@ -125,8 +124,7 @@ def assert_writers_match_the_row_writers(directory, artifact, block):
     """Each column writer at ``block`` rows (None: its default) writes the
     bytes of its row-wise ``csv.writer`` oracle."""
     table, series, dataset = artifact
-    blocked = functools.partial(ingest.write_columns, **({} if block is None else {"block": block}))
-    with mock.patch.object(pipeline, "write_columns", blocked):
+    with mock.patch.object(ingest, "_BLOCK", block or ingest._BLOCK):
         for write, reference, value in (
             (write_counts_csv, write_counts_csv_reference, table),
             (write_mle_csv, write_mle_csv_reference, table),
@@ -199,8 +197,8 @@ def test_a_failing_writer_fails_the_call_and_leaves_no_child(monkeypatch, tmp_pa
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     columns = [np.array(["s"] * 80, dtype=object), np.arange(80.0).view(Failing)]
-    with pytest.raises(error, match=message):
-        ingest.write_columns(tmp_path / "new.csv", ["station", "value"], columns, block=7)
+    with mock.patch.object(ingest, "_BLOCK", 7), pytest.raises(error, match=message):
+        ingest.write_columns(tmp_path / "new.csv", ["station", "value"], columns)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

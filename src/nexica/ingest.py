@@ -724,9 +724,13 @@ def load_drive_times(path) -> DriveTimeMatrix:
         if len(row) != len(col_ids) + 1:
             raise ParseError(f"expected {len(col_ids) + 1} fields, got {len(row)}")
         try:
-            return row[0].strip(), [float(v) for v in row[1:]]
+            minutes = [float(v) for v in row[1:]]
         except ValueError:
             raise ParseError("non-numeric drive time") from None
+        for m in minutes:
+            if not 0 <= m < math.inf:
+                raise ParseError(f"drive time {m!r} is not finite and >= 0")
+        return row[0].strip(), minutes
 
     rows = list(read_rows(path, header_ok, parse, ParseError(f"{path}: empty file")))
     n = len(col_ids)
@@ -734,7 +738,10 @@ def load_drive_times(path) -> DriveTimeMatrix:
         raise ValidationError(f"{path}: matrix is not square ({len(rows)} rows, {n} columns)")
     if [sid for sid, _ in rows] != col_ids:
         raise ValidationError(f"{path}: row and column station ids differ")
-    return DriveTimeMatrix(col_ids, np.array([m for _, m in rows]).reshape(n, n))
+    try:
+        return DriveTimeMatrix(col_ids, np.array([m for _, m in rows]).reshape(n, n))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def write_drive_times(path, matrix: DriveTimeMatrix) -> None:

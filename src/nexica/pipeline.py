@@ -6,7 +6,7 @@ previous stage's output.  The sweep is a ``SweepTable`` of columns, its
 and an int64 lag per row.  The large artifacts (events, counts, mle and
 dataset CSVs) are written a column and a block of rows at a time by
 ``ingest.write_columns``, with the bytes of a row-wise ``csv.writer``.
-events.csv, counts.csv and mle.csv are read back column-wise, and their
+events, counts, mle and dataset CSVs are read back column-wise, and their
 values checked once on the columns; nexica skips an mle.csv's estimate
 columns and recomputes them.  ``metrics.json`` is deterministic (same
 config and seed, same bytes); wall times go to ``timings.json``.
@@ -45,9 +45,9 @@ from .groundtruth import (
     label_pairs,
 )
 from .ingest import (
-    FLAG, ID, INT, SKIP, SpeedSeries, filter_stations, load_drive_times, load_fields, load_json,
-    load_speed_csv, load_station_meta, numbered_rows, read_columns, read_rows, write_columns,
-    write_csv,
+    FLAG, ID, INT, SKIP, SPEED, SpeedSeries, filter_stations, load_drive_times, load_fields,
+    load_json, load_speed_csv, load_station_meta, numbered_rows, read_columns, read_rows,
+    write_columns, write_csv,
 )
 from .mle import CASES, MAX_WINDOW, CausalEstimate, estimate_many
 
@@ -177,8 +177,6 @@ def sweep(series: list[EventSeries], l_max: int, tau: int = 0) -> SweepTable:
     ``series``.  One batched kernel (``correspond.lagged_counts`` and
     ``mle.estimate_many``) does the whole sweep in this process.
     """
-    if l_max < 1:
-        raise ParameterError(f"l_max must be >= 1, got {l_max}")
     if not series:
         raise ConsistencyError("no event series to sweep")
     lengths = {len(s) for s in series}
@@ -243,46 +241,47 @@ def read_events_csv(path, n_slots: int) -> list[EventSeries]:
 
 
 def _read_columns(path, header, kinds, header_ok, errors, checks):
-    """``(ids, columns)`` of a table of station ids, then integers: by
-    ``ingest.read_columns`` in its writer's form (``header`` or its first
-    ``len(kinds)`` names), else by ``numbered_rows``.  ``errors``: the
-    header's, then those of a row without its integers or past 64 bits.
-    ``checks(ids, *columns)`` gives (row mask, message) checks, a key and a
-    name per row: the first row failing one (or with an empty id) raises,
-    even before an unreadable row, and then the first to repeat a key."""
-    n_ids, forms = kinds.count(ID), {",".join(header[:len(kinds)]): kinds}
+    """``(ids, columns)`` of a table whose leading ``ID`` columns are station
+    ids: by ``ingest.read_columns`` in its writer's form (``header`` or its
+    first ``len(kinds)`` names), else by ``numbered_rows`` into an ``array``
+    per column (``ID`` a code into ``ids``, ``INT`` and ``FLAG`` an int64,
+    ``SPEED`` a float).  ``errors``: the header's, then those of a row without
+    its numbers or past 64 bits.  ``checks(ids, *columns)`` gives (row mask,
+    message) checks, a key and a name per row: the first row failing one (or
+    with an empty station id) raises, even before an unreadable row, and then
+    the first to repeat a key."""
+    n_sids, forms = kinds.index(INT), {",".join(header[:len(kinds)]): kinds}
     forms[",".join(header)] = kinds + (SKIP,) * (len(header) - len(kinds))
+    codes: dict[str, int] = {}  # id -> code, row by row (an unreadable row may leave its ids)
+    buffers, lines = [array({ID: "i", SPEED: "d"}.get(kind, "q")) for kind in kinds], array("q")
+    converts = [(lambda v: codes.setdefault(v, len(codes))) if kind is ID
+                else float if kind is SPEED else int for kind in kinds]
 
-    def parse(row):
+    def parse(row):  # appends the row to every buffer or to none
         try:
-            numbers = [int(v) for v in row[n_ids:len(kinds)]]
-        except ValueError:
-            numbers = []
-        if len(numbers) != len(kinds) - n_ids:
-            raise FormatError(errors[1])
-        if any(abs(v) >= 2**63 for v in numbers):
-            raise FormatError(errors[2])
-        return row[:n_ids], numbers
+            if len(row) < len(kinds):
+                raise ValueError
+            for buffer, convert, v in zip(buffers, converts, row):
+                buffer.append(convert(v))
+        except (ValueError, OverflowError) as exc:
+            for buffer in buffers:
+                del buffer[len(lines):]
+            raise FormatError(errors[2] if isinstance(exc, OverflowError) else errors[1]) from None
 
     table, error = read_columns(path, forms), None
     if table is not None:
         (ids, columns), line = table, lambda k: k + 2
     else:
-        codes: dict[str, int] = {}  # station id -> code
-        id_codes, ints, lines = array("i"), array("q"), array("q")
         try:
-            for n, (sids, values) in numbered_rows(path, header_ok, parse, errors[0]):
-                id_codes.extend(codes.setdefault(sid, len(codes)) for sid in sids)
-                ints.extend(values)
+            for n, _ in numbered_rows(path, header_ok, parse, errors[0]):
                 lines.append(n)
         except NexicaError as exc:
             error = exc
         ids, line = list(codes), lines.__getitem__
-        columns = [*np.frombuffer(id_codes, dtype=np.intc).reshape(-1, n_ids).T.copy(),
-                   *np.frombuffer(ints, dtype=np.int64).reshape(-1, len(kinds) - n_ids).T.copy()]
+        columns = [np.frombuffer(buffer, buffer.typecode) for buffer in buffers]
     empty = np.array([not sid for sid in ids], dtype=bool)
     rules, key, name = checks(ids, *columns)
-    rules = [(empty[columns[:n_ids]].any(axis=0), lambda k: "empty station id"), *rules]
+    rules = [(empty[columns[:n_sids]].any(axis=0), lambda k: "empty station id"), *rules]
     faults = np.array([mask for mask, _ in rules]).T  # row by row, each row's checks in order
     if faults.any():
         k, r = divmod(int(np.argmax(faults)), len(rules))
@@ -375,26 +374,28 @@ def write_dataset_csv(path, dataset: GroundTruthDataset) -> None:
     write_columns(path, DATASET_HEADER, [p.cause, p.effect, p.lag, p.label, p.rule, p.drive_time])
 
 
+def _dataset_checks(ids, cause, effect, lag, label, rule, drive_time):
+    """Cause and effect apart, a lag >= 1 and a label 0 or 1; the tuple as the key."""
+    rules = [
+        (cause == effect, lambda k: "cause and effect must differ"),
+        (lag < 1, lambda k: f"lag {lag[k]} outside 1..2**63-1"),
+        ((label != 0) & (label != 1), lambda k: f"label must be 0 or 1, got {label[k]}"),
+    ]
+    key = _tuple_keys(len(ids), cause, effect, lag)
+    return rules, key, lambda k: f"tuple {(ids[cause[k]], ids[effect[k]], int(lag[k]))}"
+
+
 def read_dataset_csv(path) -> LabeledPairs:
-    shared = {rule: rule for rule in RULES}  # one str object per distinct id and rule
-
-    def parse(row):
-        cause, effect, lag, label = row[0], row[1], int(row[2]), int(row[3])
-        if not cause or not effect:
-            raise FormatError("empty station id")
-        if cause == effect:
-            raise FormatError("cause and effect must differ")
-        if not 1 <= lag < 2**63:
-            raise FormatError(f"lag {lag} outside 1..2**63-1")
-        if label not in (0, 1):
-            raise FormatError(f"label must be 0 or 1, got {label}")
-        return (shared.setdefault(cause, cause), shared.setdefault(effect, effect), lag, label,
-                shared.setdefault(row[4], row[4]), float(row[5]))
-
-    rows = list(read_rows(
-        path, DATASET_HEADER.__eq__, parse, ParameterError(f"{path}: unexpected dataset header")
-    ))
-    return LabeledPairs(*(zip(*rows) if rows else [()] * len(DATASET_HEADER)))
+    """The rows of a dataset.csv, each id and rule one shared ``str`` (those of
+    ``RULES`` for theirs); a repeated tuple is a ``FormatError``."""
+    ids, (cause, effect, lag, label, rule, drive_time) = _read_columns(
+        path, DATASET_HEADER, (ID, ID, INT, FLAG, ID, SPEED), DATASET_HEADER.__eq__,
+        (ParameterError(f"{path}: unexpected dataset header"),
+         "expected cause,effect,lag,label,rule,drive_time with integer lag and label, numeric"
+         " drive_time", "lag and label must fit in 64 bits"), _dataset_checks)
+    shared = {r: r for r in RULES}
+    names = np.array([shared.get(sid, sid) for sid in ids], dtype=object)
+    return LabeledPairs(names[cause], names[effect], lag, label, names[rule], drive_time)
 
 
 def write_roc_csv(path, roc: cls.RocResult) -> None:
@@ -480,9 +481,7 @@ def run_pipeline(config: RunConfig) -> dict:
         return result
 
     speeds, meta, matrix = staged("ingest", _ingest, config)
-    event_series = staged(
-        "events", lambda: [extract_events(s, config.alpha) for s in speeds]
-    )
+    event_series = staged("events", lambda: [extract_events(s, config.alpha) for s in speeds])
     staged("events-write", write_events_csv, out / "events.csv", event_series)
     table = staged("sweep", sweep, event_series, config.l_max, config.tau)
     staged("counts-write", write_counts_csv, out / "counts.csv", table)
@@ -493,7 +492,7 @@ def run_pipeline(config: RunConfig) -> dict:
     ratio_set = build_dataset(truth, config.ratio)
     full_set = full_dataset(truth)
     staged("dataset-write", write_dataset_csv, out / "dataset.csv", ratio_set)
-    write_dataset_csv(out / "dataset_full.csv", full_set)
+    staged("dataset-full-write", write_dataset_csv, out / "dataset_full.csv", full_set)
 
     metrics = {
         "config": {

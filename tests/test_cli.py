@@ -172,6 +172,16 @@ def run_dir(corpus, tmp_path_factory):
     return out
 
 
+def test_timings_list_every_stage(run_dir):
+    """timings.json holds the wall time of every stage, each artifact write included."""
+    timings = json.loads((run_dir / "timings.json").read_text())
+    assert sorted(timings) == sorted([
+        "ingest", "events", "events-write", "sweep", "counts-write", "mle-write",
+        "ground-truth", "dataset-write", "dataset-full-write", "classify",
+    ])
+    assert all(isinstance(t, float) and t >= 0 for t in timings.values())
+
+
 def test_train_evaluate_ablate_commands(run_dir, tmp_path, capsys):
     """The commands on the run's mle.csv, then on its counts.csv: they read
     only the counts of ``--features``, so both write the same bytes."""

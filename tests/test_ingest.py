@@ -450,13 +450,34 @@ def test_drive_times_non_square_rejected(tmp_path):
 
 @pytest.mark.parametrize(
     "row, message",
-    [("b,1", "expected 3 fields, got 2"), ("b,1,x", "non-numeric drive time")],
-    ids=["short-row", "non-numeric"],
+    [
+        ("b,1", "expected 3 fields, got 2"),
+        ("b,1,x", "non-numeric drive time"),
+        ("b,nan,0", "drive time nan is not finite and >= 0"),
+        ("b,1,inf", "drive time inf is not finite and >= 0"),
+        ("b,-1,0", "drive time -1.0 is not finite and >= 0"),
+    ],
+    ids=["short-row", "non-numeric", "nan", "infinite", "negative"],
 )
 def test_drive_times_bad_row_names_file_and_line(tmp_path, row, message):
     path = tmp_path / "d.csv"
     path.write_text(f",a,b\na,0,1\n{row}\n")
-    with pytest.raises(ParseError, match=f"d.csv: line 3: {message}"):
+    with pytest.raises(ParseError, match=f"d.csv: line 3: {re.escape(message)}$"):
+        load_drive_times(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (",a,a\na,0,1\na,1,0\n", "duplicate station id in drive-time matrix"),
+        (",a,b\na,0,1\nb,1,2\n", "drive-time matrix diagonal must be zero (station b has 2.0)"),
+    ],
+    ids=["duplicate-id", "diagonal"],
+)
+def test_drive_time_matrix_errors_name_the_file(tmp_path, text, message):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
         load_drive_times(path)
 
 

@@ -367,14 +367,19 @@ def test_writer_files_take_the_column_path(tmp_path):
     write_events_csv(tmp_path / "events.csv", series)
     write_counts_csv(tmp_path / "counts.csv", table)
     write_mle_csv(tmp_path / "mle.csv", table)
+    dataset = full_dataset(label_pairs(*line_geometry(SynthSpec(5, 10, 0.0)), DatasetSpec()))
+    write_dataset_csv(tmp_path / "dataset.csv", dataset)
     with mock.patch.object(pipeline, "numbered_rows", None):  # the row path would fail
         events = read_events_csv(tmp_path / "events.csv", 300)
         tables = [read_counts_table(tmp_path / name) for name in ("counts.csv", "mle.csv")]
+        pairs = read_dataset_csv(tmp_path / "dataset.csv")
     assert [(s.station_id, s.events.tolist()) for s in events] == [
         (s.station_id, s.events.tolist()) for s in series
     ]
     for again in tables:
         assert keys(again) == keys(table) and np.array_equal(again.counts, table.counts)
+    for name in LabeledPairs.COLUMNS:
+        assert getattr(pairs, name).tolist() == getattr(dataset.pairs, name).tolist(), name
 
 
 # Artifact files for the column-path parity test: rows in the writer's form,
@@ -382,32 +387,42 @@ def test_writer_files_take_the_column_path(tmp_path):
 TABLE_IDS = ["a", "b", "S000", "\u00e9"]
 ODD_TABLE_IDS = ['"a"', " a", "a ", ""]
 ODD_INTS = ["+1", "1_0", " 5", "05", "-0", "\u0661", str(2**63), "-3", "x", ""]
+ODD_DRIVE_TIMES = ["nan", "-inf", "1e400", "-1.0", "-0.0", "0.5", "7"]
 ESTIMATES = st.sampled_from(["0.5", "nan", "-inf", "interior", "", "\u00e9"])
 
 
 @st.composite
 def artifact_files(draw, name):
+    pair_keys = st.tuples(st.sampled_from(TABLE_IDS), st.sampled_from(TABLE_IDS), st.integers(1, 8))
     if name == "events":
         keys_ = st.tuples(st.sampled_from(TABLE_IDS), st.integers(0, 9))
         rows = [[sid, str(slot), draw(st.sampled_from("01"))]
                 for sid, slot in draw(st.lists(keys_, unique=True, max_size=12))]
-        header, n_ids, width = EVENTS_HEADER, 1, 3
+        header, id_columns, width = EVENTS_HEADER, [0], 3
+    elif name == "dataset":
+        keys_ = pair_keys.filter(lambda key: key[0] != key[1])
+        rows = [[c, e, str(lag), draw(st.sampled_from("01")),
+                 draw(st.sampled_from([*RULES, *TABLE_IDS])), repr(draw(st.floats(0, 1e3)))]
+                for c, e, lag in draw(st.lists(keys_, unique=True, max_size=12))]
+        header, id_columns, width = DATASET_HEADER, [0, 1, 4], 6
     else:
-        keys_ = st.tuples(st.sampled_from(TABLE_IDS), st.sampled_from(TABLE_IDS), st.integers(1, 8))
         counts = st.lists(st.integers(0, 40), min_size=4, max_size=4).filter(any)
         rows = [[c, e, str(lag), *map(str, draw(counts))]
-                for c, e, lag in draw(st.lists(keys_, unique=True, max_size=12))]
-        header, n_ids, width = COUNTS_HEADER, 2, 7
+                for c, e, lag in draw(st.lists(pair_keys, unique=True, max_size=12))]
+        header, id_columns, width = COUNTS_HEADER, [0, 1], 7
         if name == "mle":
             header = MLE_HEADER
             rows = [row + [draw(ESTIMATES) for _ in range(5)] for row in rows]
+    numbers = [k for k in range(width) if k not in id_columns]
     for _ in range(draw(st.sampled_from([0, 0, 1, 2])) if rows else 0):
         row = draw(st.sampled_from(rows))
         change = draw(st.sampled_from(["id", "int", "short", "long", "repeat"]))
         if change == "id":
-            row[draw(st.integers(0, n_ids - 1))] = draw(st.sampled_from(ODD_TABLE_IDS))
+            at = min(draw(st.sampled_from(id_columns)), len(row) - 1)
+            row[at] = draw(st.sampled_from(ODD_TABLE_IDS))
         elif change == "int":
-            row[min(draw(st.integers(n_ids, width - 1)), len(row) - 1)] = draw(st.sampled_from(ODD_INTS))
+            odd = ODD_INTS + ODD_DRIVE_TIMES if name == "dataset" else ODD_INTS
+            row[min(draw(st.sampled_from(numbers)), len(row) - 1)] = draw(st.sampled_from(odd))
         elif change == "short":
             row.pop()
         elif change == "long":
@@ -429,6 +444,9 @@ def _read_outcome(name, path):
     try:
         if name == "events":
             return [(s.station_id, s.events.tobytes()) for s in read_events_csv(path, n_slots=10)]
+        if name == "dataset":
+            columns = [getattr(read_dataset_csv(path), c) for c in LabeledPairs.COLUMNS]
+            return [c.tolist() if c.dtype == object else c.tobytes() for c in columns]
         table = read_counts_table(path)
     except NexicaError as exc:
         return type(exc), str(exc)
@@ -436,7 +454,7 @@ def _read_outcome(name, path):
         "cause", "effect", "lag", "counts", "p_s", "p_c", "p_c_raw", "loglik", "case"))]
 
 
-@pytest.mark.parametrize("name", ["events", "counts", "mle"])
+@pytest.mark.parametrize("name", ["events", "counts", "mle", "dataset"])
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_column_path_matches_the_row_path(tmp_path_factory, name, data):
@@ -547,19 +565,33 @@ def test_dataset_csv_roundtrip_shares_ids_and_rules(tmp_path):
     assert len({id(sid) for sid in ids}) == len(set(ids)) == 5
 
 
+def test_read_dataset_csv_takes_rows_the_column_path_declines(tmp_path):
+    """An empty or padded rule and a drive time that is not finite or is
+    negative are read as they are (by the row path) and written back."""
+    path = tmp_path / "dataset.csv"
+    path.write_bytes(b"cause,effect,lag,label,rule,drive_time\r\n"
+                     b"a,b,1,1,,nan\r\nb,a,2,0, r,-1.5\r\na,b,3,0,a,inf\r\n")
+    pairs = read_dataset_csv(path)
+    assert pairs.rule.tolist() == ["", " r", "a"] and pairs.cause.tolist() == ["a", "b", "a"]
+    assert pairs.drive_time.tolist()[1:] == [-1.5, math.inf] and math.isnan(pairs.drive_time[0])
+    write_dataset_csv(tmp_path / "again.csv", GroundTruthDataset(pairs))
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
 @pytest.mark.parametrize(
     "row, message",
     [
-        ("a,b,x,1,r,5.0", "invalid literal for int"),
+        ("a,b,x,1,r,5.0", "expected cause,effect,lag,label,rule,drive_time with integer lag"),
         ("a,b,1,7,r,5.0", "label must be 0 or 1, got 7"),
-        ("a,b,1,1", "list index out of range"),
+        ("a,b,1,1", "expected cause,effect,lag,label,rule,drive_time with integer lag"),
         ("a,a,1,1,r,5.0", "cause and effect must differ"),
         ("a,b,0,0,r,5.0", r"lag 0 outside 1\.\.2\*\*63-1"),
         (",b,1,1,r,5.0", "empty station id"),
         ("a,,1,1,r,5.0", "empty station id"),
+        ("a,b,1,0,r,9.0", r"tuple \('a', 'b', 1\) repeats line 2$"),
     ],
     ids=["non-integer-lag", "bad-label", "short-row", "self-pair", "zero-lag", "empty-cause",
-         "empty-effect"],
+         "empty-effect", "repeated-tuple"],
 )
 def test_read_dataset_csv_rejects_bad_rows(tmp_path, row, message):
     path = tmp_path / "dataset.csv"

@@ -7,7 +7,7 @@ import sys
 
 from . import classify as cls
 from . import pipeline as pl
-from .errors import NexicaError, ParameterError
+from .errors import ConsistencyError, NexicaError, ParameterError
 from .groundtruth import DatasetSpec, build_dataset, full_dataset, label_pairs
 from .ingest import load_drive_times, load_speed_csv, load_station_meta, write_csv
 from .events import extract_events
@@ -115,11 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="full pipeline from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--tau", type=int)
-    p.add_argument("--ratio", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n-trees", type=int, dest="n_trees")
     p.set_defaults(handler=cmd_run)
 
     return parser
@@ -195,9 +190,19 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
+def _labeled_features(args):
+    """The ``--features`` table, and the feature rows and labels of the
+    ``--labels`` tuples in it; a labeled tuple the table lacks names both files."""
     table = pl.read_counts_table(args.features)
-    x, y = pl.dataset_features(table, pl.read_dataset_csv(args.labels))
+    try:
+        x, y = pl.dataset_features(table, pl.read_dataset_csv(args.labels))
+    except ConsistencyError as exc:
+        raise ConsistencyError(f"{args.labels}: {exc} in {args.features}") from None
+    return table, x, y
+
+
+def cmd_train(args) -> int:
+    table, x, y = _labeled_features(args)
     model = cls.train_forest(
         x, y, n_trees=args.n_trees, seed=args.seed, feature_mask=FEATURE_SETS[args.feature_set]
     )
@@ -207,7 +212,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    x, y = pl.dataset_features(pl.read_counts_table(args.features), pl.read_dataset_csv(args.labels))
+    _, x, y = _labeled_features(args)
     if args.feature_set == "pc":
         roc = cls.roc_auc(x[:, pl.PC_COLUMN], y)
         payload = {"feature_set": args.feature_set, "auc": roc.auc}
@@ -230,7 +235,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    x, y = pl.dataset_features(pl.read_counts_table(args.features), pl.read_dataset_csv(args.labels))
+    _, x, y = _labeled_features(args)
     rows = cls.feature_ablation(
         x[:, pl.COUNT_MASK], y, folds=args.folds, n_trees=args.n_trees, seed=args.seed
     )
@@ -260,10 +265,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_run(args) -> int:
-    overrides = {
-        k: getattr(args, k) for k in ("out_dir", "alpha", "tau", "ratio", "seed", "n_trees")
-    }
-    config = pl.RunConfig.from_file(args.config, **overrides)
+    config = pl.RunConfig.from_file(args.config, out_dir=args.out_dir)
     pl.run_pipeline(config)
     print(pl.report(config.out_dir))
     return 0

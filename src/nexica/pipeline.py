@@ -64,7 +64,7 @@ TOP_K_EDGES = 50
 class RunConfig:
     """Flat, file-backed configuration for a full pipeline run: a JSON object
     with these keys, each value of its field's JSON type (checked by
-    ``ingest.load_fields``); CLI flags override file values."""
+    ``ingest.load_fields``); ``nexica run --out-dir`` overrides ``out_dir``."""
 
     speeds: str = ""
     meta: str = ""
@@ -494,6 +494,7 @@ def run_pipeline(config: RunConfig) -> dict:
     staged("dataset-write", write_dataset_csv, out / "dataset.csv", ratio_set)
     staged("dataset-full-write", write_dataset_csv, out / "dataset_full.csv", full_set)
 
+    gap = ratio_set.min_negative_drive_time  # NaN without negatives; JSON has no NaN
     metrics = {
         "config": {
             "alpha": config.alpha, "tau": config.tau, "l_max": config.l_max,
@@ -511,7 +512,7 @@ def run_pipeline(config: RunConfig) -> dict:
             "pool": len(truth.pool),
             "ratio_dataset_size": len(ratio_set.pairs),
             "full_dataset_size": len(full_set.pairs),
-            "min_negative_drive_time": ratio_set.min_negative_drive_time,
+            "min_negative_drive_time": None if math.isnan(gap) else gap,
         },
     }
 
@@ -731,9 +732,10 @@ def _metrics_lines(metrics: dict) -> list[str]:
         f"  ground truth: positives={gt['positives']}  "
         f"immediate_negatives={gt['immediate_negatives']}  pool={gt['pool']}"
     )
+    gap = gt["min_negative_drive_time"]
     lines.append(
-        f"  ratio dataset: n={gt['ratio_dataset_size']}  "
-        f"min negative drive time={gt['min_negative_drive_time']:.1f} min"
+        f"  ratio dataset: n={gt['ratio_dataset_size']}  min negative drive time="
+        + ("none" if gap is None else f"{gap:.1f} min")
     )
     clf = metrics.get("classifier") or {}
     if "skipped_reason" in clf or not clf:
@@ -764,7 +766,7 @@ def _planted_comparison(truth_path: str, ranked: list, mle_path: Path) -> list[s
         lambda row: (row[0], row[1], int(row[2])),
         FormatError(f"{truth_path}: expected header cause,effect,lag,..."),
     ))
-    k = max(len(planted), 1)
+    k = min(len(planted), len(ranked))
     forest_hits = sum(1 for t in ranked[:k] if t in planted)
     lines = [
         f"  planted edges recovered in top {k} by forest score: "

@@ -228,6 +228,27 @@ def test_train_evaluate_ablate_commands(run_dir, tmp_path, capsys):
         assert (tmp_path / "counts" / name).read_bytes() == (tmp_path / "mle" / name).read_bytes()
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate", "ablate"])
+def test_unswept_labeled_tuple_names_both_files(run_dir, tmp_path, capsys, command):
+    """Features swept to lag 3 against labels up to lag 8: the error names
+    the labels, the first labeled tuple the features lack, and the features."""
+    with open(run_dir / "counts.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    features = tmp_path / "counts.csv"
+    with open(features, "w", newline="") as fh:
+        csv.writer(fh).writerows(r for r in rows if r[2] == "lag" or int(r[2]) <= 3)
+    labels = run_dir / "dataset.csv"
+    with open(labels, newline="") as fh:
+        missing = next((c, e, int(lag)) for c, e, lag, *_ in list(csv.reader(fh))[1:] if int(lag) > 3)
+    out = {"train": "--out", "evaluate": "--metrics-out", "ablate": "--out"}[command]
+    assert main([command, "--features", str(features), "--labels", str(labels),
+                 "--n-trees", "5", out, str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"nexica: {command}: {labels}: dataset tuple {missing} was not swept in {features}\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_and_report_commands(corpus, tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(make_config(corpus, tmp_path / "out")))
@@ -313,11 +334,15 @@ def test_run_rejects_bad_config_values(corpus, tmp_path, capsys, edit, message):
     "argv", [["pairs", "--events", "e.csv", "--slots", "10", "--out", "c.csv", "--threads", "2"],
              ["run", "--config", "config.json", "--threads", "2"],
              ["train", "--features", "mle.csv", "--labels", "dataset.csv",
-              "--out", "topk_edges.csv", "--model-out", "m.json"]],
-    ids=["pairs", "run", "train-model-out"],
+              "--out", "topk_edges.csv", "--model-out", "m.json"],
+             *(["run", "--config", "config.json", flag, "2"]
+               for flag in ("--alpha", "--tau", "--ratio", "--seed", "--n-trees"))],
+    ids=["pairs", "run", "train-model-out",
+         "run-alpha", "run-tau", "run-ratio", "run-seed", "run-n-trees"],
 )
 def test_threads_flag_is_rejected(argv, capsys):
-    """A removed flag (``--threads``, ``train --model-out``) is an argparse error."""
+    """A removed flag (``--threads``, ``train --model-out``, a method setting
+    of ``run``, which its config file holds) is an argparse error."""
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
@@ -371,13 +396,12 @@ def test_run_and_report_name_the_line_of_a_malformed_truth_file(corpus, tmp_path
         ({"edges": [[1, 0, "2", 0.5]]}, "spec.edges: expected"),
         ({"edges": [[1, 0, 2]]}, "spec.edges: expected"),
         ({"n_stations": None}, "missing spec keys: ['n_stations']"),
-        ({"start_time": "x"}, "start_time 'x' is not an ISO 8601 timestamp"),
-        ({"start_time": "2024-01-01T00:01:00"},
-         "timestamp 2024-01-01T00:01:00 not on a 5-minute boundary (start_time)"),
+        ({"start_time": "2024-01-01T00:00:00"}, "unknown spec keys: ['start_time']"),
+        ({"base_speed": 70.0}, "unknown spec keys: ['base_speed']"),
         ({"n_slots": 10**20}, f"n_slots must be in 1..{MAX_WINDOW}, got {10**20}"),
     ],
     ids=["str-float", "unknown-key", "removed-key", "str-lag", "short-edge", "missing-key",
-         "non-iso-start", "off-grid-start", "huge-n-slots"],
+         "removed-start-time", "removed-base-speed", "huge-n-slots"],
 )
 def test_synth_rejects_bad_spec_values(tmp_path, capsys, edit, message):
     spec = {"n_stations": 3, "n_slots": 100, "p_s": 0.1, **edit}
@@ -507,8 +531,18 @@ def test_run_without_positives_skips_evaluation(tmp_path, capsys):
     metrics = run_pipeline(config)
     assert metrics["ground_truth"]["positives"] == 0
     assert "skipped_reason" in metrics["classifier"]
+
+    # Without negatives the ratio set has no shortest negative drive time:
+    # metrics.json holds null, not NaN, which is not JSON.
+    def no_constant(name):
+        raise ValueError(f"{name} is not JSON")
+
+    written = json.loads((tmp_path / "out" / "metrics.json").read_text(), parse_constant=no_constant)
+    assert written["ground_truth"]["min_negative_drive_time"] is None
     assert main(["report", "--run", str(tmp_path / "out")]) == 0
-    assert "evaluation skipped" in capsys.readouterr().out
+    report = capsys.readouterr().out
+    assert "evaluation skipped" in report
+    assert "ratio dataset: n=0  min negative drive time=none\n" in report
 
 
 def test_station_without_metadata_or_drive_times_is_dropped(corpus, tmp_path, caplog):

@@ -677,3 +677,23 @@ def test_undecodable_or_oversized_input_is_an_error_naming_the_file(tmp_path, na
         path.write_text(f"{header}\na,{field}\n")
     with pytest.raises(NexicaError, match=f"^{re.escape(str(path))}: "):
         read(path)
+
+
+def test_planted_comparison_counts_no_further_than_the_ranked_rows(tmp_path):
+    """60 planted edges and the 50 ranked rows of a topk_edges.csv: both lines
+    compare the top 50, by forest score and by p_c."""
+    table = _random_table(n=10, l_max=1)
+    write_mle_csv(tmp_path / "mle.csv", table)
+    planted = keys(table)[:60]
+    truth = tmp_path / "truth.csv"
+    with open(truth, "w", newline="") as fh:
+        csv.writer(fh).writerows([["cause", "effect", "lag", "p_c"], *([*t, 0.5] for t in planted)])
+    ranked = planted[:40] + keys(table)[80:]
+    assert len(ranked) == 50
+    defined = np.flatnonzero(~np.isnan(table.p_c))
+    by_pc = defined[np.argsort(-table.p_c[defined], kind="stable")][:50]
+    pc_hits = sum(table.key(k) in planted for k in by_pc.tolist())
+    assert pipeline._planted_comparison(str(truth), ranked, tmp_path / "mle.csv") == [
+        "  planted edges recovered in top 50 by forest score: 40 of 60",
+        f"  planted edges recovered in top 50 by estimated p_c: {pc_hits} of 60",
+    ]

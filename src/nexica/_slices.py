@@ -1,7 +1,7 @@
 """Contiguous slices of a job list run on every usable core.
 
 ``in_slices`` cuts a list of jobs into one contiguous slice per usable core
-(``os.sched_getaffinity``, capped at the number of jobs).  This process
+(``usable_cores``, capped at the number of jobs).  This process
 runs the first slice, and one forked child runs each other slice, then
 pickles its results back through a pipe, one result at a time.  The
 caller receives every result in job order, so the split changes no
@@ -23,6 +23,15 @@ import threading
 from collections.abc import Sequence
 
 
+def usable_cores() -> int:
+    """The processes ``in_slices`` spreads its jobs over: one per usable core
+    (``os.sched_getaffinity``), or 1 without ``os.fork`` or
+    ``os.sched_getaffinity`` or while another thread is alive."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
+        return max(1, len(os.sched_getaffinity(0)))
+    return 1
+
+
 def in_slices(job, jobs: Sequence, take, dead) -> None:
     """``take(job(j))`` for each of ``jobs`` in order, with the jobs cut into
     contiguous slices between this process and forked children.  This
@@ -30,9 +39,7 @@ def in_slices(job, jobs: Sequence, take, dead) -> None:
     child's as they arrive.  A child's exception is raised here, and a
     child that dies or exits non-zero raises ``dead(pid, status)``.  Every
     child is reaped before this returns or raises."""
-    workers = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
-        workers = max(1, min(len(jobs), len(os.sched_getaffinity(0))))
+    workers = max(1, min(len(jobs), usable_cores()))
     bounds = [len(jobs) * w // workers for w in range(workers + 1)]
     end, children, reaped = len(jobs), [], []
     try:

@@ -6,26 +6,39 @@ training set, square-root feature subsampling per split, unlimited
 depth, and a minimum of two samples per split.  A prediction is the
 fraction of trees voting for the positive class.
 
-Trees grow level by level, a batch of trees at a time, and their nodes
-are numbered breadth first.  Each feature is rank-encoded once per
-training set, and each bootstrap becomes integer row weights, so the
-weighted counts at every cut are the counts of the duplicated rows and
-the exact argsort search picks the same split.  Every tree draws from
-its own spawned generator: first its bootstrap, then, once per level,
-the candidate features of all its splittable nodes in breadth-first
-order.  A tree therefore does not depend on which trees share its batch.
+Every forest grows through one engine, ``grow_fits``.  It takes one
+shared matrix and a list of fits: a fit is its training rows of the
+matrix in dataset order, their labels, a seed, the rows it scores, and
+whether its trees come back.  ``train_forest`` is one kept fit, a
+``CrossValidation`` is one fit per fold, and a pipeline run hands the
+folds of both its cross-validations to one call.
 
-Whole batches go through ``_slices.in_slices``, the fork helper the
-column writer shares: this process grows the first contiguous slice of
-them, and one forked child per further usable core grows each other
-slice.  ``train_forest`` splits its forest's batches, and
-``cross_validate`` the batches of all its folds in one go, each child
-sending back its trees, or each batch's positive votes on its fold's
-held-out rows.  Growth stays in this process with one usable core or one
-batch, without ``os.fork`` or ``os.sched_getaffinity``, while another
-thread is alive, or when a fork fails.  The trees, the scores and every
-output are the same either way.  A dead child is a ``TrainingError``.
-The peak RSS of this process (``ru_maxrss``) does not count the children.
+Each masked column of the matrix is rank-encoded once per call; a fit
+lists its rows by those ranks, so rows outside a fit change none of its
+trees.  Trees grow level by level, a batch of trees at a time, and their
+nodes are numbered breadth first.  Each bootstrap, drawn over its fit's
+rows, becomes integer row weights, so the weighted counts at every cut
+are the counts of the duplicated rows and the exact argsort search picks
+the same split; a threshold is the midpoint of two adjacent values of
+the node's own rows.  Every tree draws from its own spawned generator:
+first its bootstrap, then, once per level, the candidate features of all
+its splittable nodes in breadth-first order.  A tree therefore does not
+depend on which trees share its batch.
+
+The trees of all fits go in fit order into one batch when their
+bootstrap draws fit within ``_BATCH_DRAWS``.  Otherwise they go into
+batches of about equal draws, each within that budget or of one tree,
+and as many as a multiple of the usable cores.  Whole batches go through
+``_slices.in_slices``, the fork helper the column writer shares: this
+process grows the first contiguous slice of them, and one forked child
+per further usable core grows each other slice.  The process that grows
+a tree also scores it, and sends back each fit's positive votes on its
+score rows, summed in int64, plus the trees of the fits that keep them.
+Growth stays in this process with one usable core or one batch, without
+``os.fork`` or ``os.sched_getaffinity``, while another thread is alive,
+or when a fork fails.  The trees, the scores and every output are the
+same either way.  A dead child is a ``TrainingError``.  The peak RSS of
+this process (``ru_maxrss``) does not count the children.
 """
 
 from __future__ import annotations
@@ -33,10 +46,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
-from ._slices import in_slices
+from ._slices import in_slices, usable_cores
 from .errors import ConsistencyError, DomainError, ParameterError, TrainingError
 
 COUNT_FEATURES = ("a00", "a01", "a10", "a11")
@@ -93,7 +107,30 @@ class RocResult:
     auc_std: float | None = None
 
 
-_BATCH_DRAWS = 2**15  # bootstrap draws grown together in one batch of trees
+@dataclass
+class Fit:
+    """One forest of a pass over a shared (n, d) matrix: trained on its
+    ``rows`` of the matrix, in dataset order, with their 0/1 ``labels``,
+    grown from ``seed`` and voting on its ``score`` rows; with ``keep``
+    the pass returns its trees too."""
+
+    rows: np.ndarray
+    labels: np.ndarray
+    seed: int
+    score: np.ndarray
+    keep: bool = False
+
+
+@dataclass(eq=False)
+class _Set:
+    """A fit's training rows as ``_grow_batch`` reads them."""
+
+    y: np.ndarray  # int8 labels
+    orders: np.ndarray  # (d, n) positions of the rows, by rank of each feature
+    ranks: np.ndarray  # (d, n) ranks of the rows in that order
+
+
+_BATCH_DRAWS = 2**16  # at most this many bootstrap draws grow in one batch of trees
 # An entry's packed weight holds its bootstrap count in the low 32 bits and
 # its count of positives above them.  Sums over a batch stay exact while
 # the batch holds fewer than 2**31 draws.
@@ -133,76 +170,86 @@ def _best_splits(rank, cum, before, inside, node_of, size, pos, drawn):
     minimum.  Returns the nodes with a cut, the position of each cut, its
     packed left sum and its Gini score normalised by node size.
     """
-    cut = np.flatnonzero((rank[1:] != rank[:-1]) & inside)
+    cut = np.flatnonzero((rank[1:] != rank[:-1]) & inside & drawn[node_of[:-1]])
     nb = node_of[cut]
-    ok = drawn[nb]
-    cut, nb = cut[ok], nb[ok]
     if cut.size == 0:
         return nb, cut, cut, np.empty(0)
+    # one side at a time, to hold fewer cut-sized arrays at once
     left = cum[cut] - before[nb]
     ones = left >> 32
     n_l = (left & _LOW).astype(np.float64)
-    n_r = size[nb] - n_l
+    del left
     p1_l = ones / n_l
+    gini = n_l * (1.0 - p1_l**2 - (1.0 - p1_l) ** 2)
+    n_r = size[nb] - n_l
+    del n_l, p1_l
     p1_r = (pos[nb] - ones) / n_r
-    gini = n_l * (1.0 - p1_l**2 - (1.0 - p1_l) ** 2) + n_r * (
-        1.0 - p1_r**2 - (1.0 - p1_r) ** 2
-    )
+    del ones
+    gini += n_r * (1.0 - p1_r**2 - (1.0 - p1_r) ** 2)
+    del n_r, p1_r
     count = np.bincount(nb)
     nodes = np.flatnonzero(count)
     count = count[nodes]
     first = np.cumsum(count) - count
     low = np.repeat(np.minimum.reduceat(gini, first), count)
     best = np.minimum.reduceat(np.where(gini == low, np.arange(nb.size), nb.size), first)
-    return nodes, cut[best], left[best], gini[best] / size[nodes]
+    cut = cut[best]
+    return nodes, cut, cum[cut] - before[nodes], gini[best] / size[nodes]
 
 
-def _grow_batch(
-    ranks: np.ndarray,
-    values: np.ndarray,
-    orders: np.ndarray,
-    y: np.ndarray,
-    rngs: list[np.random.Generator],
-) -> list[_Tree]:
-    """Grow one tree per generator, all of them together, level by level.
+def _grow_batch(values: np.ndarray, trees: list[tuple[_Set, np.random.Generator]]) -> list[_Tree]:
+    """Grow one tree per (training set, generator) pair, all of them
+    together, level by level.
 
-    ``ranks[j]`` is each row's rank among the distinct values
-    ``values[j]`` of feature ``j``, and ``orders[j]`` lists the rows by
-    that rank.  Each tree's bootstrap becomes integer row weights.  An
-    entry is one (tree, row) pair of positive weight, and each feature
-    keeps an attribute list of the live entries ordered by (open node,
-    rank); a node's entries sit at the same positions of every list.
-    Each level finds the splits of all open nodes with one pass per list,
-    then partitions every list stably into the next level's open nodes,
-    so no list is sorted by value twice.  Entries of nodes that stop
-    splitting leave the lists.
+    ``values[j]`` holds the distinct values of feature ``j`` of the shared
+    matrix, which the sets' ranks index.  The trees of one set are
+    consecutive, and each tree's bootstrap, ``n`` draws over its set's
+    ``n`` rows, becomes int32 row weights.  An entry is one (tree, row)
+    pair of positive weight, and each feature keeps an attribute list of
+    the live entries ordered by (open node, rank); a node's entries sit at
+    the same positions of every list.  Each level finds the splits of all
+    open nodes with one pass per list, then partitions every list stably
+    into the next level's open nodes, so no list is sorted by value twice.
+    Entries of nodes that stop splitting leave the lists.
     """
-    n, d, n_t = y.size, ranks.shape[0], len(rngs)
-    boot = np.stack([np.bincount(r.integers(0, n, n), minlength=n) for r in rngs])
-    root_pos = boot @ y
-    votes = [(np.arange(n_t), np.zeros(n_t, dtype=np.int64), 2 * root_pos > n)]
+    d, n_t = values.shape[0], len(trees)
+    rngs = [r for _, r in trees]
+    groups, a = [], 0  # (first tree, end, set, bootstrap counts) of each set's trees
+    for s, pairs in groupby(trees, key=lambda pair: pair[0]):
+        own = [r for _, r in pairs]
+        boot = np.empty((len(own), s.y.size), dtype=np.int32)
+        for i, r in enumerate(own):
+            boot[i] = np.bincount(r.integers(0, s.y.size, s.y.size), minlength=s.y.size)
+        groups.append((a, a + len(own), s, boot))
+        a += len(own)
+    root_size = np.concatenate([np.full(b - a, s.y.size) for a, b, s, _ in groups])
+    root_pos = np.concatenate([(boot @ s.y).astype(np.int64) for _, _, s, boot in groups])
+    votes = [(np.arange(n_t), np.zeros(n_t, dtype=np.int64), 2 * root_pos > root_size)]
     splits = []
     next_id = np.ones(n_t, dtype=np.int64)
 
     # open nodes of the current level, in (tree, breadth-first) order
-    tree = np.flatnonzero(_splittable(np.full(n_t, n), root_pos))
+    grows = _splittable(root_size, root_pos)
+    tree = np.flatnonzero(grows)
     nid = np.zeros(tree.size, dtype=np.int64)
-    size = np.full(tree.size, n, dtype=np.int64)
-    pos = root_pos[tree]
-    live = np.zeros(boot.shape, dtype=bool)
-    live[tree] = boot[tree] > 0
-    cnt = live[tree].sum(axis=1)
-    packed = (boot * (1 + (y.astype(np.int64) << 32)))[live]
-    del boot
-    entry = np.cumsum(live, dtype=np.int32).reshape(live.shape) - 1
+    size, pos = root_size[tree], root_pos[tree]
+    cnt = np.concatenate([np.count_nonzero(boot, axis=1) for *_, boot in groups])[tree]
+    packed = np.empty(int(cnt.sum()), dtype=np.int64)
     ents = np.empty((d, packed.size), dtype=np.int32)
-    lists = np.empty((d, packed.size), dtype=ranks.dtype)
-    for j in range(d):
-        cell = np.flatnonzero(live[:, orders[j]])
-        row = orders[j][cell % n]
-        ents[j] = entry[cell // n, row]
-        lists[j] = ranks[j, row]
-    del entry, live, cell, row
+    lists = np.empty((d, packed.size), dtype=trees[0][0].ranks.dtype)
+    at = 0
+    for a, b, s, boot in groups:
+        live = (boot > 0) & grows[a:b, None]
+        end = at + int(np.count_nonzero(live))
+        weight = np.broadcast_to(1 + (s.y.astype(np.int64) << 32), live.shape)
+        packed[at:end] = boot[live] * weight[live]
+        entry = np.cumsum(live, dtype=np.int32).reshape(live.shape) + np.int32(at - 1)
+        for j in range(d):
+            ranked = live[:, s.orders[j]]
+            ents[j, at:end] = entry[:, s.orders[j]][ranked]
+            lists[j, at:end] = np.broadcast_to(s.ranks[j], live.shape)[ranked]
+        at = end
+    del groups, boot, live, weight, entry, ranked
 
     while tree.size:
         m = tree.size
@@ -227,6 +274,7 @@ def _grow_batch(
                 lists[j], cum, before, inside, node_of, size, pos, drawn[j]
             )
             del cum
+        del node_of, inside
 
         # first strict minimum across each node's candidates, in draw order
         node = np.arange(m)
@@ -259,19 +307,22 @@ def _grow_batch(
         # route each entry of a split node to its child's slot among the
         # next open nodes; every other entry gets n_next and drops out
         dest = np.full(packed.size, n_next, dtype=np.min_scalar_type(n_next))
-        split_of = np.full(m, -1)
-        split_of[s] = np.arange(s.size)
-        p = np.flatnonzero(np.repeat(split_of >= 0, cnt))
-        sp = split_of[node_of[p]]
+        splits_here = np.zeros(m, dtype=bool)
+        splits_here[s] = True
+        p = np.flatnonzero(np.repeat(splits_here, cnt))
+        sp = np.repeat(np.arange(s.size), cnt[s])  # the split of each position p
+        slot = slot.astype(dest.dtype)
         dest[ents[f[sp], p]] = np.where(p <= cut[sp], slot[sp, 0], slot[sp, 1])
-        del node_of, inside, p, sp
+        del p, sp
 
-        # stable partition of every list by destination
+        # stable partition of every list by destination, one list at a time,
+        # into the front of its own row
         tree, nid, size, pos, cnt = (a[keep] for a in (c_tree, c_nid, c_size, c_pos, c_cnt))
-        order = np.argsort(dest[ents], axis=1, kind="stable")[:, : cnt.sum()]
-        order += np.arange(0, ents.size, ents.shape[1])[:, None]
-        ents = ents.ravel()[order]
-        lists = lists.ravel()[order]
+        kept = int(cnt.sum())
+        for j in range(d):
+            order = np.argsort(dest[ents[j]], kind="stable")[:kept]
+            ents[j, :kept], lists[j, :kept] = ents[j, order], lists[j, order]
+        ents, lists = ents[:, :kept], lists[:, :kept]
         del dest, order
 
     off = np.append(0, np.cumsum(next_id))
@@ -291,36 +342,117 @@ def _grow_batch(
     ]
 
 
-def _batches(x, y, n_trees, seed, feature_mask):
-    """The checked feature mask of a forest on ``x`` and ``y``, and its
-    trees' ``_grow_batch`` arguments, ``_BATCH_DRAWS // n`` trees a batch."""
+def _mask(d: int, feature_mask) -> tuple[int, ...]:
+    """The columns a forest reads of a d-column matrix: all by default."""
+    mask = tuple(range(d)) if feature_mask is None else tuple(feature_mask)
+    if not mask or min(mask) < 0 or max(mask) >= d:
+        raise ParameterError(f"feature mask {mask} out of range for d={d}")
+    return mask
+
+
+def _matrix(features, labels) -> tuple[np.ndarray, np.ndarray]:
+    """``features`` as a float64 (n, d) matrix and ``labels`` as int8, one per row."""
+    x = np.asarray(features, dtype=np.float64)
+    y = _binary_labels(labels)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ParameterError("features must be (n, d) with one label per row")
+    return x, y
+
+
+def _training_set(ranks: np.ndarray, fit: Fit) -> _Set:
+    """``fit``'s training rows listed by their ``ranks`` in the shared encoding."""
+    fit_ranks = ranks[:, fit.rows]
+    orders = np.argsort(fit_ranks, axis=1, kind="stable")
+    return _Set(_binary_labels(fit.labels), orders.astype(np.min_scalar_type(fit.rows.size)),
+                np.take_along_axis(fit_ranks, orders, axis=1))
+
+
+def _batch_bounds(draws: np.ndarray, cores: int) -> list[tuple[int, int]]:
+    """Cut trees of ``draws`` bootstrap draws each, in order, into contiguous
+    batches: one when all draws fit within ``_BATCH_DRAWS``, otherwise
+    batches of about equal draws, each within the budget or of one tree.
+    Their count is then the least multiple of ``cores`` that allows it,
+    so that contiguous slices of the batches carry equal draws.  A tree
+    goes to the batch its middle draw falls in, so a batch may be empty;
+    with as many batches as trees, each tree is a batch of its own."""
+    n, total = draws.size, int(draws.sum())
+    if total <= _BATCH_DRAWS:
+        return [(0, n)]
+    middle2 = 2 * np.cumsum(draws) - draws  # twice each tree's middle draw
+    ends = np.append(0, np.cumsum(draws))
+    b = cores * -(-total // (cores * _BATCH_DRAWS))
+    while b < n:
+        bounds = np.searchsorted(middle2 * b // (2 * total), np.arange(b + 1))
+        held = ends[bounds[1:]] - ends[bounds[:-1]]
+        if np.all((held <= _BATCH_DRAWS) | (np.diff(bounds) <= 1)):
+            return list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+        b += cores * -(-b // (8 * cores))  # about an eighth more, in whole rounds
+    return [(t, t + 1) for t in range(n)]
+
+
+def grow_fits(
+    x: np.ndarray, fits: list[Fit], n_trees: int, feature_mask: tuple[int, ...] | None = None
+) -> tuple[list[np.ndarray], list[list[_Tree]]]:
+    """Grow ``n_trees`` trees for each of ``fits`` on the masked columns of
+    the (n, d) matrix ``x``, all in one pass.  Returns each fit's positive
+    votes (int64) on its ``score`` rows, and its trees (empty unless the
+    fit keeps them)."""
+    x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ParameterError("features must be finite")
     if n_trees < 1:
         raise ParameterError("n_trees must be >= 1")
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
-    mask = tuple(range(x.shape[1])) if feature_mask is None else tuple(feature_mask)
-    if not mask or min(mask) < 0 or max(mask) >= x.shape[1]:
-        raise ParameterError(f"feature mask {mask} out of range for d={x.shape[1]}")
-    if np.unique(y).size < 2:
+    for fit in fits:
+        if fit.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {fit.seed}")
+    mask = _mask(x.shape[1], feature_mask)
+    if any(np.unique(fit.labels).size < 2 for fit in fits):
         raise TrainingError("training set contains a single class")
+    if not fits:
+        return [], []
 
-    n = x.shape[0]
     columns = [np.unique(x[:, j], return_inverse=True) for j in mask]
     values = np.zeros((len(mask), max(v.size for v, _ in columns)))
     for j, (v, _) in enumerate(columns):
         values[j, : v.size] = v
     ranks = np.stack([r for _, r in columns]).astype(np.min_scalar_type(values.shape[1]))
-    orders = np.argsort(ranks, axis=1, kind="stable").astype(np.min_scalar_type(n))
     del columns
-    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n_trees)]
-    per_batch = max(1, _BATCH_DRAWS // n)
-    return mask, [
-        (ranks, values, orders, y, rngs[b : b + per_batch]) for b in range(0, n_trees, per_batch)
-    ]
+    trees = [(k, np.random.default_rng(c))
+             for k, fit in enumerate(fits) for c in np.random.SeedSequence(fit.seed).spawn(n_trees)]
+    bounds = _batch_bounds(np.repeat([fit.rows.size for fit in fits], n_trees), usable_cores())
+
+    # each process's fits, as (training set, masked score rows), built on
+    # first use; a process grows its batches in fit order, so the fits
+    # before a batch's first are done with
+    cache = {}
+
+    def grow(batch):
+        """Each fit's votes on its score rows from the batch's trees, with the trees it keeps."""
+        if not batch:
+            return []
+        for k in [k for k in cache if k < batch[0][0]]:
+            del cache[k]
+        for k, _ in batch:
+            if k not in cache:
+                cache[k] = (_training_set(ranks, fits[k]),
+                            np.ascontiguousarray(x[fits[k].score][:, mask]))
+        grown = _grow_batch(values, [(cache[k][0], r) for k, r in batch])
+        result = []
+        for k, members in groupby(range(len(batch)), key=lambda t: batch[t][0]):
+            mine = [grown[t] for t in members]
+            result.append((k, _votes(mine, cache[k][1]), mine if fits[k].keep else []))
+        return result
+
+    votes = [np.zeros(fit.score.size, dtype=np.int64) for fit in fits]
+    kept = [[] for _ in fits]
+
+    def take(result):
+        for k, v, mine in result:
+            votes[k] += v
+            kept[k].extend(mine)
+
+    in_slices(grow, [trees[a:b] for a, b in bounds], take, _dead_worker)
+    return votes, kept
 
 
 def _dead_worker(pid: int, status: int) -> TrainingError:
@@ -343,12 +475,10 @@ def train_forest(
     feature_mask: tuple[int, ...] | None = None,
 ) -> ForestModel:
     """Train a bootstrap ensemble of CART trees on the masked features."""
-    x = np.asarray(features, dtype=np.float64)
-    y = _binary_labels(labels)
-    mask, batches = _batches(x, y, n_trees, seed, feature_mask)
-    trees = []
-    in_slices(lambda batch: _grow_batch(*batch), batches, trees.extend, _dead_worker)
-    return ForestModel(trees, n_trees, seed, mask, x.shape[1])
+    x, y = _matrix(features, labels)
+    fit = Fit(np.arange(y.size), y, seed, np.arange(0), keep=True)
+    _, (trees,) = grow_fits(x, [fit], n_trees, feature_mask)
+    return ForestModel(trees, n_trees, seed, _mask(x.shape[1], feature_mask), x.shape[1])
 
 
 def predict_proba(model: ForestModel, features: np.ndarray) -> np.ndarray:
@@ -429,6 +559,39 @@ def stratified_fold_ids(labels: np.ndarray, folds: int, seed: int) -> np.ndarray
     return ids
 
 
+class CrossValidation:
+    """Stratified k-fold evaluation of the forest on the ``rows`` of a shared
+    matrix with their ``labels``: one fit per fold, trained on the other
+    folds' rows and scoring its own, each from a seed spawned from ``seed``."""
+
+    def __init__(self, rows: np.ndarray, labels: np.ndarray, folds: int, seed: int):
+        self.rows = np.asarray(rows)
+        self.labels = _binary_labels(labels)
+        self.fold_ids = stratified_fold_ids(self.labels, folds, seed)
+        root = np.random.SeedSequence(seed)
+        seeds = [int(c.generate_state(1, dtype=np.uint32)[0]) for c in root.spawn(folds)]
+        self.fits = []
+        for k, fold_seed in enumerate(seeds):
+            train = self.fold_ids != k
+            self.fits.append(
+                Fit(self.rows[train], self.labels[train], fold_seed, self.rows[~train])
+            )
+
+    def roc(self, votes: list[np.ndarray], n_trees: int) -> RocResult:
+        """The ROC of the pooled out-of-fold scores, from each fit's votes;
+        the spread is the sample standard deviation of the per-fold AUCs."""
+        oof = np.zeros(self.labels.size)
+        fold_aucs = []
+        for k, fold_votes in enumerate(votes):
+            test = self.fold_ids == k
+            oof[test] = fold_votes / n_trees
+            fold_aucs.append(roc_auc(oof[test], self.labels[test]).auc)
+        pooled = roc_auc(oof, self.labels)
+        pooled.fold_aucs = fold_aucs
+        pooled.auc_std = float(np.std(fold_aucs, ddof=1))
+        return pooled
+
+
 def cross_validate(
     features: np.ndarray,
     labels: np.ndarray,
@@ -442,32 +605,9 @@ def cross_validate(
     Out-of-fold scores are pooled for the headline ROC/AUC; the spread is
     the sample standard deviation of the per-fold AUCs.
     """
-    x = np.asarray(features, dtype=np.float64)
-    y = _binary_labels(labels)
-    fold_ids = stratified_fold_ids(y, folds, seed)
-    root = np.random.SeedSequence(seed)
-    fold_seeds = [int(c.generate_state(1, dtype=np.uint32)[0]) for c in root.spawn(folds)]
-    # Every fold's batches go to one split, each with its fold's held-out rows.
-    jobs, fold_of = [], []
-    for k in range(folds):
-        test = fold_ids == k
-        mask, batches = _batches(x[~test], y[~test], n_trees, fold_seeds[k], feature_mask)
-        held_out = np.ascontiguousarray(x[test][:, mask])
-        jobs += [(batch, held_out) for batch in batches]
-        fold_of += [k] * len(batches)
-    votes = []
-    in_slices(lambda job: _votes(_grow_batch(*job[0]), job[1]), jobs, votes.append, _dead_worker)
-    oof = np.zeros(y.shape[0])
-    fold_aucs = []
-    for k in range(folds):
-        test = fold_ids == k
-        scores = sum(v for v, f in zip(votes, fold_of) if f == k) / n_trees
-        oof[test] = scores
-        fold_aucs.append(roc_auc(scores, y[test]).auc)
-    pooled = roc_auc(oof, y)
-    pooled.fold_aucs = fold_aucs
-    pooled.auc_std = float(np.std(fold_aucs, ddof=1))
-    return pooled
+    x, y = _matrix(features, labels)
+    cv = CrossValidation(np.arange(y.size), y, folds, seed)
+    return cv.roc(grow_fits(x, cv.fits, n_trees, feature_mask)[0], n_trees)
 
 
 def feature_ablation(

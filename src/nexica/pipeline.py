@@ -422,9 +422,9 @@ def _tuple_keys(n_ids: int, cause: np.ndarray, effect: np.ndarray, lag: np.ndarr
     return (cause.astype(np.int64, copy=False) * n_ids + effect) * len(lags) + rank
 
 
-def dataset_features(table: SweepTable, pairs: LabeledPairs) -> tuple[np.ndarray, np.ndarray]:
-    """Feature matrix (a00, a01, a10, a11, p_c) and labels for a dataset,
-    the rows found by ``_tuple_keys`` over the tuples of both sides."""
+def dataset_rows(table: SweepTable, pairs: LabeledPairs) -> np.ndarray:
+    """The table row of each tuple of a dataset, found by ``_tuple_keys``
+    over the tuples of both sides."""
     code = {sid: k for k, sid in enumerate(table.station_ids)}
     cause, effect = (np.fromiter(map(code.get, ids.tolist(), repeat(-1)), np.int64, len(pairs))
                      for ids in (pairs.cause, pairs.effect))
@@ -440,7 +440,12 @@ def dataset_features(table: SweepTable, pairs: LabeledPairs) -> tuple[np.ndarray
         k = int(np.argmin(found))
         missing = (pairs.cause[k], pairs.effect[k], int(pairs.lag[k]))
         raise ConsistencyError(f"dataset tuple {missing} was not swept")
-    return table.feature_matrix(order[at]), pairs.label
+    return order[at]
+
+
+def dataset_features(table: SweepTable, pairs: LabeledPairs) -> tuple[np.ndarray, np.ndarray]:
+    """Feature matrix (a00, a01, a10, a11, p_c) and labels for a dataset."""
+    return table.feature_matrix(dataset_rows(table, pairs)), pairs.label
 
 
 COUNT_MASK = (0, 1, 2, 3)
@@ -562,35 +567,43 @@ def _ingest(config: RunConfig):
     return series, meta, matrix
 
 
-def _forest_cv(table: SweepTable, pairs: LabeledPairs, config: RunConfig):
-    """Features and labels of ``pairs`` with the cross-validated ROC of the
-    forest on the counts; the ROC is None when a class has fewer samples
-    than folds."""
-    x, y = dataset_features(table, pairs)
-    n_pos = int(y.sum())
-    if n_pos < config.folds or y.size - n_pos < config.folds:
-        return x, y, None
-    roc = cls.cross_validate(
-        x, y, folds=config.folds, n_trees=config.n_trees,
-        seed=config.seed, feature_mask=COUNT_MASK,
-    )
-    return x, y, roc
+def _cross_validation(table: SweepTable, pairs: LabeledPairs, config: RunConfig):
+    """The forest's cross-validation on the table rows of ``pairs``, or None
+    when a class has fewer samples than folds."""
+    rows = dataset_rows(table, pairs)
+    n_pos = int(pairs.label.sum())
+    if n_pos < config.folds or pairs.label.size - n_pos < config.folds:
+        return None
+    return cls.CrossValidation(rows, pairs.label, config.folds, config.seed)
+
+
+def _fold_rocs(config: RunConfig, x: np.ndarray, cvs: list) -> list:
+    """Grow the folds of every cross-validation in ``cvs`` in one pass over
+    the counts of ``x``; each one's ROC, or None for a None."""
+    votes = iter(cls.grow_fits(
+        x, [fit for cv in cvs if cv is not None for fit in cv.fits], config.n_trees, COUNT_MASK
+    )[0])
+    return [None if cv is None else cv.roc([next(votes) for _ in cv.fits], config.n_trees)
+            for cv in cvs]
 
 
 def _classify(config, table, ratio_set, full_set, out: Path):
-    x_ratio, y_ratio, ratio_cv = _forest_cv(table, ratio_set.pairs, config)
-    if ratio_cv is None:
-        n_pos = int(y_ratio.sum())
+    ratio = _cross_validation(table, ratio_set.pairs, config)
+    if ratio is None:
+        n_pos = int(ratio_set.pairs.label.sum())
         return {
             "skipped_reason": (
                 f"need at least {config.folds} samples per class for "
                 f"{config.folds}-fold evaluation (got {n_pos} positive, "
-                f"{y_ratio.size - n_pos} negative)"
+                f"{len(ratio_set.pairs) - n_pos} negative)"
             )
         }
-    write_roc_csv(out / "roc_ratio.csv", ratio_cv)
-    scalar = cls.roc_auc(x_ratio[:, PC_COLUMN], y_ratio)
+    full = _cross_validation(table, full_set.pairs, config) if config.full_dataset_cv else None
+    x = table.feature_matrix()
+    ratio_cv, full_cv = _fold_rocs(config, x, [ratio, full])
 
+    write_roc_csv(out / "roc_ratio.csv", ratio_cv)
+    scalar = cls.roc_auc(x[ratio.rows, PC_COLUMN], ratio.labels)
     result = {
         "ratio_forest": {
             "auc": ratio_cv.auc,
@@ -599,8 +612,6 @@ def _classify(config, table, ratio_set, full_set, out: Path):
         },
         "ratio_scalar_pc": {"auc": scalar.auc},
     }
-
-    full_cv = _forest_cv(table, full_set.pairs, config)[2] if config.full_dataset_cv else None
     if full_cv is not None:
         write_roc_csv(out / "roc_full.csv", full_cv)
         result["full_forest"] = {
@@ -610,7 +621,8 @@ def _classify(config, table, ratio_set, full_set, out: Path):
         }
 
     model = cls.train_forest(
-        x_ratio, y_ratio, n_trees=config.n_trees, seed=config.seed, feature_mask=COUNT_MASK
+        x[ratio.rows], ratio.labels, n_trees=config.n_trees, seed=config.seed,
+        feature_mask=COUNT_MASK,
     )
     write_topk_csv(out / "topk_edges.csv", table, model)
     result["model_hash"] = model.model_hash()
@@ -645,10 +657,11 @@ def grid_search(
         for tau in tau_values:
             t0 = time.perf_counter()
             table = sweep(event_series, config.l_max, tau)
-            ratio_cv = _forest_cv(table, ratio_set.pairs, config)[2]
-            full_cv = (
-                _forest_cv(table, full_set.pairs, config)[2] if config.full_dataset_cv else None
+            ratio = _cross_validation(table, ratio_set.pairs, config)
+            full = (
+                _cross_validation(table, full_set.pairs, config) if config.full_dataset_cv else None
             )
+            ratio_cv, full_cv = _fold_rocs(config, table.feature_matrix(), [ratio, full])
             rows.append({
                 "alpha": alpha,
                 "tau": tau,

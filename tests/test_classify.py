@@ -190,17 +190,62 @@ def _training_sets(draw):
     return x, y, mask
 
 
+def _among_other_rows(x, seed):
+    """``x`` shuffled among up to twice as many other rows, whose values lie
+    between, on and beyond those of ``x`` in each column; with the row that
+    each row of ``x`` became."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(0, 2 * len(x) + 1))
+    other = np.empty((m, x.shape[1]))
+    for j in range(x.shape[1]):
+        v = np.unique(x[:, j])
+        other[:, j] = rng.choice(np.concatenate([(v[:-1] + v[1:]) / 2, v, v - 1, v + 1]), m)
+    perm = rng.permutation(len(x) + m)
+    where = np.empty_like(perm)
+    where[perm] = np.arange(perm.size)
+    return np.concatenate([x, other])[perm], where[: len(x)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=_training_sets(), n_trees=st.integers(1, 6), seed=st.integers(0, 2**16),
-       batch_draws=st.integers(1, 200))
-def test_forest_grows_the_reference_trees(data, n_trees, seed, batch_draws):
+       batch_draws=st.integers(1, 200), other_rows=st.integers(0, 2**16))
+def test_forest_grows_the_reference_trees(data, n_trees, seed, batch_draws, other_rows):
+    """``train_forest``, and a fit over a matrix with rows outside its
+    training rows, grow the reference trees of the training rows alone."""
     x, y, mask = data
+    shared, rows = _among_other_rows(x, other_rows)
+    fit = classify.Fit(rows, y, seed, rows, keep=True)
     with mock.patch.object(classify, "_BATCH_DRAWS", batch_draws):
         model = train_forest(x, y, n_trees=n_trees, seed=seed, feature_mask=mask)
-    for tree, ref in zip(model.trees, _reference_trees(x, y, n_trees, seed, mask), strict=True):
-        for name in ("feature", "threshold", "left", "right", "vote"):
-            got, want = getattr(tree, name), getattr(ref, name)
-            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        (votes,), (trees,) = classify.grow_fits(shared, [fit], n_trees, mask)
+    refs = list(_reference_trees(x, y, n_trees, seed, mask))
+    for grown in (model.trees, trees):
+        for tree, ref in zip(grown, refs, strict=True):
+            for name in ("feature", "threshold", "left", "right", "vote"):
+                got, want = getattr(tree, name), getattr(ref, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert np.array_equal(votes, sum(ref.apply(x[:, list(mask)]).astype(np.int64) for ref in refs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(draws=st.lists(st.integers(1, 3000), min_size=1, max_size=60),
+       cores=st.integers(1, 4), budget=st.integers(1, 5000))
+def test_batches_hold_equal_draws_within_the_budget(draws, cores, budget):
+    """Trees in order, in one batch when their draws fit the budget, else
+    cut into a multiple of the cores' count of batches unless every tree
+    is its own batch; a batch of two trees or more holds at most the
+    budget's draws."""
+    draws = np.array(draws)
+    with mock.patch.object(classify, "_BATCH_DRAWS", budget):
+        bounds = classify._batch_bounds(draws, cores)
+    starts, ends = (np.array([b[i] for b in bounds]) for i in (0, 1))
+    assert starts[0] == 0 and ends[-1] == draws.size and np.array_equal(starts[1:], ends[:-1])
+    if draws.sum() <= budget:
+        assert len(bounds) == 1
+    else:
+        assert len(bounds) % cores == 0 or len(bounds) == draws.size
+    for a, b in bounds:
+        assert b - a <= 1 or draws[a:b].sum() <= budget
 
 
 def test_model_hash_does_not_depend_on_batching():
@@ -218,9 +263,11 @@ def test_model_hash_does_not_depend_on_batching():
 @pytest.fixture(scope="module")
 def many_batches():
     """A set whose forests grow in several batches, with the default run's
-    model hash and cross-validated ROC.  2**15 bootstrap draws make a batch:
-    4 trees of 8,000 rows, 5 of a 6,400-row fold, so 12 trees are 3
-    batches, 15 over 5 folds."""
+    model hash and cross-validated ROC.  A batch holds at most 2**16
+    bootstrap draws, and the batches are the fewest such that their count
+    is a multiple of the usable cores.  The 12 trees of 8,000 rows (96,000
+    draws) are 2 batches on one or two cores and 3 on three; the 60 trees
+    of the 5 folds of 6,400 rows (384,000 draws) are 6 on one to three."""
     rng = np.random.default_rng(31)
     x = rng.integers(0, 40, (8000, 4)).astype(float)
     y = ((x[:, 0] + x[:, 1] > 40) ^ (rng.random(8000) < 0.03)).astype(np.int8)
@@ -235,6 +282,8 @@ def test_forest_does_not_depend_on_the_usable_cores(monkeypatch, many_batches, c
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+    train_forest(x[:500], y[:500], n_trees=12, seed=6)  # 6,000 draws: one batch, no fork
+    assert not forks
     assert train_forest(x, y, n_trees=12, seed=6).model_hash() == model_hash
     got = cross_validate(x, y, folds=5, n_trees=12, seed=6)
     assert len(forks) == 2 * children

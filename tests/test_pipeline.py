@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import os
 import re
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nexica import ingest, pipeline
+from nexica import classify, ingest, pipeline
 from nexica.errors import ConsistencyError, FormatError, NexicaError, ParameterError, ParseError
 from nexica.events import EventSeries
 from nexica.groundtruth import (
@@ -35,6 +36,7 @@ from nexica.pipeline import (
     DATASET_HEADER,
     EVENTS_HEADER,
     MLE_HEADER,
+    COUNT_MASK,
     RunConfig,
     SweepTable,
     dataset_features,
@@ -42,14 +44,17 @@ from nexica.pipeline import (
     read_counts_table,
     read_dataset_csv,
     read_events_csv,
+    run_pipeline,
     sweep,
     write_counts_csv,
     write_dataset_csv,
     write_events_csv,
     write_mle_csv,
     write_mle_rows,
+    write_roc_csv,
+    write_topk_csv,
 )
-from nexica.synth import SynthSpec, line_geometry
+from nexica.synth import SynthSpec, line_geometry, write_dataset
 from oracles import (
     write_counts_csv_reference,
     write_dataset_csv_reference,
@@ -201,6 +206,47 @@ def test_a_failing_writer_fails_the_call_and_leaves_no_child(monkeypatch, tmp_pa
         ingest.write_columns(tmp_path / "new.csv", ["station", "value"], columns)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(scope="module")
+def forest_corpus(tmp_path_factory):
+    """A small corpus with the run config of ``test_the_run_forest_equals_the_public_calls``."""
+    tmp = tmp_path_factory.mktemp("forest")
+    spec = SynthSpec(n_stations=6, n_slots=4 * 2016, p_s=0.05, seed=8,
+                     edges=((1, 0, 1, 0.6), (4, 3, 2, 0.7)))
+    paths = write_dataset(spec, tmp / "corpus")
+    return tmp, RunConfig(
+        speeds=paths["speeds"], meta=paths["meta"], drive_times=paths["drive_times"],
+        truth=paths["truth"], alpha=0.25, l_max=4, n_trees=130, folds=3, seed=2,
+    )
+
+
+@pytest.mark.parametrize("cores", [{0}, {0, 1, 2}], ids=["in_process", "forked"])
+def test_the_run_forest_equals_the_public_calls(monkeypatch, forest_corpus, tmp_path, cores):
+    """The run grows both cross-validations in one pass, and each equals
+    the public call on its set; its final model and topk_edges.csv equal
+    ``train_forest``'s.  Over 127 trees, an int8 sum of the votes would
+    wrap."""
+    corpus, config = forest_corpus
+    out = tmp_path / "run"
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: cores)
+        metrics = run_pipeline(dataclasses.replace(config, out_dir=str(out)))["classifier"]
+    table = read_counts_table(out / "mle.csv")
+    forest = dict(n_trees=config.n_trees, seed=config.seed, feature_mask=COUNT_MASK)
+    for name, dataset in (("ratio", "dataset.csv"), ("full", "dataset_full.csv")):
+        x, y = dataset_features(table, read_dataset_csv(out / dataset))
+        roc = classify.cross_validate(x, y, folds=config.folds, **forest)
+        assert metrics[f"{name}_forest"] == {
+            "auc": roc.auc, "auc_std": roc.auc_std, "fold_aucs": roc.fold_aucs,
+        }
+        write_roc_csv(tmp_path / f"roc_{name}.csv", roc)
+        assert (tmp_path / f"roc_{name}.csv").read_bytes() == (out / f"roc_{name}.csv").read_bytes()
+    model = classify.train_forest(*dataset_features(table, read_dataset_csv(out / "dataset.csv")),
+                                  **forest)
+    write_topk_csv(tmp_path / "topk.csv", table, model)
+    assert (tmp_path / "topk.csv").read_bytes() == (out / "topk_edges.csv").read_bytes()
+    assert metrics["model_hash"] == model.model_hash()
 
 
 def test_dataset_features_find_rows_of_a_shuffled_table(tmp_path):

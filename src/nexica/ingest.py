@@ -1,9 +1,10 @@
 """Loading and validation of speed series, station metadata, and drive times;
 the one CSV reader, the CSV writers and the JSON loader behind every file of
-nexica.  ``read_columns`` reads speeds, events, counts and mle files in
-their writers' form, parsing spans of whole lines into columns on every
-usable core and renumbering each span's station ids in file order; any
-other file goes through the CSV reader.  ``write_columns`` writes large
+nexica.  ``read_columns`` reads speeds, events, counts, mle and dataset
+files in their writers' form, parsing spans of whole lines into columns on
+every usable core, each field read from its offset in the span, and
+renumbering each span's station ids in file order; any other file goes
+through the CSV reader.  ``write_columns`` writes large
 tables a column at a time, its blocks of rows formatted on every usable core.
 
 All input files are plain UTF-8 CSV with a header row:
@@ -291,18 +292,23 @@ def load_fields(path, cls, label: str) -> dict:
 
 
 # ``read_columns`` parses spans of about this many bytes, which bounds their
-# per-field objects, and reads this far ahead at a time for a span's line end.
+# per-field arrays, and reads this far ahead at a time for a span's line end.
 _CHUNK_BYTES = 1 << 18
 _SEEK_BYTES = 1 << 12
+# The widest ``ID`` or ``SPEED`` field a span may hold, in bytes: each is
+# read as a key of up to this many bytes, and a wider one declines the span.
+_WIDE = 64
 _US = timedelta(microseconds=1)
 _SLOT_US = SLOT // _US
 _EPOCH = datetime(1970, 1, 1)
-_LF_TO_COMMA = bytes.maketrans(b"\n", b",")
 # A naive stamp has digits everywhere except at these separators.
 _STAMP = np.frombuffer(b"0000-00-00T00:00:00", np.uint8)
 _STAMP_DIGIT = _STAMP == ord("0")
 # numpy also parses year 0, which datetime rejects.
 _YEAR_1 = np.datetime64("0001-01-01T00:00:00", "s").astype(np.int64)
+_TENS = 10 ** np.arange(18, dtype=np.int64)[::-1]  # 10**17 .. 10**0
+_LOW = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)  # a word's low k bytes
+_BYTE = 0x0101010101010101  # times a byte: that byte in each of a word's 8
 
 
 def _require(ok) -> None:
@@ -310,33 +316,60 @@ def _require(ok) -> None:
         raise ValueError("not in the writer's form")
 
 
-def _ints(tokens: list[bytes], size: np.ndarray) -> np.ndarray:
-    joined = b",".join(tokens)
-    _require(((size >= 1) & (size <= 18)).all() and not joined.translate(None, b"0123456789,"))
-    return np.fromstring(joined, np.int64, sep=",")
+def _fields(word: np.ndarray, at: np.ndarray, size: np.ndarray, fill: bytes) -> np.ndarray:
+    """Each field from its offset ``at`` as a row of little-endian words,
+    enough for the widest, the bytes past its ``size`` set to ``fill``;
+    ``word[i]`` is the span's 8 bytes from offset i."""
+    w = int(size.max())
+    _require(w <= _WIDE)
+    fields = np.empty((at.size, -(-w // 8)), "<u8")
+    for j in range(fields.shape[1]):
+        low = _LOW[np.clip(size - 8 * j, 0, 8)]
+        fields[:, j] = word[at + 8 * j] & low | np.uint64(ord(fill) * _BYTE) & ~low
+    return fields
 
 
-def _flags(tokens: list[bytes], size: np.ndarray) -> np.ndarray:
-    joined = b"".join(tokens)
-    _require((size == 1).all() and not joined.translate(None, b"01"))
-    return np.frombuffer(joined, np.uint8) == ord("1")
+def _ints(word: np.ndarray, at: np.ndarray, size: np.ndarray) -> np.ndarray:
+    _require(((size >= 1) & (size <= 18)).all())
+    w = int(size.max())
+    digits = _fields(word, at, size, b"0").view(np.uint8)[:, :w] - ord("0")
+    _require((digits < 10).all())  # a byte below "0" wraps past 9
+    # The digits padded with zeros read as value * 10**(w - size) < 10**18.
+    return digits.astype(np.int64) @ _TENS[-w:] // _TENS[size + 17 - w]
 
 
-def _stamps(tokens: list[bytes], size: np.ndarray) -> np.ndarray:
+def _flags(word: np.ndarray, at: np.ndarray, size: np.ndarray) -> np.ndarray:
+    flag = (word[at] & 0xFF) - ord("0")
+    _require((size == 1).all() and (flag < 2).all())
+    return flag == 1
+
+
+def _stamps(word: np.ndarray, at: np.ndarray, size: np.ndarray) -> np.ndarray:
     _require((size == _STAMP.size).all())
-    stamps = np.frombuffer(b"".join(tokens), f"S{_STAMP.size}")
-    chars = stamps.view(np.uint8).reshape(-1, _STAMP.size)
+    fields = _fields(word, at, size, b"\0")  # numpy reads trailing NULs as no bytes
+    chars = fields.view(np.uint8)[:, :_STAMP.size]
     _require((chars[:, _STAMP_DIGIT] - ord("0") < 10).all()
              and (chars[:, ~_STAMP_DIGIT] == _STAMP[~_STAMP_DIGIT]).all())
-    seconds = stamps.astype("datetime64[s]").astype(np.int64)
+    seconds = fields.view(f"S{fields.itemsize * fields.shape[1]}").ravel().astype("datetime64[s]")
+    seconds = seconds.astype(np.int64)
     _require((seconds >= _YEAR_1).all() and not (seconds % (SLOT_MINUTES * 60)).any())
     return seconds * 10**6
 
 
-def _speeds(tokens: list[bytes], size: np.ndarray) -> np.ndarray:
-    speed = np.fromiter(map(float, tokens), np.float64, len(tokens))
-    _require((np.isfinite(speed) & (speed >= 0)).all())
-    return speed
+def _speeds(word: np.ndarray, at: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """``float`` of each field, or of each distinct field once when every
+    field fits one word, as short speeds such as ``65.3`` do, which repeat.
+    Fields are read padded with NULs, so a NUL within one declines the span."""
+    fields = _fields(word, at, size, b"\0")
+    _require(np.count_nonzero(fields.view(np.uint8)) == size.sum())
+    inverse = None
+    if fields.shape[1] == 1:
+        _, first, inverse = np.unique(fields, return_index=True, return_inverse=True)
+        fields = fields[first]
+    tokens = fields.view(f"S{fields.itemsize * fields.shape[1]}").ravel().tolist()
+    value = np.fromiter(map(float, tokens), np.float64, len(tokens))
+    _require((np.isfinite(value) & (value >= 0)).all())
+    return value if inverse is None else value[inverse.ravel()]
 
 
 ID, INT, FLAG, STAMP, SPEED, SKIP = "id", _ints, _flags, _stamps, _speeds, None  # column kinds
@@ -346,18 +379,20 @@ def read_columns(path, forms: dict[str, tuple]):
     """``(ids, columns)`` of a file in its writer's form, parsed a span of
     whole lines at a time; None for any other file or one without rows.
     ``forms`` maps each header line a file may start with to its column
-    kinds; ``columns`` has an array per kind but ``SKIP``: ``ID``, an id
-    without surrounding whitespace, as an int32 code into ``ids`` (numbered
-    by first appearance, row by row); ``INT``, 1 to 18 digits, as int64;
-    ``FLAG``, 0 or 1, as bool; ``STAMP``, a naive ``YYYY-MM-DDTHH:MM:SS``
-    of year 1 or later on the 5-minute grid, as int64 microseconds after 1970;
-    ``SPEED``, a finite float >= 0.  Fields are unquoted UTF-8 within csv's
-    field limit, and every line ends as the header does.  Row k is on line k + 2.
+    kinds; ``columns`` has an array per kind but ``SKIP``: ``ID``, an id of
+    at most ``_WIDE`` bytes without surrounding whitespace, as an int32 code
+    into ``ids`` (numbered by first appearance, row by row); ``INT``, 1 to 18
+    digits, as int64; ``FLAG``, 0 or 1, as bool; ``STAMP``, a naive
+    ``YYYY-MM-DDTHH:MM:SS`` of year 1 or later on the 5-minute grid, as int64
+    microseconds after 1970; ``SPEED``, at most ``_WIDE`` bytes that ``float``
+    reads as finite and >= 0.  Fields are unquoted UTF-8 within csv's field
+    limit, and every line ends as the header does.  Row k is on line k + 2.
 
     The lines after the header are cut into spans of about ``_CHUNK_BYTES``
     that each end at a line end, and ``_slices.in_slices`` parses them: each
-    job ``os.pread``s its own span and numbers its ids in a dict of its own,
-    and this process renumbers each span's ids into ``ids`` in span order,
+    job ``os.pread``s its own span, converts each column from its fields'
+    bytes (``_parse_chunk``) and numbers its ids in a dict of its own, and
+    this process renumbers each span's ids into ``ids`` in span order,
     which numbers them as one pass over the rows would.  The lines are
     counted first, and each span's columns are copied into columns of that
     many rows as it arrives, so that no span's arrays outlive their copy and
@@ -426,7 +461,15 @@ def _parse_chunk(text: bytes, kinds: tuple, cr: int) -> tuple[list[bytes], list]
     """The ids and columns of ``text``, whole lines of one field per kind,
     each ending in CRLF if ``cr`` else LF; a ValueError unless every field
     is of its kind.  An ``ID`` column holds codes into the ids, which are
-    numbered by first appearance, row by row."""
+    numbered by first appearance, row by row.
+
+    One pass over the separators checks the layout and gives each field's
+    offset and size, and each kind converts its column straight from the
+    bytes there, read as 8-byte words: ``INT`` from its digits to int64,
+    ``FLAG`` from one byte, ``STAMP`` through numpy's ``datetime64[s]``,
+    ``SPEED`` by ``float`` (once per distinct field when all fit one word),
+    and ``ID`` by one dict lookup per run of equal ids in its column.  No
+    other field becomes a Python object."""
     width = len(kinds)
     raw = np.frombuffer(text, np.uint8)
     seps = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
@@ -434,34 +477,31 @@ def _parse_chunk(text: bytes, kinds: tuple, cr: int) -> tuple[list[bytes], list]
     _require(b'"' not in text and seps.size == width * n and lf[width - 1::width].all()
              and np.count_nonzero(lf) == n and np.count_nonzero(raw == ord("\r")) == cr * n
              and (not cr or (raw[ends - 1] == ord("\r")).all()))
-    size = np.diff(seps, prepend=-1).reshape(n, width) - 1
+    at = np.concatenate(([0], seps[:-1] + 1)).reshape(n, width)
+    size = seps.reshape(n, width) - at
     size[:, -1] -= cr
     _require((size < csv.field_size_limit()).all())
     text.decode()
+    # word[i]: the 8 bytes from offset i, for every i a field of _WIDE bytes reads.
+    word = np.ndarray(len(text) + _WIDE - 7, "<u8", text + bytes(_WIDE), strides=(1,))
 
-    keep = width
-    while kinds[keep - 1] is SKIP:
-        keep -= 1
-    if keep < width:  # split each line's kept fields only, up to the comma after them
-        starts = np.append(0, ends[:-1] + 1)
-        cuts = seps[keep - 1::width] + 1
-        spans = np.column_stack([cuts - starts, ends + 1 - cuts]).ravel()
-        values = raw[np.repeat(np.tile([True, False], n), spans)].tobytes().split(b",")
-    else:
-        values = text.translate(_LF_TO_COMMA, b"\r").split(b",")
-    fields = [values[k:keep * n:keep] for k in range(keep)]
-    # One code per id, row by row across the id columns.
-    sids = list(chain.from_iterable(zip(*(f for f, kind in zip(fields, kinds) if kind is ID))))
-    same = sids.count(sids[0]) == len(sids)
-    codes = {sid: k for k, sid in enumerate([sids[0]] if same else dict.fromkeys(sids))}
+    # Each run of equal ids in a column has its id looked up once, at its
+    # first row, row by row across the id columns.
+    id_at = [k for k, kind in enumerate(kinds) if kind is ID]
+    new = np.ones((n, len(id_at)), bool)  # the fields that start a run
+    for j, k in enumerate(id_at):  # commas, which no field holds, pad ids apart
+        keys = _fields(word, at[:, k], size[:, k], b",")
+        new[1:, j] = (keys[1:] != keys[:-1]).any(axis=1)
+    codes: dict[bytes, int] = {}
+    code = np.fromiter((codes.setdefault(text[a:a + z], len(codes)) for a, z in zip(
+        at[:, id_at][new].tolist(), size[:, id_at][new].tolist())), np.int32, np.count_nonzero(new))
     for name in map(bytes.decode, codes):
         _require(name and name == name.strip())
-    code = np.full(len(sids), codes[sids[0]], np.int32) if same else np.fromiter(
-        map(codes.__getitem__, sids), np.int32, len(sids))
-    code = iter(code.reshape(n, -1).T)
+    run = np.where(new, np.cumsum(new).reshape(new.shape) - 1, 0)  # each field's run
+    code = iter(code[np.maximum.accumulate(run, axis=0)].T)
     return list(codes), [
-        next(code) if kind is ID else kind(tokens, length)
-        for kind, tokens, length in zip(kinds, fields, size.T) if kind is not SKIP
+        next(code) if kind is ID else kind(word, at[:, k], size[:, k])
+        for k, kind in enumerate(kinds) if kind is not SKIP
     ]
 
 

@@ -219,18 +219,25 @@ def test_roundtrip_bit_exact(tmp_path):
 
 # Speeds files for the loader equivalence test.  Clean files are what
 # write_speed_csv writes (interleaved, unsorted stations with gaps); the
-# others leave that form in one or more fields or in their layout.
-VALID_IDS = ["a", "b", "S000", "\u00e9"]
-ODD_IDS = [" a", "a ", '"a"', '"a,b"', "", "a\rb"]
+# others leave that form in one or more fields or in their layout.  The ids
+# differ in byte width (two past 8 bytes that share their first 8, one of
+# 2-byte UTF-8, one holding a NUL, one of the 64 bytes the column path reads
+# at most), a file may hold one id throughout or a new id on every row, and
+# its slots may start on the eve of a leap day.
+VALID_IDS = ["a", "b", "S000", "\u00e9", "a\x00", "S0000000000001", "S0000000000002", "w" * 64]
+ODD_IDS = [" a", "a ", '"a"', '"a,b"', "", "a\rb", "x" * 65]
 ODD_STAMPS = [
     "2024-01-01T00:00:30", "2024-01-01T00:02:00", "2024-01-01 00:10:00", " 2024-01-01T00:15:00",
     "2024-01-01T00:20", "2024-01-01T24:00:00", "0000-01-01T00:00:00", "-001-01-01T00:00:00",
     "now", "2024-02-30T00:00:00", "0001-01-01T00:00:00", "9999-12-31T23:55:00",
     "2024-01-01T00:00:00+00:00", "0001-01-01T00:00:00+05:00",
+    "2000-02-29T00:00:00", "1900-02-29T00:00:00", "2023-02-29T00:00:00",
 ]
+STARTS = [T0, datetime(2000, 2, 28, 23), datetime(1900, 2, 28, 23), datetime(2023, 2, 28, 23)]
 OFFSETS = ["+00:00", "+05:30", "-08:00", "+00:02:30", "+00:00:01.500000"]
-SPEED_TEXTS = st.floats(0, 200).map(repr) | st.floats(0, 200).map(lambda v: f"{v:.17g}")
-ODD_SPEEDS = ["nan", "inf", "1_0", " 5.0", "-0.0", "-1.0", "1e309", "x", "", "\u0661"]
+SPEED_TEXTS = (st.floats(0, 200).map(repr) | st.floats(0, 200).map(lambda v: f"{v:.17g}")
+               | st.floats(0, 1e30).map(lambda v: f"{v:e}") | st.sampled_from(["1e-05", "2.5E+01", "1e22"]))
+ODD_SPEEDS = ["nan", "inf", "1_0", " 5.0", "-0.0", "-1.0", "1e309", "x", "", "\u0661", "1\x00", "9" * 70]
 ODD_FLAGS = [" 1", "2", "", "1 ", "10", "0x"]
 
 
@@ -239,8 +246,14 @@ def speed_files(draw):
     keys = draw(st.lists(
         st.tuples(st.sampled_from(VALID_IDS), st.integers(0, 300)), unique=True, max_size=25
     ))
+    ids = draw(st.sampled_from(["drawn", "one", "each row"]))
+    if ids == "one":
+        keys = [(keys[0][0], k) for k in sorted({k for _, k in keys})] if keys else []
+    elif ids == "each row":
+        keys = [(f"s{k}" if k % 4 == 3 else f"S{k:013d}", slot) for k, (_, slot) in enumerate(keys)]
+    start = draw(st.sampled_from(STARTS))
     rows = [
-        [sid, (T0 + k * SLOT).isoformat(), draw(SPEED_TEXTS), draw(st.sampled_from("01"))]
+        [sid, (start + k * SLOT).isoformat(), draw(SPEED_TEXTS), draw(st.sampled_from("01"))]
         for sid, k in keys
     ]
     if rows and draw(st.booleans()):  # a duplicate slot somewhere
@@ -292,6 +305,19 @@ def test_loader_matches_the_per_row_reference(tmp_path_factory, chunk, content, 
         assert re.fullmatch(f"{re.escape(str(path))}: line \\d+: {re.escape(expected[1])}", got[1])
     else:
         assert got == expected
+
+
+@pytest.mark.parametrize("speed", ["1\x00", "65.0\x00", "1.2345678901\x00"])
+def test_a_speed_holding_a_nul_loads_as_the_row_reader_loads_it(tmp_path, speed):
+    # the speed reads as "1" and so on once its NUL is dropped, which the row reader refuses
+    path = tmp_path / "s.csv"
+    write_rows(path, [
+        ["a", "2024-01-01T00:00:00", speed.rstrip("\x00"), "0"],
+        ["a", "2024-01-01T00:05:00", speed, "0"],
+    ])
+    assert _outcome(load_speed_csv, path) == _outcome(load_speed_csv_reference, path)
+    with pytest.raises(ParseError, match="line 3"):
+        load_speed_csv(path)
 
 
 def test_oversized_id_is_an_error_naming_the_line(tmp_path):

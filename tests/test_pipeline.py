@@ -429,17 +429,23 @@ def test_writer_files_take_the_column_path(tmp_path):
 
 
 # Artifact files for the column-path parity test: rows in the writer's form,
-# then departures from it in the fields, the rows or the line ends.
-TABLE_IDS = ["a", "b", "S000", "\u00e9"]
-ODD_TABLE_IDS = ['"a"', " a", "a ", ""]
-ODD_INTS = ["+1", "1_0", " 5", "05", "-0", "\u0661", str(2**63), "-3", "x", ""]
-ODD_DRIVE_TIMES = ["nan", "-inf", "1e400", "-1.0", "-0.0", "0.5", "7"]
+# then departures from it in the fields, the rows or the line ends.  The ids
+# differ in byte width (two past 8 bytes that share their first 8, one of
+# 2-byte UTF-8, one holding a NUL), a file may hold one cause throughout or
+# a new one on every row, and a lag may have 18 digits or 19.
+TABLE_IDS = ["a", "b", "S000", "\u00e9", "a\x00", "S0000000000001", "S0000000000002"]
+ODD_TABLE_IDS = ['"a"', " a", "a ", "", "x" * 65]
+ODD_INTS = ["+1", "1_0", " 5", "05", "-0", "\u0661", str(2**63), "-3", "x", "",
+            "9" * 18, "1" + "0" * 17, "9" * 19, "1" + "0" * 18]
+ODD_DRIVE_TIMES = ["nan", "-inf", "1e400", "-1.0", "-0.0", "0.5", "7", "1e-05", "2.5E+02",
+                   "123.45678901234567", "1.2345678901234567e+300", "9" * 70]
 ESTIMATES = st.sampled_from(["0.5", "nan", "-inf", "interior", "", "\u00e9"])
 
 
 @st.composite
 def artifact_files(draw, name):
-    pair_keys = st.tuples(st.sampled_from(TABLE_IDS), st.sampled_from(TABLE_IDS), st.integers(1, 8))
+    lags = st.integers(1, 8) | st.sampled_from([10**17, 10**18 - 1, 10**18])
+    pair_keys = st.tuples(st.sampled_from(TABLE_IDS), st.sampled_from(TABLE_IDS), lags)
     if name == "events":
         keys_ = st.tuples(st.sampled_from(TABLE_IDS), st.integers(0, 9))
         rows = [[sid, str(slot), draw(st.sampled_from("01"))]
@@ -447,8 +453,9 @@ def artifact_files(draw, name):
         header, id_columns, width = EVENTS_HEADER, [0], 3
     elif name == "dataset":
         keys_ = pair_keys.filter(lambda key: key[0] != key[1])
+        drive_times = st.floats(0, 1e3).map(repr) | st.floats(0, 1e30).map(lambda v: f"{v:e}")
         rows = [[c, e, str(lag), draw(st.sampled_from("01")),
-                 draw(st.sampled_from([*RULES, *TABLE_IDS])), repr(draw(st.floats(0, 1e3)))]
+                 draw(st.sampled_from([*RULES, *TABLE_IDS])), draw(drive_times)]
                 for c, e, lag in draw(st.lists(keys_, unique=True, max_size=12))]
         header, id_columns, width = DATASET_HEADER, [0, 1, 4], 6
     else:
@@ -459,6 +466,9 @@ def artifact_files(draw, name):
         if name == "mle":
             header = MLE_HEADER
             rows = [row + [draw(ESTIMATES) for _ in range(5)] for row in rows]
+    ids = draw(st.sampled_from(["drawn", "one", "each row"]))
+    for k, row in enumerate(rows if ids != "drawn" else []):  # the first id column of every row
+        row[0] = rows[0][0] if ids == "one" else f"s{k}" if k % 4 == 3 else f"S{k:013d}"
     numbers = [k for k in range(width) if k not in id_columns]
     for _ in range(draw(st.sampled_from([0, 0, 1, 2])) if rows else 0):
         row = draw(st.sampled_from(rows))

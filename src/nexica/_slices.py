@@ -8,10 +8,10 @@ caller receives every result in job order, so the split changes no
 output.  The jobs run in this process alone with one usable core or one
 job, without ``os.fork`` or ``os.sched_getaffinity``, while another thread
 is alive (a forked child could deadlock on a lock that thread held), or
-when a fork fails.  The forest grows its batches of trees through it, the
-column writer formats its blocks of rows, and the column reader parses its
-spans of lines.  The peak RSS of this process (``ru_maxrss``) does not
-count the children.
+when a fork fails.  The forest grows its slices of trees through it, one
+job per process, the column writer formats its blocks of rows, and the
+column reader parses its spans of lines.  The peak RSS of this process
+(``ru_maxrss``) does not count the children.
 """
 
 from __future__ import annotations

@@ -25,20 +25,21 @@ first its bootstrap, then, once per level, the candidate features of all
 its splittable nodes in breadth-first order.  A tree therefore does not
 depend on which trees share its batch.
 
-The trees of all fits go in fit order into one batch when their
-bootstrap draws fit within ``_BATCH_DRAWS``.  Otherwise they go into
-batches of about equal draws, each within that budget or of one tree,
-and as many as a multiple of the usable cores.  Whole batches go through
+``grow_fits`` cuts the trees of all fits, in fit order, into one
+contiguous slice per usable core by their bootstrap draws, so each slice
+carries about equal draws, or into one slice when all draws fit within
+``_BATCH_DRAWS``.  It cuts each slice into batches within that budget (a
+tree above it is a batch of its own) and hands the slices to
 ``_slices.in_slices``, the fork helper the column writer shares: this
-process grows the first contiguous slice of them, and one forked child
-per further usable core grows each other slice.  The process that grows
-a tree also scores it, and sends back each fit's positive votes on its
-score rows, summed in int64, plus the trees of the fits that keep them.
-Growth stays in this process with one usable core or one batch, without
-``os.fork`` or ``os.sched_getaffinity``, while another thread is alive,
-or when a fork fails.  The trees, the scores and every output are the
-same either way.  A dead child is a ``TrainingError``.  The peak RSS of
-this process (``ru_maxrss``) does not count the children.
+process grows the first slice, and one forked child per further slice
+grows each other one.  The process that grows a tree also scores it, and
+sends back each fit's positive votes on its score rows, summed in int64,
+plus the trees of the fits that keep them.  Growth stays in this process
+with one usable core or one slice, without ``os.fork`` or
+``os.sched_getaffinity``, while another thread is alive, or when a fork
+fails.  The trees, the scores and every output are the same either way.
+A dead child is a ``TrainingError``.  The peak RSS of this process
+(``ru_maxrss``) does not count the children.
 """
 
 from __future__ import annotations
@@ -367,27 +368,28 @@ def _training_set(ranks: np.ndarray, fit: Fit) -> _Set:
                 np.take_along_axis(fit_ranks, orders, axis=1))
 
 
-def _batch_bounds(draws: np.ndarray, cores: int) -> list[tuple[int, int]]:
+def _slices(draws: np.ndarray, cores: int) -> list[list[list[int]]]:
     """Cut trees of ``draws`` bootstrap draws each, in order, into contiguous
-    batches: one when all draws fit within ``_BATCH_DRAWS``, otherwise
-    batches of about equal draws, each within the budget or of one tree.
-    Their count is then the least multiple of ``cores`` that allows it,
-    so that contiguous slices of the batches carry equal draws.  A tree
-    goes to the batch its middle draw falls in, so a batch may be empty;
-    with as many batches as trees, each tree is a batch of its own."""
-    n, total = draws.size, int(draws.sum())
+    slices of about equal draws, at most ``cores`` of them: a tree goes to
+    the slice its middle draw falls in, and a slice no tree falls in is
+    dropped, so the first slice starts at the first tree.  All draws within
+    ``_BATCH_DRAWS`` make one slice.  Each slice is cut greedily into
+    batches: a tree starts a new batch when adding it would take the batch
+    past ``_BATCH_DRAWS``.  Returns each slice's batches of tree indices."""
+    total = int(draws.sum())
     if total <= _BATCH_DRAWS:
-        return [(0, n)]
-    middle2 = 2 * np.cumsum(draws) - draws  # twice each tree's middle draw
-    ends = np.append(0, np.cumsum(draws))
-    b = cores * -(-total // (cores * _BATCH_DRAWS))
-    while b < n:
-        bounds = np.searchsorted(middle2 * b // (2 * total), np.arange(b + 1))
-        held = ends[bounds[1:]] - ends[bounds[:-1]]
-        if np.all((held <= _BATCH_DRAWS) | (np.diff(bounds) <= 1)):
-            return list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
-        b += cores * -(-b // (8 * cores))  # about an eighth more, in whole rounds
-    return [(t, t + 1) for t in range(n)]
+        cores = 1
+    slice_of = ((2 * np.cumsum(draws) - draws) * cores // (2 * total)).tolist()
+    slices, held, last = [], 0, -1
+    for t, (n, w) in enumerate(zip(draws.tolist(), slice_of)):
+        if w != last:
+            slices.append([])
+        if w != last or held + n > _BATCH_DRAWS:
+            slices[-1].append([])
+            held = 0
+        slices[-1][-1].append(t)
+        held, last = held + n, w
+    return slices
 
 
 def grow_fits(
@@ -419,52 +421,44 @@ def grow_fits(
     del columns
     trees = [(k, np.random.default_rng(c))
              for k, fit in enumerate(fits) for c in np.random.SeedSequence(fit.seed).spawn(n_trees)]
-    bounds = _batch_bounds(np.repeat([fit.rows.size for fit in fits], n_trees), usable_cores())
+    slices = _slices(np.repeat([fit.rows.size for fit in fits], n_trees), usable_cores())
 
-    # each process's fits, as (training set, masked score rows), built on
-    # first use; a process grows its batches in fit order, so the fits
-    # before a batch's first are done with
-    cache = {}
-
-    def grow(batch):
-        """Each fit's votes on its score rows from the batch's trees, with the trees it keeps."""
-        if not batch:
-            return []
-        for k in [k for k in cache if k < batch[0][0]]:
-            del cache[k]
-        for k, _ in batch:
-            if k not in cache:
-                cache[k] = (_training_set(ranks, fits[k]),
-                            np.ascontiguousarray(x[fits[k].score][:, mask]))
-        grown = _grow_batch(values, [(cache[k][0], r) for k, r in batch])
-        result = []
-        for k, members in groupby(range(len(batch)), key=lambda t: batch[t][0]):
-            mine = [grown[t] for t in members]
-            result.append((k, _votes(mine, cache[k][1]), mine if fits[k].keep else []))
+    def grow(batches):
+        """Each fit's votes on its score rows from one slice's trees, with the
+        trees it keeps.  The batches come in fit order, so a fit's training
+        set and masked score rows are built once, and dropped once a later
+        fit's batch starts."""
+        cache, result = {}, {}
+        for batch in batches:
+            for k in [k for k in cache if k < batch[0][0]]:
+                del cache[k]
+            for k, _ in batch:
+                if k not in cache:
+                    cache[k] = (_training_set(ranks, fits[k]),
+                                np.ascontiguousarray(x[fits[k].score][:, mask]))
+            grown = _grow_batch(values, [(cache[k][0], r) for k, r in batch])
+            for (k, _), tree in zip(batch, grown):
+                v, mine = result.setdefault(k, (np.zeros(fits[k].score.size, dtype=np.int64), []))
+                v += tree.apply(cache[k][1])
+                if fits[k].keep:
+                    mine.append(tree)
         return result
 
     votes = [np.zeros(fit.score.size, dtype=np.int64) for fit in fits]
     kept = [[] for _ in fits]
 
     def take(result):
-        for k, v, mine in result:
+        for k, (v, mine) in result.items():
             votes[k] += v
             kept[k].extend(mine)
 
-    in_slices(grow, [trees[a:b] for a, b in bounds], take, _dead_worker)
+    jobs = [[[trees[t] for t in batch] for batch in batches] for batches in slices]
+    in_slices(grow, jobs, take, _dead_worker)
     return votes, kept
 
 
 def _dead_worker(pid: int, status: int) -> TrainingError:
     return TrainingError(f"forest worker {pid} exited with status {status}")
-
-
-def _votes(trees: list[_Tree], x: np.ndarray) -> np.ndarray:
-    """Positive votes of ``trees`` on each row of ``x``, as int64."""
-    votes = np.zeros(x.shape[0], dtype=np.int64)
-    for t in trees:
-        votes += t.apply(x)
-    return votes
 
 
 def train_forest(
@@ -494,7 +488,10 @@ def predict_proba(model: ForestModel, features: np.ndarray) -> np.ndarray:
         raise ConsistencyError(
             f"model expects {model.n_features_full} features, got {x.shape[1]}"
         )
-    votes = _votes(model.trees, np.ascontiguousarray(x[:, model.feature_mask]))
+    x = np.ascontiguousarray(x[:, model.feature_mask])
+    votes = np.zeros(x.shape[0], dtype=np.int64)
+    for t in model.trees:
+        votes += t.apply(x)
     return votes / len(model.trees)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import classify as cls
@@ -46,7 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--speeds", required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--profile-out", help="also dump the median-week profiles")
     p.set_defaults(handler=cmd_events)
 
     p = sub.add_parser("pairs", help="correspondence counts for all pairs and lags")
@@ -144,8 +144,6 @@ def cmd_events(args) -> int:
     series = load_speed_csv(args.speeds)
     extracted = [extract_events(s, args.alpha) for s in series]
     pl.write_events_csv(args.out, extracted)
-    if args.profile_out:
-        pl.write_profiles_csv(args.profile_out, series)
     n = sum(s.count() for s in extracted)
     print(f"{len(extracted)} stations, {n} events -> {args.out}")
     return 0
@@ -176,9 +174,10 @@ def cmd_ground_truth(args) -> int:
     dataset = full_dataset(truth) if args.full else build_dataset(truth, args.ratio)
     pl.write_dataset_csv(args.out, dataset)
     pos = len(dataset.pairs.positives())
+    gap = dataset.min_negative_drive_time  # NaN without negatives
     print(
         f"{len(dataset.pairs)} labeled tuples ({pos} positive) -> {args.out}; "
-        f"min negative drive time {dataset.min_negative_drive_time:.1f} min"
+        f"min negative drive time {'none' if math.isnan(gap) else f'{gap:.1f} min'}"
     )
     return 0
 

@@ -34,7 +34,7 @@ from .correspond import CorrespondenceCounts, lagged_counts
 from .errors import (
     ConsistencyError, FormatError, NexicaError, ParameterError, ParseError, StageError,
 )
-from .events import EventSeries, extract_events, median_week_profile
+from .events import EventSeries, extract_events
 from .groundtruth import (
     RULES,
     DatasetSpec,
@@ -45,7 +45,7 @@ from .groundtruth import (
     label_pairs,
 )
 from .ingest import (
-    FLAG, ID, INT, SKIP, SPEED, SpeedSeries, filter_stations, load_drive_times, load_fields,
+    FLAG, ID, INT, SKIP, SPEED, filter_stations, load_drive_times, load_fields,
     load_json, load_speed_csv, load_station_meta, numbered_rows, read_columns, read_rows,
     write_columns, write_csv,
 )
@@ -295,14 +295,6 @@ def _read_columns(path, header, kinds, header_ok, errors, checks):
             seen = first[np.searchsorted(keys, key[k])]
             raise FormatError(f"{path}: line {line(k)}: {name(k)} repeats line {line(seen)}")
     return ids, columns
-
-
-def write_profiles_csv(path, series: list[SpeedSeries]) -> None:
-    write_csv(path, ["station_id", "week_slot", "median_speed"], (
-        [s.station_id, k, "" if math.isnan(v) else repr(v)]
-        for s in series
-        for k, v in enumerate(median_week_profile(s).tolist())
-    ))
 
 
 def write_counts_csv(path, table: SweepTable) -> None:

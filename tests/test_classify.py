@@ -230,22 +230,53 @@ def test_forest_grows_the_reference_trees(data, n_trees, seed, batch_draws, othe
 @settings(max_examples=200, deadline=None)
 @given(draws=st.lists(st.integers(1, 3000), min_size=1, max_size=60),
        cores=st.integers(1, 4), budget=st.integers(1, 5000))
-def test_batches_hold_equal_draws_within_the_budget(draws, cores, budget):
-    """Trees in order, in one batch when their draws fit the budget, else
-    cut into a multiple of the cores' count of batches unless every tree
-    is its own batch; a batch of two trees or more holds at most the
-    budget's draws."""
+def test_slices_carry_equal_draws_in_batches_within_the_budget(draws, cores, budget):
+    """Trees in order, contiguous, in at most one non-empty slice per core,
+    each within the largest tree's draws of an equal share; one slice of one
+    batch when the draws fit the budget; a batch of two trees or more holds
+    at most the budget's draws."""
     draws = np.array(draws)
     with mock.patch.object(classify, "_BATCH_DRAWS", budget):
-        bounds = classify._batch_bounds(draws, cores)
-    starts, ends = (np.array([b[i] for b in bounds]) for i in (0, 1))
-    assert starts[0] == 0 and ends[-1] == draws.size and np.array_equal(starts[1:], ends[:-1])
+        slices = classify._slices(draws, cores)
+    batches = [batch for batches in slices for batch in batches]
+    assert [t for batch in batches for t in batch] == list(range(draws.size))
+    assert 1 <= len(slices) <= cores and all(slices) and all(batches)
     if draws.sum() <= budget:
-        assert len(bounds) == 1
-    else:
-        assert len(bounds) % cores == 0 or len(bounds) == draws.size
-    for a, b in bounds:
-        assert b - a <= 1 or draws[a:b].sum() <= budget
+        assert slices == [[list(range(draws.size))]]
+    for batches in slices:
+        held = sum(draws[batch].sum() for batch in batches)
+        assert abs(held - draws.sum() / len(slices)) <= draws.max()
+    for batch in batches:
+        assert len(batch) <= 1 or draws[batch].sum() <= budget
+
+
+def test_unequal_fits_split_their_draws_evenly_between_processes(monkeypatch, tmp_path):
+    """Ten small trees and ten large ones on two cores: each process grows
+    about half of the draws, not half of the trees."""
+    rng = np.random.default_rng(5)
+    x = rng.integers(0, 20, (4000, 3)).astype(float)
+    y = (x[:, 0] > 9).astype(np.int8)
+    fits = [classify.Fit(np.arange(n), y[:n], seed, np.arange(10))
+            for n, seed in ((40, 1), (4000, 2))]
+    log, grow = tmp_path / "draws.log", classify._grow_batch
+
+    def logged(values, trees):
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        os.write(fd, f"{os.getpid()} {sum(s.y.size for s, _ in trees)}\n".encode())
+        os.close(fd)
+        return grow(values, trees)
+
+    monkeypatch.setattr(classify, "_BATCH_DRAWS", 2000)
+    monkeypatch.setattr(classify, "_grow_batch", logged)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    classify.grow_fits(x, fits, 10)
+    held = Counter()
+    for line in log.read_text().splitlines():
+        pid, n = line.split()
+        held[pid] += int(n)
+    assert len(held) == 2 and sum(held.values()) == 10 * (40 + 4000)
+    for n in held.values():
+        assert abs(n - 10 * (40 + 4000) / 2) <= 4000
 
 
 def test_model_hash_does_not_depend_on_batching():
@@ -263,11 +294,12 @@ def test_model_hash_does_not_depend_on_batching():
 @pytest.fixture(scope="module")
 def many_batches():
     """A set whose forests grow in several batches, with the default run's
-    model hash and cross-validated ROC.  A batch holds at most 2**16
-    bootstrap draws, and the batches are the fewest such that their count
-    is a multiple of the usable cores.  The 12 trees of 8,000 rows (96,000
-    draws) are 2 batches on one or two cores and 3 on three; the 60 trees
-    of the 5 folds of 6,400 rows (384,000 draws) are 6 on one to three."""
+    model hash and cross-validated ROC.  The trees go into one slice of
+    about equal draws per usable core, each cut into batches of at most
+    2**16 bootstrap draws.  The 12 trees of 8,000 rows (96,000 draws) are 2
+    batches on one core and one batch a slice on two or three; the 60 trees
+    of the 5 folds of 6,400 rows (384,000 draws) are 6 batches on one core,
+    3 a slice on two and 2 a slice on three."""
     rng = np.random.default_rng(31)
     x = rng.integers(0, 40, (8000, 4)).astype(float)
     y = ((x[:, 0] + x[:, 1] > 40) ^ (rng.random(8000) < 0.03)).astype(np.int8)

@@ -132,8 +132,7 @@ def _assert_stagewise_matches_run(corpus, tmp_path, capsys):
 
     events_csv = tmp_path / "events.csv"
     assert main(["events", "--speeds", corpus["speeds"], "--alpha", "0.25",
-                 "--out", str(events_csv),
-                 "--profile-out", str(tmp_path / "profiles.csv")]) == 0
+                 "--out", str(events_csv)]) == 0
     assert events_csv.read_bytes() == (run_dir / "events.csv").read_bytes()
 
     counts_csv = tmp_path / "counts.csv"
@@ -158,10 +157,6 @@ def _assert_stagewise_matches_run(corpus, tmp_path, capsys):
                  "--out", str(topk_csv)]) == 0
     assert topk_csv.read_bytes() == (run_dir / "topk_edges.csv").read_bytes()
     assert f"(hash {metrics['classifier']['model_hash'][:12]})" in capsys.readouterr().out
-
-    with open(tmp_path / "profiles.csv") as fh:
-        header = fh.readline().strip()
-    assert header == "station_id,week_slot,median_speed"
 
 
 @pytest.fixture(scope="module")
@@ -543,6 +538,10 @@ def test_run_without_positives_skips_evaluation(tmp_path, capsys):
     report = capsys.readouterr().out
     assert "evaluation skipped" in report
     assert "ratio dataset: n=0  min negative drive time=none\n" in report
+    gt_csv = tmp_path / "dataset.csv"
+    assert main(["ground-truth", "--meta", str(tmp_path / "meta.csv"),
+                 "--drive-times", str(tmp_path / "drive.csv"), "--out", str(gt_csv)]) == 0
+    assert capsys.readouterr().out.endswith("; min negative drive time none\n")
 
 
 def test_station_without_metadata_or_drive_times_is_dropped(corpus, tmp_path, caplog):

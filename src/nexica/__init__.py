@@ -50,9 +50,7 @@ from .mle import (
     CausalEstimate,
     estimate,
     estimate_many,
-    estimate_unconstrained,
     log_likelihood,
-    log_likelihood_gradient,
     pair_probabilities,
 )
 from .pipeline import RunConfig, SweepTable, grid_search, report, run_pipeline, sweep
@@ -86,7 +84,6 @@ __all__ = [
     "detect_slowdowns",
     "estimate",
     "estimate_many",
-    "estimate_unconstrained",
     "extract_events",
     "feature_ablation",
     "filter_stations",
@@ -100,7 +97,6 @@ __all__ = [
     "load_speed_csv",
     "load_station_meta",
     "log_likelihood",
-    "log_likelihood_gradient",
     "median_week_profile",
     "pair_probabilities",
     "predict_proba",

@@ -107,6 +107,12 @@ class RocResult:
     fold_aucs: list[float] | None = None
     auc_std: float | None = None
 
+    def metrics(self) -> dict:
+        """The fields a metrics file holds: ``auc``, and when cross-validated
+        ``auc_std`` and ``fold_aucs``."""
+        fields = {"auc": self.auc, "auc_std": self.auc_std, "fold_aucs": self.fold_aucs}
+        return {k: v for k, v in fields.items() if v is not None}
+
 
 @dataclass
 class Fit:

@@ -214,19 +214,12 @@ def cmd_evaluate(args) -> int:
     _, x, y = _labeled_features(args)
     if args.feature_set == "pc":
         roc = cls.roc_auc(x[:, pl.PC_COLUMN], y)
-        payload = {"feature_set": args.feature_set, "auc": roc.auc}
     else:
         roc = cls.cross_validate(
             x, y, folds=args.folds, n_trees=args.n_trees, seed=args.seed,
             feature_mask=FEATURE_SETS[args.feature_set],
         )
-        payload = {
-            "feature_set": args.feature_set,
-            "auc": roc.auc,
-            "auc_std": roc.auc_std,
-            "fold_aucs": roc.fold_aucs,
-        }
-    pl.dump_json(args.metrics_out, payload)
+    pl.dump_json(args.metrics_out, {"feature_set": args.feature_set, **roc.metrics()})
     if args.roc_out:
         pl.write_roc_csv(args.roc_out, roc)
     print(f"AUC {roc.auc:.4f} -> {args.metrics_out}")

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import ConsistencyError, ParameterError, ValidationError
 from .events import EventSeries
+from .ingest import MAX_WINDOW
 
 
 @dataclass(frozen=True)
@@ -138,18 +139,6 @@ def _greedy_match(
     return a11, matched
 
 
-def product_dtype(m: int) -> np.dtype:
-    """Float dtype of the event-matrix products for length-``m`` series.
-
-    Every entry of a product is a count of at most ``m`` slots, summed
-    from 0/1 terms, so all partial sums are integers no larger than ``m``.
-    float32 holds every such integer exactly while ``m < 2**24``, float64
-    while ``m < 2**53``; exact integer sums do not depend on the order in
-    which BLAS adds them, so any thread count gives the same bytes.
-    """
-    return np.dtype(np.float32) if m < 1 << 24 else np.dtype(np.float64)
-
-
 def lagged_counts(indices: list[np.ndarray], m: int, l_max: int, tau: int = 0) -> np.ndarray:
     """The four counts of every (cause, effect, lag) tuple over n series.
 
@@ -175,8 +164,9 @@ def lagged_counts(indices: list[np.ndarray], m: int, l_max: int, tau: int = 0) -
     to m - tau, which only the last tau causes of a window reach: their
     product is the difference.  A cluster takes one greedy step per event
     for all effects and lags at once; each (cluster, effect, lag) carries
-    its first unmatched slot.  Counts are exact within
-    :func:`product_dtype`'s bound.
+    its first unmatched slot.  The products are float32: their partial sums
+    are integers no larger than a window, at most ``MAX_WINDOW`` = 2**24, so
+    exact, and the same in whatever order BLAS adds them.
     """
     if l_max < 1:
         raise ParameterError(f"l_max must be >= 1, got {l_max}")
@@ -184,8 +174,10 @@ def lagged_counts(indices: list[np.ndarray], m: int, l_max: int, tau: int = 0) -
         raise ParameterError(f"tau must be >= 0, got {tau}")
     if l_max + tau >= m:
         raise ParameterError(f"lag {l_max} + tau {tau} leaves no window for m={m}")
+    if m - 1 - tau > MAX_WINDOW:  # the lag-1 window, the widest
+        raise ParameterError(f"window exceeds {MAX_WINDOW} slots")
     n = len(indices)
-    x = np.zeros((n, m), dtype=product_dtype(m))
+    x = np.zeros((n, m), dtype=np.float32)
     for i, idx in enumerate(indices):
         x[i, idx] = 1
     d = x.copy() if tau else x

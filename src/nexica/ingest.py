@@ -46,10 +46,12 @@ from .errors import (
 SLOT_MINUTES = 5
 SLOT = timedelta(minutes=SLOT_MINUTES)
 
-# The longest series a loader lays out, in slots (about 319 years), and the
+# The longest series a loader lays out, in slots (about 160 years), and the
 # largest window for which ``mle.estimate_many`` reproduces ``mle.estimate``:
-# every integer it forms is below 2 * window**2 <= 2**51, so exact in float64.
-MAX_WINDOW = 1 << 25
+# every integer it forms is below 2 * window**2 <= 2**49, so exact in float64.
+# ``correspond.lagged_counts`` sums at most this many 0/1 products in float32,
+# which holds every integer up to 2**24 exactly.
+MAX_WINDOW = 1 << 24
 
 # Free-flow speed that turns drive-time minutes into kilometres and back, for
 # the ground-truth lag windows and the synthetic road alike.

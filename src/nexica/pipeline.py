@@ -64,7 +64,8 @@ TOP_K_EDGES = 50
 class RunConfig:
     """Flat, file-backed configuration for a full pipeline run: a JSON object
     with these keys, each value of its field's JSON type (checked by
-    ``ingest.load_fields``); ``nexica run --out-dir`` overrides ``out_dir``."""
+    ``ingest.load_fields``).  Only a run needs ``out_dir``, which ``nexica
+    run --out-dir`` overrides; a grid search writes no run directory."""
 
     speeds: str = ""
     meta: str = ""
@@ -92,8 +93,6 @@ class RunConfig:
             path = getattr(self, key)
             if not path or not os.path.exists(path):
                 raise ParameterError(f"config.{key}: path {path!r} does not exist")
-        if not self.out_dir:
-            raise ParameterError("config.out_dir is required")
         return self
 
 
@@ -464,6 +463,8 @@ def write_topk_csv(path, table: SweepTable, model: cls.ForestModel) -> None:
 def run_pipeline(config: RunConfig) -> dict:
     """Execute every stage, write artifacts, and return the metrics dict."""
     config = config.validated()
+    if not config.out_dir:
+        raise ParameterError("config.out_dir is required")
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
@@ -485,9 +486,7 @@ def run_pipeline(config: RunConfig) -> dict:
     staged("mle-write", write_mle_csv, out / "mle.csv", table)
 
     spec = DatasetSpec(ratio=config.ratio, l_max=config.l_max)
-    truth = staged("ground-truth", label_pairs, meta, matrix, spec)
-    ratio_set = build_dataset(truth, config.ratio)
-    full_set = full_dataset(truth)
+    truth, ratio_set, full_set = staged("ground-truth", _datasets, spec, meta, matrix)
     staged("dataset-write", write_dataset_csv, out / "dataset.csv", ratio_set)
     staged("dataset-full-write", write_dataset_csv, out / "dataset_full.csv", full_set)
 
@@ -559,63 +558,47 @@ def _ingest(config: RunConfig):
     return series, meta, matrix
 
 
-def _cross_validation(table: SweepTable, pairs: LabeledPairs, config: RunConfig):
-    """The forest's cross-validation on the table rows of ``pairs``, or None
-    when a class has fewer samples than folds."""
-    rows = dataset_rows(table, pairs)
-    n_pos = int(pairs.label.sum())
-    if n_pos < config.folds or pairs.label.size - n_pos < config.folds:
-        return None
-    return cls.CrossValidation(rows, pairs.label, config.folds, config.seed)
+def _datasets(spec: DatasetSpec, meta, matrix):
+    """The stations' ground truth, with its ratio'd and its full dataset."""
+    truth = label_pairs(meta, matrix, spec)
+    return truth, build_dataset(truth, spec.ratio), full_dataset(truth)
 
 
-def _fold_rocs(config: RunConfig, x: np.ndarray, cvs: list) -> list:
-    """Grow the folds of every cross-validation in ``cvs`` in one pass over
-    the counts of ``x``; each one's ROC, or None for a None."""
+def _cross_validate(config: RunConfig, table: SweepTable, ratio_set, full_set) -> list:
+    """The ROCs of the forest's cross-validations on the table rows of the
+    ratio'd and the full set, their folds all grown in one pass over the
+    table's counts; None for a set with fewer samples of a class than folds,
+    and for the full set when ``config.full_dataset_cv`` is off."""
+    cvs = [None, None]
+    for k, dataset in enumerate([ratio_set, full_set] if config.full_dataset_cv else [ratio_set]):
+        rows, labels = dataset_rows(table, dataset.pairs), dataset.pairs.label
+        if min(n_pos := int(labels.sum()), labels.size - n_pos) >= config.folds:
+            cvs[k] = cls.CrossValidation(rows, labels, config.folds, config.seed)
     votes = iter(cls.grow_fits(
-        x, [fit for cv in cvs if cv is not None for fit in cv.fits], config.n_trees, COUNT_MASK
+        table.feature_matrix(), [fit for cv in cvs if cv is not None for fit in cv.fits],
+        config.n_trees, COUNT_MASK,
     )[0])
     return [None if cv is None else cv.roc([next(votes) for _ in cv.fits], config.n_trees)
             for cv in cvs]
 
 
 def _classify(config, table, ratio_set, full_set, out: Path):
-    ratio = _cross_validation(table, ratio_set.pairs, config)
-    if ratio is None:
-        n_pos = int(ratio_set.pairs.label.sum())
-        return {
-            "skipped_reason": (
-                f"need at least {config.folds} samples per class for "
-                f"{config.folds}-fold evaluation (got {n_pos} positive, "
-                f"{len(ratio_set.pairs) - n_pos} negative)"
-            )
-        }
-    full = _cross_validation(table, full_set.pairs, config) if config.full_dataset_cv else None
-    x = table.feature_matrix()
-    ratio_cv, full_cv = _fold_rocs(config, x, [ratio, full])
-
+    x, y = dataset_features(table, ratio_set.pairs)
+    n_pos = int(y.sum())
+    if min(n_pos, y.size - n_pos) < config.folds:  # before any tree grows
+        return {"skipped_reason": f"need at least {config.folds} samples per class for "
+                f"{config.folds}-fold evaluation (got {n_pos} positive, {y.size - n_pos} negative)"}
+    ratio_cv, full_cv = _cross_validate(config, table, ratio_set, full_set)
     write_roc_csv(out / "roc_ratio.csv", ratio_cv)
-    scalar = cls.roc_auc(x[ratio.rows, PC_COLUMN], ratio.labels)
     result = {
-        "ratio_forest": {
-            "auc": ratio_cv.auc,
-            "auc_std": ratio_cv.auc_std,
-            "fold_aucs": ratio_cv.fold_aucs,
-        },
-        "ratio_scalar_pc": {"auc": scalar.auc},
+        "ratio_forest": ratio_cv.metrics(),
+        "ratio_scalar_pc": cls.roc_auc(x[:, PC_COLUMN], y).metrics(),
     }
     if full_cv is not None:
         write_roc_csv(out / "roc_full.csv", full_cv)
-        result["full_forest"] = {
-            "auc": full_cv.auc,
-            "auc_std": full_cv.auc_std,
-            "fold_aucs": full_cv.fold_aucs,
-        }
+        result["full_forest"] = full_cv.metrics()
 
-    model = cls.train_forest(
-        x[ratio.rows], ratio.labels, n_trees=config.n_trees, seed=config.seed,
-        feature_mask=COUNT_MASK,
-    )
+    model = cls.train_forest(x, y, n_trees=config.n_trees, seed=config.seed, feature_mask=COUNT_MASK)
     write_topk_csv(out / "topk_edges.csv", table, model)
     result["model_hash"] = model.model_hash()
     return result
@@ -638,10 +621,9 @@ def grid_search(
         raise ParameterError("alpha and tau value lists must be nonempty")
     config = config.validated()
     speeds, meta, matrix = _ingest(config)
-    spec = DatasetSpec(ratio=config.ratio, l_max=config.l_max)
-    truth = label_pairs(meta, matrix, spec)
-    ratio_set = build_dataset(truth, config.ratio)
-    full_set = full_dataset(truth)
+    _, ratio_set, full_set = _datasets(
+        DatasetSpec(ratio=config.ratio, l_max=config.l_max), meta, matrix
+    )
 
     rows = []
     for alpha in alpha_values:
@@ -649,11 +631,7 @@ def grid_search(
         for tau in tau_values:
             t0 = time.perf_counter()
             table = sweep(event_series, config.l_max, tau)
-            ratio = _cross_validation(table, ratio_set.pairs, config)
-            full = (
-                _cross_validation(table, full_set.pairs, config) if config.full_dataset_cv else None
-            )
-            ratio_cv, full_cv = _fold_rocs(config, table.feature_matrix(), [ratio, full])
+            ratio_cv, full_cv = _cross_validate(config, table, ratio_set, full_set)
             rows.append({
                 "alpha": alpha,
                 "tau": tau,

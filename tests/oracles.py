@@ -16,7 +16,8 @@ from scipy.optimize import minimize, minimize_scalar
 
 from nexica import groundtruth
 from nexica.classify import _Tree
-from nexica.errors import ConsistencyError, FormatError, ParseError
+from nexica.correspond import CorrespondenceCounts
+from nexica.errors import ConsistencyError, DomainError, FormatError, ParseError
 from nexica.ingest import (
     FREE_FLOW_KPH,
     MAX_WINDOW,
@@ -239,6 +240,53 @@ def maximize_log_likelihood(a00, a01, a10, a11):
         return None
     best = max(candidates, key=lambda c: c[0])
     return {"ll": best[0], "p_s": best[1], "p_c": best[2]}
+
+
+def log_likelihood_gradient(
+    counts: CorrespondenceCounts, p_s: float, p_c: float
+) -> tuple[float, float]:
+    """Analytic partials (d/dp_s, d/dp_c) of the log likelihood.
+
+    Cell terms:
+        d ln f00 / dp_s = 2 / (p_s - 1)            d ln f00 / dp_c = 0
+        d ln f01 / dp_s = (1 - 2 p_s) / (p_s (1 - p_s))
+        d ln f10 / dp_s = (1 - 2 p_s) / (p_s (1 - p_s))
+        d ln f10 / dp_c = 1 / (p_c - 1)
+        d ln f11 / dp_s = (p_c - 2 p_s (p_c - 1)) / (p_s (p_s + p_c - p_s p_c))
+        d ln f11 / dp_c = (1 - p_s) / (p_s + p_c - p_s p_c)
+
+    Terms whose count is zero are skipped, matching the 0 * ln 0 = 0
+    convention in ``mle.log_likelihood``.
+    """
+    a00, a01, a10, a11 = counts.as_tuple()
+    g11 = p_s + p_c - p_s * p_c
+    d_ps = 0.0
+    d_pc = 0.0
+    if a00:
+        d_ps += a00 * 2.0 / (p_s - 1.0)
+    if a01:
+        d_ps += a01 * (1.0 - 2.0 * p_s) / (p_s * (1.0 - p_s))
+    if a10:
+        d_ps += a10 * (1.0 - 2.0 * p_s) / (p_s * (1.0 - p_s))
+        d_pc += a10 / (p_c - 1.0)
+    if a11:
+        d_ps += a11 * (p_c - 2.0 * p_s * (p_c - 1.0)) / (p_s * g11)
+        d_pc += a11 * (1.0 - p_s) / g11
+    return d_ps, d_pc
+
+
+def estimate_unconstrained(counts: CorrespondenceCounts) -> tuple[float, float]:
+    """Closed-form stationary point, which may leave [0, 1] in p_c."""
+    a00, a01, a10, a11 = counts.as_tuple()
+    ps_den = 2 * (a00 + a01) + a10 + a11
+    pc_den = (2 * a00 + a01) * (a10 + a11)
+    if ps_den == 0 or pc_den == 0:
+        raise DomainError(
+            f"degenerate table {counts.as_tuple()}: closed forms are undefined"
+        )
+    p_s = (a01 + a10 + a11) / ps_den
+    p_c = (2 * a00 * a11 + a01 * (a11 - a10) - a10 * a10 - a10 * a11) / pc_den
+    return p_s, p_c
 
 
 def label_pairs_reference(meta, matrix, spec):

@@ -23,13 +23,14 @@ from nexica.mle import (
     CausalCase,
     estimate,
     log_likelihood,
-    log_likelihood_gradient,
     pair_probabilities,
 )
 from nexica.pipeline import RunConfig, grid_search, run_pipeline, sweep
 from nexica.synth import SynthSpec, generate_event_pair, generate_network, render_speed_series, write_dataset
 
-from oracles import brute_force_counts, mann_whitney_auc, maximize_log_likelihood
+from oracles import (
+    brute_force_counts, log_likelihood_gradient, mann_whitney_auc, maximize_log_likelihood,
+)
 
 
 def generate_mle_tables(seed=2024, n_model=400, n_flat=400, n_edge=200):

@@ -303,6 +303,51 @@ def test_grid_search_honours_full_dataset_cv(corpus, tmp_path, capsys):
     assert rows[0]["ratio_auc"] != "" and rows[0]["full_auc"] == ""
 
 
+def test_grid_search_needs_no_out_dir(corpus, tmp_path, capsys):
+    """A grid search writes only its CSV, so its config may omit ``out_dir``."""
+    cfg = make_config(corpus, "", n_trees=5)
+    del cfg["out_dir"]
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    grid_csv = tmp_path / "grid.csv"
+    assert main(["grid-search", "--config", str(cfg_path), "--alphas", "0.25",
+                 "--taus", "0", "--out", str(grid_csv)]) == 0
+    with open(grid_csv) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1 and rows[0]["ratio_auc"] != "" and rows[0]["full_auc"] != ""
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json", "grid.csv"]
+
+
+def test_run_without_out_dir_exits_1(corpus, tmp_path, capsys):
+    cfg = make_config(corpus, "")
+    del cfg["out_dir"]
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == "nexica: run: config.out_dir is required\n"
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
+def test_run_without_full_dataset_cv(corpus, run_dir, tmp_path, capsys):
+    """With ``full_dataset_cv`` off a run skips the full set's cross-validation
+    alone: the ratio set's results, the final model and its ranked edges keep
+    the bytes of the run with it on."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(make_config(corpus, tmp_path / "out", full_dataset_cv=False)))
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    report = capsys.readouterr().out
+    assert "forest AUC (ratio set)" in report and "full set" not in report
+
+    out = tmp_path / "out"
+    assert not (out / "roc_full.csv").exists()
+    full_on = json.loads((run_dir / "metrics.json").read_text())["classifier"]
+    full_off = json.loads((out / "metrics.json").read_text())["classifier"]
+    assert "full_forest" in full_on and "full_forest" not in full_off
+    assert full_off == {k: v for k, v in full_on.items() if k != "full_forest"}
+    for name in ("topk_edges.csv", "roc_ratio.csv"):
+        assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [

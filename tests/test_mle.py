@@ -8,15 +8,16 @@ from nexica.errors import DomainError, ParameterError
 from nexica.mle import (
     CausalCase,
     estimate,
-    estimate_unconstrained,
     log_likelihood,
-    log_likelihood_gradient,
     pair_probabilities,
     ps_given_pc0,
     ps_given_pc1,
 )
 
-from oracles import maximize_log_likelihood, safe_log_likelihood
+from oracles import (
+    estimate_unconstrained, log_likelihood_gradient, maximize_log_likelihood,
+    safe_log_likelihood,
+)
 
 
 def table(a00, a01, a10, a11):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from nexica import correspond
 from nexica import pipeline as nx_pipeline
-from nexica.correspond import CorrespondenceCounts, count_from_indices, product_dtype
+from nexica.correspond import CorrespondenceCounts, count_from_indices, lagged_counts
 from nexica.errors import ConsistencyError, ParameterError
 from nexica.events import EventSeries, leading_edges
 from nexica.mle import (
@@ -146,9 +146,11 @@ def test_clustered_causes_take_no_per_tuple_kernel(monkeypatch, tau):
     assert table_rows(sweep(series, 5, tau)) == want
 
 
-def test_product_dtype_switches_at_float32_exactness_bound():
-    assert product_dtype(2**24 - 1) == np.float32
-    assert product_dtype(2**24) == np.float64
+def test_max_window_keeps_float32_products_exact():
+    """``lagged_counts`` sums its products in float32, so no window may pass 2**24."""
+    assert MAX_WINDOW <= 2**24
+    with pytest.raises(ParameterError, match=f"window exceeds {MAX_WINDOW} slots"):
+        lagged_counts([], MAX_WINDOW + 2, 1)
     # float32 holds every count up to 2**24, but not the one after it
     assert int(np.float32(2**24 - 1) + np.float32(1)) == 2**24
     assert int(np.float32(2**24 + 1)) == 2**24

@@ -585,14 +585,13 @@ def _speed_rows(path) -> tuple:
 
 def _grid_stations(path, ids, code, micros, speed, imputed, stamp, line) -> list[SpeedSeries]:
     """Every station's rows on its own 5-minute grid, in station id order,
-    by one stable sort on (station, time) and one repeat.  Row k is station
-    ``ids[code[k]]`` at ``micros[k]`` microseconds after 1970-01-01 (UTC for
-    timezone-aware stamps), ``stamp(k)`` is its timestamp and ``line(k)``
-    its line.  The first station in id order with a fault raises: rows
-    spanning more than ``MAX_WINDOW`` slots, else a stamp off the grid
-    of its first stamp, else the second of two rows in one slot."""
-    # Row-sized temporaries are deleted once used, to keep the peak memory
-    # at a few columns.
+    by one stable sort on (station, time) and then one station at a time on
+    its slice of the sorted rows.  Row k is station ``ids[code[k]]`` at
+    ``micros[k]`` microseconds after 1970-01-01 (UTC for timezone-aware
+    stamps), ``stamp(k)`` is its timestamp and ``line(k)`` its line.  The
+    first station in id order with a fault raises: rows spanning more than
+    ``MAX_WINDOW`` slots, else a stamp off the grid of its first stamp, else
+    the second of two rows in one slot."""
     if not ids:
         return []
     by_id = sorted(range(len(ids)), key=ids.__getitem__)
@@ -607,60 +606,42 @@ def _grid_stations(path, ids, code, micros, speed, imputed, stamp, line) -> list
         speed, imputed = speed[order], imputed[order]
         row = order.__getitem__
     del same
-    counts = np.bincount(station, minlength=len(ids))
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    span = (micros[ends - 1] - micros[starts]) // _SLOT_US + 1
-    # Whole seconds after the station's first row, as int(total_seconds())
-    # of their timedelta: below the span bound (under 2**34 s) its float
-    # quotient never rounds a microsecond fraction up to the next second.
-    seconds = np.repeat(micros[starts], counts)
-    np.subtract(micros, seconds, out=seconds)
-    seconds //= 10**6
-    slot, rem = np.divmod(seconds, SLOT_MINUTES * 60, out=(seconds, None))
-    del seconds
-    fault = rem != 0
-    fault[1:] |= (slot[1:] == slot[:-1]) & (station[1:] == station[:-1])
-    too_long = np.flatnonzero(span > MAX_WINDOW)
-    faults = np.flatnonzero(fault)
-    if too_long.size or faults.size:
-        r = min(too_long[:1].tolist() + station[faults[:1]].tolist())
-        sid = ids[by_id[r]]
-        if span[r] > MAX_WINDOW:
+    ends = np.cumsum(np.bincount(station, minlength=len(ids))).tolist()
+    del station  # the per-station pass holds no array over all rows but the sort
+    series = []
+    for i, start, end in zip(by_id, [0] + ends[:-1], ends):
+        sid, first = ids[i], micros[start]
+        span = (micros[end - 1] - first) // _SLOT_US + 1
+        if span > MAX_WINDOW:
             raise FormatError(
-                f"{path}: station {sid}: rows span {span[r]} slots, more than {MAX_WINDOW}"
+                f"{path}: station {sid}: rows span {span} slots, more than {MAX_WINDOW}"
             )
-        faults = faults[station[faults] == r]
-        off_grid = faults[rem[faults] != 0]
+        # Whole seconds after the station's first row, as int(total_seconds())
+        # of their timedelta: below the span bound (under 2**34 s) its float
+        # quotient never rounds a microsecond fraction up to the next second.
+        slot, rem = np.divmod((micros[start:end] - first) // 10**6, SLOT_MINUTES * 60)
+        off_grid = np.flatnonzero(rem)
         if off_grid.size:
-            k = row(off_grid[0])
+            k = row(start + off_grid[0])
             raise FormatError(
                 f"{path}: line {line(k)}: station {sid}: timestamp "
                 f"{stamp(k).isoformat()} not on the 5-minute grid anchored at "
-                f"{stamp(row(starts[r])).isoformat()}"
+                f"{stamp(row(start)).isoformat()}"
             )
-        k = row(faults[0])
-        raise ConsistencyError(
-            f"{path}: line {line(k)}: station {sid}: "
-            f"duplicate slot at {stamp(k).isoformat()}"
-        )
-    del rem, fault
-
-    # Each row takes its own slot and repeats its speed over the gap up to
-    # the station's next row (a placeholder, only the flag matters).
-    length = np.ones(slot.size, np.int64)
-    np.subtract(slot[1:], slot[:-1], out=length[:-1])
-    length[ends - 1] = 1
-    grid_speed, grid_imputed = speed, imputed
-    if (length > 1).any():
-        grid_speed = np.repeat(speed, length)
-        grid_imputed = np.ones(grid_speed.size, bool)
-        grid_imputed[np.cumsum(length) - length] = imputed
-    base = np.concatenate(([0], np.cumsum(slot[ends - 1] + 1)))
-    return [
-        SpeedSeries(ids[i], stamp(row(s)), grid_speed[b:e], grid_imputed[b:e])
-        for i, s, b, e in zip(by_id, starts.tolist(), base[:-1].tolist(), base[1:].tolist())
-    ]
+        repeated = np.flatnonzero(slot[1:] == slot[:-1])
+        if repeated.size:
+            k = row(start + 1 + repeated[0])
+            raise ConsistencyError(
+                f"{path}: line {line(k)}: station {sid}: "
+                f"duplicate slot at {stamp(k).isoformat()}"
+            )
+        # Each row takes its own slot and repeats its speed over the gap up to
+        # the station's next row (a placeholder, only the flag matters).
+        grid_imputed = np.ones(slot[-1] + 1, bool)
+        grid_imputed[slot] = imputed[start:end]
+        grid_speed = np.repeat(speed[start:end], np.diff(slot, append=slot[-1] + 1))
+        series.append(SpeedSeries(sid, stamp(row(start)), grid_speed, grid_imputed))
+    return series
 
 
 def _slot_stamps(s: SpeedSeries) -> list[str]:

@@ -589,7 +589,7 @@ def test_run_without_positives_skips_evaluation(tmp_path, capsys):
     assert capsys.readouterr().out.endswith("; min negative drive time none\n")
 
 
-def test_station_without_metadata_or_drive_times_is_dropped(corpus, tmp_path, caplog):
+def test_station_missing_from_the_drive_times_is_dropped(corpus, tmp_path, caplog):
     series = load_speed_csv(corpus["speeds"])
     series.append(SpeedSeries("S999", series[0].start_time, np.full(N_SLOTS, 60.0),
                               np.zeros(N_SLOTS, dtype=bool)))
@@ -600,6 +600,18 @@ def test_station_without_metadata_or_drive_times_is_dropped(corpus, tmp_path, ca
     assert metrics["n_stations"] == 10
     assert "station S999 missing from drive-time matrix" in caplog.text
     assert "S999" not in (tmp_path / "out" / "events.csv").read_text()
+
+
+def test_station_without_metadata_exits_1(corpus, tmp_path, capsys):
+    """A speeds station without a meta.csv row is an error, not a dropped station."""
+    with open(corpus["meta"], "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    meta = tmp_path / "meta.csv"
+    meta.write_bytes(b"".join(lines[:-1]))  # S009's row
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(make_config(corpus, tmp_path / "out", meta=str(meta))))
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == "nexica: run: [ingest] station S009 has no metadata\n"
 
 
 def test_misaligned_stations_fail_with_stage_name(tmp_path):

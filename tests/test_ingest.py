@@ -184,6 +184,69 @@ def test_span_beyond_max_window_rejected_before_gridding(tmp_path):
         load_speed_csv(path)
 
 
+_LONG = ["0001-01-01T00:00:00", "9999-12-31T00:00:00"]  # rows spanning 1,051,792,705 slots
+
+
+@pytest.mark.parametrize(
+    "rows, error, message",
+    [
+        ([["b", "2024-01-01T00:00:00"], ["b", "2024-01-01T00:00:00"]]
+         + [["a", t] for t in _LONG],
+         FormatError, "station a: rows span 1051792705 slots, more than 16777216"),
+        ([["b", t] for t in _LONG]
+         + [["a", "2024-01-01T00:00:00"], ["a", "2024-01-01T00:00:00"]],
+         ConsistencyError, "line 5: station a: duplicate slot at 2024-01-01T00:00:00"),
+        ([["a", "2024-01-01T00:00:00+00:00"], ["a", "2024-01-01T00:00:00+00:00"],
+          ["a", "2024-01-01T00:05:00+00:02:30"]],
+         FormatError, "line 4: station a: timestamp 2024-01-01T00:05:00+00:02:30 not on the "
+                      "5-minute grid anchored at 2024-01-01T00:00:00+00:00"),
+        ([["a", "0001-01-01T00:00:00"], ["a", "0001-01-01T00:00:00"], ["a", _LONG[1]]],
+         FormatError, "station a: rows span 1051792705 slots, more than 16777216"),
+    ],
+    ids=["span-in-a-beats-earlier-duplicate-in-b", "duplicate-in-a-beats-span-in-b",
+         "off-grid-beats-earlier-duplicate", "span-beats-duplicate"],
+)
+def test_first_station_in_id_order_raises_its_first_fault(tmp_path, rows, error, message):
+    """Across stations the first in id order with a fault raises, whatever
+    the row order; within one, a span over ``MAX_WINDOW`` comes before an
+    off-grid stamp, and that before a duplicate slot."""
+    path = tmp_path / "s.csv"
+    write_rows(path, [[sid, stamp, "65.0", "0"] for sid, stamp in rows])
+    with pytest.raises(error, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_speed_csv(path)
+
+
+@pytest.mark.parametrize("gap", [1, 3], ids=["no-gaps", "gaps"])
+def test_gridding_holds_no_row_sized_temporaries(gap):
+    """``_grid_stations`` of rows already in (station, time) order peaks at
+    no more than 8 bytes a row above the series it returns."""
+    n_stations, per_station = 40, 2_500  # 100,000 rows
+    ids = [f"S{k:03d}" for k in range(n_stations)]
+    code = np.repeat(np.arange(n_stations, dtype=np.int32), per_station)
+    slots = np.tile(np.arange(per_station) * gap, n_stations)
+    slots[1::7] += gap - 1  # uneven gaps
+    micros = int((T0 - datetime(1970, 1, 1)) / timedelta(microseconds=1)) + slots * 300 * 10**6
+    speed = np.random.default_rng(0).uniform(30, 70, code.size)
+    imputed = np.zeros(code.size, bool)
+
+    def grid():
+        return ingest._grid_stations(
+            "s.csv", ids, code, micros, speed, imputed,
+            lambda k: datetime(1970, 1, 1) + int(micros[k]) * timedelta(microseconds=1),
+            lambda k: k + 2,
+        )
+
+    grid()  # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        series = grid()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [len(s) for s in series] == [int(slots[per_station - 1]) + 1] * n_stations
+    assert (peak - held) / code.size <= 8
+
+
 def test_negative_speed_rejected(tmp_path):
     path = tmp_path / "s.csv"
     write_rows(path, [["a", "2024-01-01T00:00:00", "-1.0", "0"]])

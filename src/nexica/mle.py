@@ -26,8 +26,10 @@ maximum lies on an edge of the square, and the restricted maximizers
     p_s | p_c = 0:  (A01 + A10 + 2 A11) / (2 (A00 + A01 + A10 + A11))
     p_s | p_c = 1:  (A01 + A11) / (2 (A00 + A01) + A11)
 
-are compared by log likelihood.  Tables where the cause series never
-fires (A10 + A11 = 0) or always fires (A00 + A01 = 0) carry no
+are compared by log likelihood.  The scalar :func:`estimate` keeps that
+comparison as the definition; the batch :func:`estimate_many` takes each
+row's case from its integer counts alone.  Tables where the cause series
+never fires (A10 + A11 = 0) or always fires (A00 + A01 = 0) carry no
 information about p_c at all and are reported as undefined.
 """
 
@@ -55,7 +57,7 @@ class CausalCase(enum.Enum):
 
 # Case codes of ``estimate_many``: the position of each case in this tuple.
 CASES = tuple(CausalCase)
-INTERIOR, BOUNDARY_PC0, BOUNDARY_PC1, UNDEFINED = range(len(CASES))
+INTERIOR, BOUNDARY_PC0, _, UNDEFINED = range(len(CASES))
 
 
 @dataclass(frozen=True)
@@ -169,13 +171,15 @@ def estimate_many(
     """:func:`estimate` for every row of an ``(n, 4)`` count array.
 
     Returns float64 columns ``p_s``, ``p_c``, ``p_c_raw`` and ``loglik``
-    and an int8 ``case`` column of codes into :data:`CASES`.  Each value
-    equals the scalar estimate's bit for bit: the quotients divide
-    integers that float64 holds exactly (windows up to
-    :data:`MAX_WINDOW`), the interior test is the same integer
-    ``pc_num >= 0``, and the log likelihood sums the same cell terms in
-    the same order with ``math.log``, since ``np.log`` may differ from it
-    in the last bit.
+    and an int8 ``case`` column of codes into :data:`CASES`.  The integers
+    pick each defined row's case: ``pc_den - pc_num = A10 (2 A00 + 2 A01 +
+    A10 + A11)``, so ``p_c_raw <= 1`` and ``pc_num >= 0`` is interior; and
+    ``pc_num < 0`` needs ``A10 > 0``, which gives the p_c = 1 edge a
+    likelihood of 0, so the p_c = 0 edge wins.  Each value equals the
+    scalar estimate's bit for bit: the quotients divide integers that
+    float64 holds exactly (windows up to :data:`MAX_WINDOW`), and the log
+    likelihood sums the same cell terms in the same order with
+    ``math.log``, since ``np.log`` may differ from it in the last bit.
     """
     counts = np.asarray(counts, dtype=np.int64).reshape(-1, 4)
     if counts.size and int(counts.sum(axis=1).max()) > MAX_WINDOW:
@@ -188,32 +192,14 @@ def estimate_many(
     rows = np.flatnonzero((a10 + a11 > 0) & (a00 + a01 > 0))
     a00, a01, a10, a11 = counts[rows].T
     pc_num = 2 * a00 * a11 + a01 * (a11 - a10) - a10 * a10 - a10 * a11
-    pc_den = (2 * a00 + a01) * (a10 + a11)
-    ps = (a01 + a10 + a11) / (2 * (a00 + a01) + a10 + a11)
-    raw = pc_num / pc_den
-    p_c_raw[rows] = raw
-
-    ll = np.full(rows.size, -math.inf)
-    in_square = pc_num >= 0
-    ll[in_square] = _log_likelihood_many(counts[rows[in_square]], ps[in_square], raw[in_square])
-    interior = np.isfinite(ll)
-    p_s[rows[interior]] = ps[interior]
-    p_c[rows[interior]] = raw[interior]
-    loglik[rows[interior]] = ll[interior]
-    case[rows[interior]] = INTERIOR
-
-    edge = ~interior
-    rows = rows[edge]
-    a00, a01, a10, a11 = a00[edge], a01[edge], a10[edge], a11[edge]
-    ps0 = (a01 + a10 + 2 * a11) / (2 * (a00 + a01 + a10 + a11))
-    ps1 = (a01 + a11) / (2 * (a00 + a01) + a11)
-    ll0 = _log_likelihood_many(counts[rows], ps0, 0.0)
-    ll1 = _log_likelihood_many(counts[rows], ps1, 1.0)
-    one = ll1 > ll0
-    p_s[rows] = np.where(one, ps1, ps0)
-    p_c[rows] = np.where(one, 1.0, 0.0)
-    loglik[rows] = np.where(one, ll1, ll0)
-    case[rows] = np.where(one, BOUNDARY_PC1, BOUNDARY_PC0)
+    raw = pc_num / ((2 * a00 + a01) * (a10 + a11))
+    interior = pc_num >= 0
+    ps = np.where(interior, (a01 + a10 + a11) / (2 * (a00 + a01) + a10 + a11),
+                  (a01 + a10 + 2 * a11) / (2 * (a00 + a01 + a10 + a11)))
+    pc = np.where(interior, raw, 0.0)
+    p_s[rows], p_c[rows], p_c_raw[rows] = ps, pc, raw
+    loglik[rows] = _log_likelihood_many(counts[rows], ps, pc)
+    case[rows] = np.where(interior, INTERIOR, BOUNDARY_PC0)
     return p_s, p_c, p_c_raw, loglik, case
 
 

@@ -89,10 +89,25 @@ class RunConfig:
         return cls(**raw)
 
     def validated(self) -> "RunConfig":
+        """The config, once its input files exist and every method setting
+        is in range; a setting out of range gets its stage's message."""
         for key in ("speeds", "meta", "drive_times"):
             path = getattr(self, key)
             if not path or not os.path.exists(path):
                 raise ParameterError(f"config.{key}: path {path!r} does not exist")
+        for ok, message in (
+            (self.alpha > 0, f"alpha must be > 0, got {self.alpha}"),
+            (self.tau >= 0, f"tau must be >= 0, got {self.tau}"),
+            (self.l_max >= 1, f"l_max must be >= 1, got {self.l_max}"),
+            (0.0 <= self.min_completeness <= 1.0,
+             f"min_completeness {self.min_completeness} outside [0, 1]"),
+            (self.ratio >= 1, "ratio must be >= 1"),
+            (self.n_trees >= 1, "n_trees must be >= 1"),
+            (self.folds >= 2, "folds must be >= 2"),
+            (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
+        ):
+            if not ok:
+                raise ParameterError(message)
         return self
 
 
@@ -485,8 +500,7 @@ def run_pipeline(config: RunConfig) -> dict:
     staged("counts-write", write_counts_csv, out / "counts.csv", table)
     staged("mle-write", write_mle_csv, out / "mle.csv", table)
 
-    spec = DatasetSpec(ratio=config.ratio, l_max=config.l_max)
-    truth, ratio_set, full_set = staged("ground-truth", _datasets, spec, meta, matrix)
+    truth, ratio_set, full_set = staged("ground-truth", _datasets, config, meta, matrix)
     staged("dataset-write", write_dataset_csv, out / "dataset.csv", ratio_set)
     staged("dataset-full-write", write_dataset_csv, out / "dataset_full.csv", full_set)
 
@@ -558,10 +572,10 @@ def _ingest(config: RunConfig):
     return series, meta, matrix
 
 
-def _datasets(spec: DatasetSpec, meta, matrix):
+def _datasets(config: RunConfig, meta, matrix):
     """The stations' ground truth, with its ratio'd and its full dataset."""
-    truth = label_pairs(meta, matrix, spec)
-    return truth, build_dataset(truth, spec.ratio), full_dataset(truth)
+    truth = label_pairs(meta, matrix, DatasetSpec(ratio=config.ratio, l_max=config.l_max))
+    return truth, build_dataset(truth, config.ratio), full_dataset(truth)
 
 
 def _cross_validate(config: RunConfig, table: SweepTable, ratio_set, full_set) -> list:
@@ -621,9 +635,7 @@ def grid_search(
         raise ParameterError("alpha and tau value lists must be nonempty")
     config = config.validated()
     speeds, meta, matrix = _ingest(config)
-    _, ratio_set, full_set = _datasets(
-        DatasetSpec(ratio=config.ratio, l_max=config.l_max), meta, matrix
-    )
+    _, ratio_set, full_set = _datasets(config, meta, matrix)
 
     rows = []
     for alpha in alpha_values:

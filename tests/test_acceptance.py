@@ -20,6 +20,7 @@ from nexica.classify import cross_validate, roc_auc
 from nexica.correspond import CorrespondenceCounts, count_correspondences, count_from_indices
 from nexica.events import extract_events
 from nexica.mle import (
+    CASES,
     CausalCase,
     estimate,
     log_likelihood,
@@ -314,6 +315,12 @@ def test_criterion_08_full_scale_sweep_performance():
     assert elapsed <= 300.0
     per_tuple = t_sweep / len(table)
     assert per_tuple < 1e-3
+    for k in range(0, len(table), 300):  # the batch estimate against the scalar one
+        est = estimate(CorrespondenceCounts.from_counts(*table.counts[k].tolist()))
+        got = (table.p_s[k].item(), table.p_c[k].item(), table.p_c_raw[k].item(),
+               table.loglik[k].item(), CASES[table.case[k]])
+        want = (est.p_s, est.p_c, est.p_c_raw, est.log_likelihood, est.case)
+        assert list(map(repr, got)) == list(map(repr, want)), table.key(k)
     print(
         f"\nACCEPTANCE 8: full-scale sweep: PASS "
         f"(302,640 tuples; events {t_events:.1f}s, counts+MLE {t_sweep:.1f}s, "

@@ -290,6 +290,43 @@ def test_grid_search_single_cell_matches_run(corpus, tmp_path, capsys):
     assert float(rows[0]["full_auc"]) == metrics["classifier"]["full_forest"]["auc"]
 
 
+def test_grid_search_cells_match_their_runs(corpus, tmp_path, capsys):
+    """Across cells of several alphas and taus, the per-alpha events, the
+    per-tau sweeps and the shared ratio and full sets give each cell the AUCs
+    of a run at its (alpha, tau)."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(make_config(corpus, "", n_trees=8, seed=2)))
+    grid_csv = tmp_path / "grid.csv"
+    assert main(["grid-search", "--config", str(cfg_path), "--alphas", "0.2,0.3",
+                 "--taus", "0,2", "--out", str(grid_csv)]) == 0
+    with open(grid_csv) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["alpha"], r["tau"]) for r in rows] == [
+        ("0.2", "0"), ("0.2", "2"), ("0.3", "0"), ("0.3", "2")]
+    for r in rows:
+        out = tmp_path / f"run_{r['alpha']}_{r['tau']}"
+        run_pipeline(RunConfig(**make_config(corpus, out, n_trees=8, seed=2,
+                                             alpha=float(r["alpha"]), tau=int(r["tau"]))))
+        metrics = json.loads((out / "metrics.json").read_text())["classifier"]
+        assert float(r["ratio_auc"]) == metrics["ratio_forest"]["auc"], r
+        assert float(r["full_auc"]) == metrics["full_forest"]["auc"], r
+
+
+def test_grid_search_checks_its_config_before_reading_the_speeds(
+    corpus, tmp_path, capsys, monkeypatch
+):
+    def unread(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr("nexica.pipeline.load_speed_csv", unread)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(make_config(corpus, "", folds=1)))
+    assert main(["grid-search", "--config", str(cfg_path), "--alphas", "0.25",
+                 "--taus", "0", "--out", str(tmp_path / "grid.csv")]) == 1
+    assert capsys.readouterr().err == "nexica: grid-search: folds must be >= 2\n"
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
 def test_grid_search_honours_full_dataset_cv(corpus, tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(
@@ -358,8 +395,17 @@ def test_run_without_full_dataset_cv(corpus, run_dir, tmp_path, capsys):
         ({"truth": 3}, "config.truth: expected str | None"),
         ({"full_dataset_cv": 1}, "config.full_dataset_cv: expected bool"),
         (None, "config must be a JSON object"),
+        ({"alpha": 0.0}, "alpha must be > 0, got 0.0"),
+        ({"tau": -1}, "tau must be >= 0, got -1"),
+        ({"l_max": 0}, "l_max must be >= 1, got 0"),
+        ({"min_completeness": 2}, "min_completeness 2 outside [0, 1]"),
+        ({"ratio": 0}, "ratio must be >= 1"),
+        ({"n_trees": 0}, "n_trees must be >= 1"),
+        ({"folds": 1}, "folds must be >= 2"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
     ],
-    ids=["thread_count", "str-int", "bool-int", "str-float", "int-path", "int-bool", "not-object"],
+    ids=["thread_count", "str-int", "bool-int", "str-float", "int-path", "int-bool", "not-object",
+         "alpha", "tau", "l_max", "min_completeness", "ratio", "n_trees", "folds", "seed"],
 )
 def test_run_rejects_bad_config_values(corpus, tmp_path, capsys, edit, message):
     cfg_path = tmp_path / "config.json"

@@ -195,6 +195,37 @@ def test_estimate_many_large_windows_and_empty_input():
         estimate_many(np.array([[MAX_WINDOW, 0, 1, 0]]))
 
 
+# A cell is zero, one or two, or anything up to a quarter of the largest window.
+EDGE_CELL = st.one_of(st.just(0), st.integers(1, 2), st.integers(0, MAX_WINDOW // 4))
+
+
+@st.composite
+def edge_tables(draw):
+    """Count tables of windows up to ``MAX_WINDOW``, drawn toward the edges
+    of the count space: zero cells, ``a10`` of 0, 1 or 2, and one count that
+    takes the window to within two slots of ``MAX_WINDOW``."""
+    table = [draw(EDGE_CELL) for _ in range(4)]
+    if draw(st.booleans()):
+        table[2] = draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 3))
+        table[k] = MAX_WINDOW - draw(st.integers(0, 2)) - (sum(table) - table[k])
+    return tuple(table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(edge_tables().filter(any), min_size=1, max_size=20))
+def test_estimate_many_at_the_edges_of_the_count_space(tables):
+    """The identity that lets ``estimate_many`` take each case from the
+    counts: no count table lands on the p_c = 1 edge, and a defined estimate
+    has a finite log likelihood, up to the largest window."""
+    for t in tables:
+        est = estimate(CorrespondenceCounts.from_counts(*t))
+        assert est.case is not CausalCase.BOUNDARY_PC1, t
+        assert est.case is CausalCase.UNDEFINED or math.isfinite(est.log_likelihood), t
+    assert_estimates_match(tables)
+
+
 def test_log_likelihood_many_matches_scalar_including_minus_inf():
     tables = np.array(list(all_tables(6)), dtype=np.int64)
     seen = set()

@@ -14,11 +14,12 @@ counted twice.  Effect events in ``[lag, lag + window)`` left unmatched
 count toward a01; none sits at the exact offset ``lag`` from a cause,
 because that cause would have taken it.
 
+``lagged_counts`` counts every ordered pair at every lag at once, for every
+tau: one matrix product per lag over the stations' 0/1 event matrix, plus
+greedy steps over the events that lie within tau slots of another.
 ``count_from_indices`` counts one (pair, lag) tuple on sorted event-index
-arrays.  ``lagged_counts`` counts every ordered pair at every lag at once, for
-every tau: one matrix product per lag over the stations' 0/1 event matrix,
-plus greedy steps over the events that lie within tau slots of another;
-the per-tuple kernel is its reference.
+arrays: by exact alignment at tau 0, as one row of ``lagged_counts`` at
+tau > 0.  The greedy loop in ``tests/oracles.py`` is the tau > 0 reference.
 """
 
 from __future__ import annotations
@@ -76,15 +77,14 @@ def count_correspondences(
             f"series lengths differ: {cause.station_id} has {m}, "
             f"{effect.station_id} has {len(effect)}"
         )
-    return count_from_indices(
-        cause.event_indices(), effect.event_indices(), m, lag, tau
-    )
+    return count_from_indices(cause.event_indices(), effect.event_indices(), m, lag, tau)
 
 
 def count_from_indices(
     cause_idx: np.ndarray, effect_idx: np.ndarray, m: int, lag: int, tau: int = 0
 ) -> CorrespondenceCounts:
-    """Counting kernel over sorted event-index arrays of length-``m`` series."""
+    """Counting kernel over sorted event-index arrays of length-``m`` series;
+    at tau > 0, row ``[0, 1, lag - 1]`` of ``lagged_counts`` on the pair."""
     if lag < 1:
         raise ParameterError(f"lag must be >= 1, got {lag}")
     if tau < 0:
@@ -92,51 +92,23 @@ def count_from_indices(
     if lag + tau >= m:
         raise ParameterError(f"lag {lag} + tau {tau} leaves no window for m={m}")
     window = m - lag - tau
+    if tau:
+        pair = [idx[: np.searchsorted(idx, m)] for idx in (cause_idx, effect_idx)]
+        row = lagged_counts(pair, m, lag, tau)[0, 1, lag - 1].tolist()
+        return CorrespondenceCounts(*row, lag, tau, window)
 
-    # Cause events with a defined partner window, effect events reachable
-    # at the exact offset.
+    # Exact alignment: membership of c+lag in the effect set, for the cause
+    # events with a defined partner and the effect events in [lag, lag + window).
     c = cause_idx[: np.searchsorted(cause_idx, window)]
     e_lo = np.searchsorted(effect_idx, lag)
     e_hi = np.searchsorted(effect_idx, lag + window)
-
-    if tau == 0:
-        # Exact alignment: membership of c+lag in the effect set.
-        pos = np.searchsorted(effect_idx, c + lag)
-        valid = pos < effect_idx.size
-        a11 = int(np.count_nonzero(effect_idx[pos[valid]] == c[valid] + lag))
-        a01 = int(e_hi - e_lo) - a11
-    else:
-        a11, matched = _greedy_match(c, effect_idx, lag, tau)
-        a01 = int(np.count_nonzero(~matched[e_lo:e_hi]))
+    pos = np.searchsorted(effect_idx, c + lag)
+    valid = pos < effect_idx.size
+    a11 = int(np.count_nonzero(effect_idx[pos[valid]] == c[valid] + lag))
+    a01 = int(e_hi - e_lo) - a11
     a10 = int(c.size) - a11
     a00 = window - a11 - a10 - a01
     return CorrespondenceCounts(a00, a01, a10, a11, lag, tau, window)
-
-
-def _greedy_match(
-    c: np.ndarray, effect_idx: np.ndarray, lag: int, tau: int
-) -> tuple[int, np.ndarray]:
-    """Greedy earliest-first one-to-one matching of cause to effect events.
-
-    Cause events are processed in time order; each takes the earliest
-    still-unmatched effect event in ``[t+lag, t+lag+tau]``.  A single
-    forward pointer suffices: effect events skipped at one cause can never
-    fall inside a later cause's window.
-    """
-    matched = np.zeros(effect_idx.size, dtype=bool)
-    e = effect_idx
-    j = 0
-    a11 = 0
-    for t in c:
-        lo = t + lag
-        hi = lo + tau
-        while j < e.size and e[j] < lo:
-            j += 1
-        if j < e.size and e[j] <= hi:
-            matched[j] = True
-            a11 += 1
-            j += 1
-    return a11, matched
 
 
 def lagged_counts(indices: list[np.ndarray], m: int, l_max: int, tau: int = 0) -> np.ndarray:
@@ -144,9 +116,9 @@ def lagged_counts(indices: list[np.ndarray], m: int, l_max: int, tau: int = 0) -
 
     ``indices`` holds each series' sorted event indices; all series have
     length ``m``.  Returns an int64 array of shape ``(n, n, l_max, 4)``
-    whose entry ``[i, j, lag - 1]`` equals
-    ``count_from_indices(indices[i], indices[j], m, lag, tau).as_tuple()``
-    (the diagonal ``i == j`` is filled too).  For lag ``l`` and window
+    whose entry ``[i, j, lag - 1]`` holds the counts of cause ``i``, effect
+    ``j`` and that lag (the diagonal ``i == j`` is filled too); the greedy
+    loop in ``tests/oracles.py`` is its reference.  For lag ``l`` and window
     ``W = m - l - tau``,
 
         a10 = causes in [0, W) - a11

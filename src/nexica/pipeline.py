@@ -633,7 +633,8 @@ def grid_search(
     """
     if not alpha_values or not tau_values:
         raise ParameterError("alpha and tau value lists must be nonempty")
-    config = config.validated()
+    for a, t in [(a, t) for a in alpha_values for t in tau_values]:
+        dataclasses.replace(config, alpha=a, tau=t).validated()
     speeds, meta, matrix = _ingest(config)
     _, ratio_set, full_set = _datasets(config, meta, matrix)
 

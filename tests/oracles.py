@@ -69,6 +69,36 @@ def brute_force_counts(cause, effect, lag, tau):
     return a00, a01, a10, a11, window
 
 
+def greedy_counts(cause_idx, effect_idx, m, lag, tau) -> CorrespondenceCounts:
+    """Greedy earliest-first one-to-one matching on sorted event indices.
+
+    Cause events with a partner window are processed in time order; each
+    takes the earliest still-unmatched effect event in
+    ``[t+lag, t+lag+tau]``.  A single forward pointer suffices: effect
+    events skipped at one cause can never fall inside a later cause's
+    window.  Effect events in ``[lag, lag + window)`` left unmatched count
+    toward a01.
+    """
+    window = m - lag - tau
+    c = [t for t in cause_idx.tolist() if t < window]
+    e = effect_idx.tolist()
+    matched = [False] * len(e)
+    j = 0
+    a11 = 0
+    for t in c:
+        lo = t + lag
+        hi = lo + tau
+        while j < len(e) and e[j] < lo:
+            j += 1
+        if j < len(e) and e[j] <= hi:
+            matched[j] = True
+            a11 += 1
+            j += 1
+    a01 = sum(1 for s, hit in zip(e, matched) if lag <= s < lag + window and not hit)
+    a10 = len(c) - a11
+    return CorrespondenceCounts(window - a11 - a10 - a01, a01, a10, a11, lag, tau, window)
+
+
 def count_true_runs(u):
     """Number of maximal runs of True values."""
     runs = 0

@@ -320,11 +320,17 @@ def test_grid_search_checks_its_config_before_reading_the_speeds(
 
     monkeypatch.setattr("nexica.pipeline.load_speed_csv", unread)
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(make_config(corpus, "", folds=1)))
-    assert main(["grid-search", "--config", str(cfg_path), "--alphas", "0.25",
-                 "--taus", "0", "--out", str(tmp_path / "grid.csv")]) == 1
-    assert capsys.readouterr().err == "nexica: grid-search: folds must be >= 2\n"
-    assert list(tmp_path.iterdir()) == [cfg_path]
+    # The config's own settings, then every (alpha, tau) cell it sweeps.
+    for settings, alphas, taus, message in [
+        ({"folds": 1}, "0.25", "0", "folds must be >= 2"),
+        ({}, "0.25,0.3", "0,-1", "tau must be >= 0, got -1"),
+        ({}, "0.25,0", "0", "alpha must be > 0, got 0.0"),
+    ]:
+        cfg_path.write_text(json.dumps(make_config(corpus, "", **settings)))
+        assert main(["grid-search", "--config", str(cfg_path), "--alphas", alphas,
+                     "--taus", taus, "--out", str(tmp_path / "grid.csv")]) == 1
+        assert capsys.readouterr().err == f"nexica: grid-search: {message}\n"
+        assert list(tmp_path.iterdir()) == [cfg_path]
 
 
 def test_grid_search_honours_full_dataset_cv(corpus, tmp_path, capsys):

@@ -10,9 +10,10 @@ from nexica.correspond import (
 )
 from nexica.errors import ConsistencyError, ParameterError, ValidationError
 from nexica.events import EventSeries
+from nexica.ingest import MAX_WINDOW
 from nexica.pipeline import sweep
 
-from oracles import brute_force_counts
+from oracles import brute_force_counts, greedy_counts
 
 
 def make_series(bits, station="x"):
@@ -148,6 +149,49 @@ def test_tau_monotonicity_over_common_window():
             np.flatnonzero(cause), np.flatnonzero(effect), m - 1, lag, tau
         )
         assert loose.a11 >= tight.a11
+
+
+def test_indices_at_and_past_m_count_as_the_clipped_arrays():
+    # Indices of a longer series: those at or past m are dropped at every tau.
+    rng = np.random.default_rng(12)
+    m = 40
+    for tau in range(4):
+        for _ in range(100):
+            cause = rng.random(m + 5) < 0.4
+            effect = rng.random(m + 5) < 0.4
+            cause[m] = effect[m] = True
+            lag = int(rng.integers(1, 6))
+            got = count_from_indices(np.flatnonzero(cause), np.flatnonzero(effect), m, lag, tau)
+            clipped = count_from_indices(
+                np.flatnonzero(cause[:m]), np.flatnonzero(effect[:m]), m, lag, tau
+            )
+            assert got == clipped
+            assert (*got.as_tuple(), got.window) == brute_force_counts(
+                cause[:m], effect[:m], lag, tau
+            )
+
+
+def test_tau_above_zero_rejects_a_window_past_max_window():
+    none = np.zeros(0, dtype=np.int64)
+    # tau 0 counts any window; at tau 1 the lag-1 window here is MAX_WINDOW + 1.
+    assert count_from_indices(none, none, MAX_WINDOW + 3, 1, 0).window == MAX_WINDOW + 2
+    with pytest.raises(ParameterError, match=f"window exceeds {MAX_WINDOW} slots"):
+        count_from_indices(none, none, MAX_WINDOW + 3, 1, 1)
+
+
+@pytest.mark.parametrize("density", [0.05, 0.2])
+def test_matches_greedy_oracle_on_six_month_pairs(density):
+    # Six months of slots: such pairs cluster at tau >= 1, so the cluster
+    # steps and the first-effect table of lagged_counts run on two series.
+    rng = np.random.default_rng(int(density * 100))
+    m = 52416
+    cause = make_series(rng.random(m) < density, "c")
+    effect = make_series(rng.random(m) < density, "e")
+    for tau in (1, 2, 3):
+        assert np.diff(cause.event_indices()).min() <= tau
+        for lag in (1, 3, 8):
+            want = greedy_counts(cause.event_indices(), effect.event_indices(), m, lag, tau)
+            assert count_correspondences(cause, effect, lag, tau) == want, (tau, lag)
 
 
 def test_tau_matching_is_one_to_one():

@@ -2,8 +2,9 @@
 
 ``pipeline.sweep`` counts every tuple with ``correspond.lagged_counts`` and
 estimates with ``mle.estimate_many``; the reference counts each tuple with
-``count_from_indices`` and estimates it with the scalar ``estimate``.  Counts,
-the ``repr`` of every float and the case must agree exactly.
+the greedy-matching loop ``oracles.greedy_counts`` and estimates it with the
+scalar ``estimate``.  Counts, the ``repr`` of every float and the case must
+agree exactly.
 """
 
 import itertools
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from nexica import correspond
 from nexica import pipeline as nx_pipeline
-from nexica.correspond import CorrespondenceCounts, count_from_indices, lagged_counts
+from nexica.correspond import CorrespondenceCounts, lagged_counts
 from nexica.errors import ConsistencyError, ParameterError
 from nexica.events import EventSeries, leading_edges
 from nexica.mle import (
@@ -31,6 +32,8 @@ from nexica.mle import (
 )
 from nexica.pipeline import sweep
 
+from oracles import greedy_counts
+
 
 def make_series(bits, station):
     return EventSeries(station, bits)
@@ -41,7 +44,7 @@ def reference_rows(series, l_max, tau):
     rows = []
     for c, e in itertools.permutations(series, 2):
         for lag in range(1, l_max + 1):
-            counts = count_from_indices(c.event_indices(), e.event_indices(), m, lag, tau)
+            counts = greedy_counts(c.event_indices(), e.event_indices(), m, lag, tau)
             est = estimate(counts)
             rows.append((
                 (c.station_id, e.station_id, lag), counts.as_tuple(),

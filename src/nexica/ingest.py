@@ -3,8 +3,10 @@ the one CSV reader, the CSV writers and the JSON loader behind every file of
 nexica.  ``read_columns`` reads speeds, events, counts, mle and dataset
 files in their writers' form, parsing spans of whole lines into columns on
 every usable core, each field read from its offset in the span, and
-renumbering each span's station ids in file order; any other file goes
-through the CSV reader.  ``write_columns`` writes large
+renumbering each span's station ids in file order; ``load_speed_csv``
+grids a speeds file in its writer's order a station at a time as those
+spans arrive, without the columns; any other file goes through the CSV
+reader.  ``write_columns`` writes large
 tables a column at a time, its blocks of rows formatted on every usable core.
 
 All input files are plain UTF-8 CSV with a header row:
@@ -377,31 +379,29 @@ def _speeds(word: np.ndarray, at: np.ndarray, size: np.ndarray) -> np.ndarray:
 ID, INT, FLAG, STAMP, SPEED, SKIP = "id", _ints, _flags, _stamps, _speeds, None  # column kinds
 
 
-def read_columns(path, forms: dict[str, tuple]):
-    """``(ids, columns)`` of a file in its writer's form, parsed a span of
-    whole lines at a time; None for any other file or one without rows.
-    ``forms`` maps each header line a file may start with to its column
-    kinds; ``columns`` has an array per kind but ``SKIP``: ``ID``, an id of
-    at most ``_WIDE`` bytes without surrounding whitespace, as an int32 code
-    into ``ids`` (numbered by first appearance, row by row); ``INT``, 1 to 18
-    digits, as int64; ``FLAG``, 0 or 1, as bool; ``STAMP``, a naive
-    ``YYYY-MM-DDTHH:MM:SS`` of year 1 or later on the 5-minute grid, as int64
-    microseconds after 1970; ``SPEED``, at most ``_WIDE`` bytes that ``float``
-    reads as finite and >= 0.  Fields are unquoted UTF-8 within csv's field
-    limit, and every line ends as the header does.  Row k is on line k + 2.
+def _read_spans(path, forms: dict[str, tuple], take) -> list[str] | None:
+    """The ids of a file in its writer's form, each span of its lines handed
+    to ``take(ids, columns)`` in file order as it is parsed; None for any
+    other file.  ``forms`` maps each header line a file may start with to
+    its column kinds; ``columns`` has an array per kind but ``SKIP``:
+    ``ID``, an id of at most ``_WIDE`` bytes without surrounding whitespace,
+    as an int32 code into ``ids`` (numbered by first appearance, row by row;
+    ``take`` sees the ids so far); ``INT``, 1 to 18 digits, as int64;
+    ``FLAG``, 0 or 1, as bool; ``STAMP``, a naive ``YYYY-MM-DDTHH:MM:SS`` of
+    year 1 or later on the 5-minute grid, as int64 microseconds after 1970;
+    ``SPEED``, at most ``_WIDE`` bytes that ``float`` reads as finite and
+    >= 0.  Fields are unquoted UTF-8 within csv's field limit, and every
+    line ends as the header does.
 
     The lines after the header are cut into spans of about ``_CHUNK_BYTES``
     that each end at a line end, and ``_slices.in_slices`` parses them: each
     job ``os.pread``s its own span, converts each column from its fields'
     bytes (``_parse_chunk``) and numbers its ids in a dict of its own, and
     this process renumbers each span's ids into ``ids`` in span order,
-    which numbers them as one pass over the rows would.  The lines are
-    counted first, and each span's columns are copied into columns of that
-    many rows as it arrives, so that no span's arrays outlive their copy and
-    the peak memory is the columns and a span or two, however the allocator
-    places them.  A span that fails its checks, in this process or a child,
-    makes the result None; a child that dies is a ``NexicaError`` naming the
-    file."""
+    which numbers them as one pass over the rows would, before ``take``
+    sees the span.  A span that fails its checks, in this process or a
+    child, makes the result None, after ``take`` has seen the spans before
+    it; a child that dies is a ``NexicaError`` naming the file."""
     with open(path, "rb") as fh:
         first = fh.readline()
         eol = b"\r\n" if first.endswith(b"\r\n") else b"\n"
@@ -412,14 +412,9 @@ def read_columns(path, forms: dict[str, tuple]):
         size, cuts = os.fstat(fd).st_size, [len(first)]
         while cuts[-1] < size:
             cuts.append(_line_end(fd, cuts[-1] + _CHUNK_BYTES - 1, size))
-        spans = list(zip(cuts[:-1], cuts[1:]))
-        rows = sum(os.pread(fd, b - a, a).count(b"\n") for a, b in spans)
-        if spans and os.pread(fd, 1, size - 1) != b"\n":
-            rows += 1  # the last line, which ``parse`` gives a line end
         kept = [kind for kind in kinds if kind is not SKIP]
         codes: dict[bytes, int] = {}
-        columns: list[np.ndarray] = []
-        done = 0
+        ids: list[str] = []
 
         def parse(span: tuple[int, int]) -> tuple[list[bytes], list]:
             text = os.pread(fd, span[1] - span[0], span[0])
@@ -427,26 +422,60 @@ def read_columns(path, forms: dict[str, tuple]):
                 text += eol
             return _parse_chunk(text, kinds, len(eol) - 1)
 
-        def take(result: tuple[list[bytes], list]) -> None:
-            nonlocal done
+        def renumber(result: tuple[list[bytes], list]) -> None:
             sids, parsed = result
-            to_global = np.array([codes.setdefault(sid, len(codes)) for sid in sids], np.int32)
-            if not columns:
-                columns.extend(np.empty(rows, c.dtype) for c in parsed)
-            for kind, c, column in zip(kept, parsed, columns):
-                column[done:done + len(c)] = to_global[c] if kind is ID else c
-            done += len(parsed[0])
+            for sid in sids:
+                if sid not in codes:
+                    codes[sid] = len(ids)
+                    ids.append(sid.decode())
+            to_global = np.array([codes[sid] for sid in sids], np.int32)
+            take(ids, [to_global[c] if kind is ID else c for kind, c in zip(kept, parsed)])
 
         def dead(pid: int, status: int) -> NexicaError:
             return NexicaError(f"{path}: reader {pid} exited with status {status}")
 
         try:
-            in_slices(parse, spans, take, dead)
+            in_slices(parse, list(zip(cuts[:-1], cuts[1:])), renumber, dead)
         except ValueError:  # UnicodeDecodeError included
             return None
-    if not columns or done != rows:
+    return ids
+
+
+def read_columns(path, forms: dict[str, tuple]):
+    """``(ids, columns)`` of a file in its writer's form (``_read_spans``,
+    which gives the forms, kinds and columns), all its rows at once; None
+    for any other file or one without rows.  Row k is on line k + 2.  The
+    rows are counted when the first span arrives (``_row_count``), and
+    each span's columns are copied into columns of that many rows as it
+    arrives, so that no span's arrays outlive their copy and the peak
+    memory is the columns and a span or two, however the allocator places
+    them."""
+    columns: list[np.ndarray] = []
+    done = 0
+
+    def take(ids: list[str], parsed: list) -> None:
+        nonlocal done
+        if not columns:
+            columns.extend(np.empty(_row_count(path), c.dtype) for c in parsed)
+        for c, column in zip(parsed, columns):
+            column[done:done + len(c)] = c
+        done += len(parsed[0])
+
+    ids = _read_spans(path, forms, take)
+    if ids is None or not columns or done != len(columns[0]):
         return None
-    return [sid.decode() for sid in codes], columns
+    return ids, columns
+
+
+def _row_count(path) -> int:
+    """The lines of ``path`` after its first, the last counted whether or
+    not it ends."""
+    with open(path, "rb") as fh:
+        fh.readline()
+        lines, last = 0, b"\n"
+        while block := fh.read(_CHUNK_BYTES):
+            lines, last = lines + block.count(b"\n"), block[-1:]
+    return lines + (last != b"\n")
 
 
 def _line_end(fd: int, at: int, size: int) -> int:
@@ -507,23 +536,91 @@ def _parse_chunk(text: bytes, kinds: tuple, cr: int) -> tuple[list[bytes], list]
     ]
 
 
+_SPEED_FORMS = {",".join(SPEED_HEADER): (ID, STAMP, SPEED, FLAG)}
+
+
 def load_speed_csv(path) -> list[SpeedSeries]:
     """Load one or more stations' speed rows into gridded series.
 
     Rows are grouped by station and sorted by time; interior gaps become
     ``imputed=True`` slots that repeat the speed of the row before them
     (the value is a placeholder, only the flag matters).  A valid file in
-    ``write_speed_csv``'s form goes through ``read_columns``; any other
-    file, valid or not, through the per-row parser, which gives the same
+    ``write_speed_csv``'s form and order (stations contiguous and in id
+    order, each in time order) is gridded a station at a time as its spans
+    arrive (``_Stations``), so that no column of all the rows is built.  A
+    file in that form but out of that order is read again into columns
+    (``read_columns``) and sorted (``_grid_stations``).  Any other file,
+    valid or not, goes through the per-row parser, which gives the same
     series and is the one place that names the line of a bad row.
     """
-    table = read_columns(path, {",".join(SPEED_HEADER): (ID, STAMP, SPEED, FLAG)})
+    stations = _Stations(path)
+    ids = _read_spans(path, _SPEED_FORMS, stations.take)
+    if ids is not None and stations.series is not None:
+        return stations.finish(ids)
+    table = None if ids is None else read_columns(path, _SPEED_FORMS)
     if table is None:
         return _grid_stations(path, *_speed_rows(path))
     ids, (code, micros, speed, imputed) = table
     return _grid_stations(
         path, ids, code, micros, speed, imputed, lambda k: _EPOCH + int(micros[k]) * _US, lambda k: k + 2
     )
+
+
+class _Stations:
+    """The ``_read_spans`` consumer that grids each station of a speeds file
+    in writer order as its rows arrive.  It holds the rows of one station
+    until the next one starts, then grids them (``_grid_station``).  The
+    first grid fault is kept for ``finish`` to raise, after the last span
+    has parsed, and no later station is gridded.  ``series`` becomes None,
+    and the rows are dropped, once a station starts out of id order or
+    again, or a row goes back in time."""
+
+    def __init__(self, path):
+        self.path, self.series, self.fault = path, [], None
+        self.code, self.micros = -1, 0  # the current station and its last stamp
+        self.start, self.rows = 0, 0  # the rows before the current station, before the next span
+        self.held: list[tuple] = []  # the current station's (micros, speed, imputed) pieces
+
+    def take(self, ids: list[str], columns: list) -> None:
+        if self.series is None:
+            return
+        code, micros, speed, imputed = columns
+        step = np.diff(code, prepend=self.code)  # 1 where a station starts, else 0
+        starts = np.flatnonzero(step).tolist()
+        if not (((step == 0) | (step == 1)).all()
+                and all(ids[k - 1] < ids[k] for k in code[starts].tolist() if k)
+                and (np.diff(micros, prepend=self.micros)[step == 0] >= 0).all()):
+            self.series = self.held = None
+            return
+        bounds = [0, *starts, len(code)]
+        for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            if k:  # a station starts at row a
+                self._grid(ids)
+                self.code, self.start = int(code[a]), self.rows + a
+            if self.fault is None and a < b:
+                self.held.append((micros[a:b], speed[a:b], imputed[a:b]))
+        self.micros, self.rows = int(micros[-1]), self.rows + len(code)
+
+    def _grid(self, ids: list[str]) -> None:
+        """Grid the held rows, unless a station before them failed."""
+        if self.fault is None and self.held:
+            micros, speed, imputed = map(np.concatenate, zip(*self.held))
+            try:
+                self.series.append(_grid_station(
+                    self.path, ids[self.code], micros, speed, imputed,
+                    lambda j: _EPOCH + int(micros[j]) * _US, lambda j: self.start + j + 2,
+                ))
+            except NexicaError as exc:
+                self.fault = exc
+        self.held = []
+
+    def finish(self, ids: list[str]) -> list[SpeedSeries]:
+        """The series, once the last span has been taken; the first fault
+        raises."""
+        self._grid(ids)
+        if self.fault is not None:
+            raise self.fault
+        return self.series
 
 
 def _speed_rows(path) -> tuple:
@@ -585,13 +682,12 @@ def _speed_rows(path) -> tuple:
 
 def _grid_stations(path, ids, code, micros, speed, imputed, stamp, line) -> list[SpeedSeries]:
     """Every station's rows on its own 5-minute grid, in station id order,
-    by one stable sort on (station, time) and then one station at a time on
-    its slice of the sorted rows.  Row k is station ``ids[code[k]]`` at
-    ``micros[k]`` microseconds after 1970-01-01 (UTC for timezone-aware
-    stamps), ``stamp(k)`` is its timestamp and ``line(k)`` its line.  The
-    first station in id order with a fault raises: rows spanning more than
-    ``MAX_WINDOW`` slots, else a stamp off the grid of its first stamp, else
-    the second of two rows in one slot."""
+    by one stable sort on (station, time) and then ``_grid_station`` on each
+    station's slice of the sorted rows.  Row k is station ``ids[code[k]]``
+    at ``micros[k]`` microseconds after 1970-01-01 (UTC for timezone-aware
+    stamps), ``stamp(k)`` is its timestamp and ``line(k)`` its line.  Rows
+    already in that order, as ``write_speed_csv`` writes them, are not
+    sorted.  The first station in id order with a fault raises."""
     if not ids:
         return []
     by_id = sorted(range(len(ids)), key=ids.__getitem__)
@@ -608,40 +704,46 @@ def _grid_stations(path, ids, code, micros, speed, imputed, stamp, line) -> list
     del same
     ends = np.cumsum(np.bincount(station, minlength=len(ids))).tolist()
     del station  # the per-station pass holds no array over all rows but the sort
-    series = []
-    for i, start, end in zip(by_id, [0] + ends[:-1], ends):
-        sid, first = ids[i], micros[start]
-        span = (micros[end - 1] - first) // _SLOT_US + 1
-        if span > MAX_WINDOW:
-            raise FormatError(
-                f"{path}: station {sid}: rows span {span} slots, more than {MAX_WINDOW}"
-            )
-        # Whole seconds after the station's first row, as int(total_seconds())
-        # of their timedelta: below the span bound (under 2**34 s) its float
-        # quotient never rounds a microsecond fraction up to the next second.
-        slot, rem = np.divmod((micros[start:end] - first) // 10**6, SLOT_MINUTES * 60)
-        off_grid = np.flatnonzero(rem)
-        if off_grid.size:
-            k = row(start + off_grid[0])
-            raise FormatError(
-                f"{path}: line {line(k)}: station {sid}: timestamp "
-                f"{stamp(k).isoformat()} not on the 5-minute grid anchored at "
-                f"{stamp(row(start)).isoformat()}"
-            )
-        repeated = np.flatnonzero(slot[1:] == slot[:-1])
-        if repeated.size:
-            k = row(start + 1 + repeated[0])
-            raise ConsistencyError(
-                f"{path}: line {line(k)}: station {sid}: "
-                f"duplicate slot at {stamp(k).isoformat()}"
-            )
-        # Each row takes its own slot and repeats its speed over the gap up to
-        # the station's next row (a placeholder, only the flag matters).
-        grid_imputed = np.ones(slot[-1] + 1, bool)
-        grid_imputed[slot] = imputed[start:end]
-        grid_speed = np.repeat(speed[start:end], np.diff(slot, append=slot[-1] + 1))
-        series.append(SpeedSeries(sid, stamp(row(start)), grid_speed, grid_imputed))
-    return series
+    return [
+        _grid_station(path, ids[i], micros[start:end], speed[start:end], imputed[start:end],
+                      lambda j: stamp(row(start + j)), lambda j: line(row(start + j)))
+        for i, start, end in zip(by_id, [0] + ends[:-1], ends)
+    ]
+
+
+def _grid_station(path, sid, micros, speed, imputed, stamp, line) -> SpeedSeries:
+    """The rows of station ``sid``, in time order, on its own 5-minute grid:
+    row j is at ``micros[j]`` microseconds after 1970-01-01, ``stamp(j)`` is
+    its timestamp and ``line(j)`` its line.  Raises for rows spanning more
+    than ``MAX_WINDOW`` slots, before any allocation; else for a stamp off
+    the grid of the first; else for the second of two rows in one slot."""
+    first = micros[0]
+    span = (micros[-1] - first) // _SLOT_US + 1
+    if span > MAX_WINDOW:
+        raise FormatError(f"{path}: station {sid}: rows span {span} slots, more than {MAX_WINDOW}")
+    # Whole seconds after the station's first row, as int(total_seconds())
+    # of their timedelta: below the span bound (under 2**34 s) its float
+    # quotient never rounds a microsecond fraction up to the next second.
+    slot, rem = np.divmod((micros - first) // 10**6, SLOT_MINUTES * 60)
+    off_grid = np.flatnonzero(rem)
+    if off_grid.size:
+        j = off_grid[0]
+        raise FormatError(
+            f"{path}: line {line(j)}: station {sid}: timestamp {stamp(j).isoformat()} "
+            f"not on the 5-minute grid anchored at {stamp(0).isoformat()}"
+        )
+    repeated = np.flatnonzero(slot[1:] == slot[:-1])
+    if repeated.size:
+        j = 1 + repeated[0]
+        raise ConsistencyError(
+            f"{path}: line {line(j)}: station {sid}: duplicate slot at {stamp(j).isoformat()}"
+        )
+    # Each row takes its own slot and repeats its speed over the gap up to
+    # the station's next row (a placeholder, only the flag matters).
+    grid_imputed = np.ones(slot[-1] + 1, bool)
+    grid_imputed[slot] = imputed
+    grid_speed = np.repeat(speed, np.diff(slot, append=slot[-1] + 1))
+    return SpeedSeries(sid, stamp(0), grid_speed, grid_imputed)
 
 
 def _slot_stamps(s: SpeedSeries) -> list[str]:

@@ -419,6 +419,88 @@ def test_loader_peak_memory_is_at_most_half_the_reference(tmp_path):
     assert peak(load_speed_csv) <= peak(load_speed_csv_reference) / 2
 
 
+def test_loader_memory_does_not_grow_with_the_file(monkeypatch, tmp_path):
+    """A file in writer order is gridded a station at a time as its spans
+    arrive, so the peak above the series returned is the same for 4 and for
+    16 stations of 25,000 rows."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    rng = np.random.default_rng(5)
+    peaks = []
+    for n_stations in (4, 16):
+        path = tmp_path / f"s{n_stations}.csv"
+        write_speed_csv(path, [
+            SpeedSeries(
+                f"S{k:03d}", T0, np.round(rng.uniform(30, 70, 25_000), 1), rng.random(25_000) < 0.1
+            )
+            for k in range(n_stations)
+        ])
+        load_speed_csv(path)  # imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            series = load_speed_csv(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [len(s) for s in series] == [25_000] * n_stations
+        peaks.append(peak - held)
+    assert abs(peaks[1] - peaks[0]) <= 1 << 20, peaks
+
+
+def _write_stations(path, runs, eol):
+    """A speeds file in the writer's form with one run of rows per
+    ``(station, slots)`` of ``runs``, in that order."""
+    rows = [
+        f"{sid},{(T0 + j * SLOT).isoformat()},{30 + (7 * j) % 41}.5,{int(j % 5 == 0)}"
+        for sid, slots in runs for j in slots
+    ]
+    path.write_bytes(eol.join([",".join(SPEED_HEADER), *rows, ""]).encode())
+
+
+_GAPPED = [j for j in range(60) if j % 7 != 3]  # 52 of 60 slots, gaps of one
+
+
+@pytest.mark.parametrize("cores", [{0}, {0, 1, 2}], ids=["one-core", "three-cores"])
+@pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("order", ["writer", "two-runs"])
+def test_streamed_and_sorted_paths_give_the_reference_series(monkeypatch, tmp_path, order, eol, cores):
+    """A file whose stations each cross several of its 12 spans gives the
+    per-row reference's series: gridded as it streams in writer order, and
+    read again into columns and sorted when one station comes in two runs."""
+    runs = [("a", _GAPPED), ("b", _GAPPED[:30]), ("c", _GAPPED), ("b", _GAPPED[30:])]
+    if order == "writer":
+        runs = [("a", _GAPPED), ("b", _GAPPED), ("c", _GAPPED)]
+    path = tmp_path / "s.csv"
+    _write_stations(path, runs, eol)
+    monkeypatch.setattr(ingest, "_CHUNK_BYTES", path.stat().st_size // 12)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+    calls, read_columns = [], ingest.read_columns
+    monkeypatch.setattr(ingest, "read_columns", lambda *args: calls.append(1) or read_columns(*args))
+    got = _outcome(load_speed_csv, path)
+    assert len(calls) == (order == "two-runs")
+    assert got == _outcome(load_speed_csv_reference, path)
+    assert [sid for sid, *_ in got] == ["a", "b", "c"]
+
+
+@pytest.mark.parametrize("cores", [{0}, {0, 1, 2}], ids=["one-core", "three-cores"])
+def test_a_streamed_fault_waits_for_the_last_span(monkeypatch, tmp_path, cores):
+    """A file in writer order whose first station repeats a slot: an
+    unreadable row in a later span sends it to the row reader, which names
+    that row's line, and without one the duplicate slot raises as ever."""
+    path = tmp_path / "s.csv"
+    _write_stations(path, [("a", [0, 1, 1, *range(2, 40)]), ("b", range(40)), ("c", range(40))], "\r\n")
+    monkeypatch.setattr(ingest, "_CHUNK_BYTES", path.stat().st_size // 12)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+    message = f"{path}: line 4: station a: duplicate slot at 2024-01-01T00:05:00"
+    with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
+        load_speed_csv(path)
+    text = path.read_bytes().split(b"\r\n")
+    text[100] = text[100].replace(b".5,", b".5x,")  # line 101: station c
+    path.write_bytes(b"\r\n".join(text))
+    message = f"{path}: line 101: bad speed '"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}"):
+        load_speed_csv(path)
+
+
 @pytest.mark.parametrize("offset", [None, timezone.utc, timezone(timedelta(hours=-8))])
 def test_writer_matches_the_per_row_reference(tmp_path, offset):
     rng = np.random.default_rng(9)

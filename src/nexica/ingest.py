@@ -401,7 +401,8 @@ def _read_spans(path, forms: dict[str, tuple], take) -> list[str] | None:
     which numbers them as one pass over the rows would, before ``take``
     sees the span.  A span that fails its checks, in this process or a
     child, makes the result None, after ``take`` has seen the spans before
-    it; a child that dies is a ``NexicaError`` naming the file."""
+    it; a child that dies is a ``NexicaError`` naming the file.  Any other
+    exception, ``take``'s included, stops every child and propagates."""
     with open(path, "rb") as fh:
         first = fh.readline()
         eol = b"\r\n" if first.endswith(b"\r\n") else b"\n"
@@ -456,7 +457,8 @@ def read_columns(path, forms: dict[str, tuple]):
     def take(ids: list[str], parsed: list) -> None:
         nonlocal done
         if not columns:
-            columns.extend(np.empty(_row_count(path), c.dtype) for c in parsed)
+            rows = _row_count(path)  # once, not once per column
+            columns.extend(np.empty(rows, c.dtype) for c in parsed)
         for c, column in zip(parsed, columns):
             column[done:done + len(c)] = c
         done += len(parsed[0])
@@ -548,15 +550,20 @@ def load_speed_csv(path) -> list[SpeedSeries]:
     ``write_speed_csv``'s form and order (stations contiguous and in id
     order, each in time order) is gridded a station at a time as its spans
     arrive (``_Stations``), so that no column of all the rows is built.  A
-    file in that form but out of that order is read again into columns
-    (``read_columns``) and sorted (``_grid_stations``).  Any other file,
+    file in that form but out of that order stops streaming at its first
+    span out of order, then is read again into columns (``read_columns``)
+    and sorted (``_grid_stations``).  Any other file,
     valid or not, goes through the per-row parser, which gives the same
     series and is the one place that names the line of a bad row.
     """
     stations = _Stations(path)
-    ids = _read_spans(path, _SPEED_FORMS, stations.take)
-    if ids is not None and stations.series is not None:
-        return stations.finish(ids)
+    try:
+        ids = _read_spans(path, _SPEED_FORMS, stations.take)
+        if ids is not None:
+            return stations.finish(ids)
+    except _OutOfOrder:
+        ids = []  # in the writer's form: read again below
+    del stations  # no series gridded so far outlives the streaming attempt
     table = None if ids is None else read_columns(path, _SPEED_FORMS)
     if table is None:
         return _grid_stations(path, *_speed_rows(path))
@@ -566,14 +573,21 @@ def load_speed_csv(path) -> list[SpeedSeries]:
     )
 
 
+class _OutOfOrder(Exception):
+    """A speeds file in the writer's form but not in writer order.  Not a
+    ``ValueError``, which ``_read_spans`` takes for an unreadable span: it
+    ends the span loop, and ``in_slices`` kills the children still
+    parsing."""
+
+
 class _Stations:
     """The ``_read_spans`` consumer that grids each station of a speeds file
     in writer order as its rows arrive.  It holds the rows of one station
     until the next one starts, then grids them (``_grid_station``).  The
     first grid fault is kept for ``finish`` to raise, after the last span
-    has parsed, and no later station is gridded.  ``series`` becomes None,
-    and the rows are dropped, once a station starts out of id order or
-    again, or a row goes back in time."""
+    has parsed, and no later station is gridded.  A span in which a station
+    starts out of id order or again, or a row goes back in time, raises
+    ``_OutOfOrder``."""
 
     def __init__(self, path):
         self.path, self.series, self.fault = path, [], None
@@ -582,16 +596,13 @@ class _Stations:
         self.held: list[tuple] = []  # the current station's (micros, speed, imputed) pieces
 
     def take(self, ids: list[str], columns: list) -> None:
-        if self.series is None:
-            return
         code, micros, speed, imputed = columns
         step = np.diff(code, prepend=self.code)  # 1 where a station starts, else 0
         starts = np.flatnonzero(step).tolist()
         if not (((step == 0) | (step == 1)).all()
                 and all(ids[k - 1] < ids[k] for k in code[starts].tolist() if k)
                 and (np.diff(micros, prepend=self.micros)[step == 0] >= 0).all()):
-            self.series = self.held = None
-            return
+            raise _OutOfOrder
         bounds = [0, *starts, len(code)]
         for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
             if k:  # a station starts at row a

@@ -481,6 +481,47 @@ def test_streamed_and_sorted_paths_give_the_reference_series(monkeypatch, tmp_pa
     assert [sid for sid, *_ in got] == ["a", "b", "c"]
 
 
+def test_a_file_out_of_writer_order_stops_streaming_at_its_first_span(monkeypatch, tmp_path):
+    """A writer-form file sorted by time leaves writer order in its first
+    span, so that span is the only one parsed before the file is read
+    again into columns, and the file gives the reference series."""
+    path = tmp_path / "s.csv"
+    _write_stations(path, [("a", _GAPPED), ("b", _GAPPED), ("c", _GAPPED)], "\n")
+    header, *rows = path.read_text().splitlines()
+    rows.sort(key=lambda row: row.split(",")[1])
+    path.write_text("\n".join([header, *rows, ""]))
+    monkeypatch.setattr(ingest, "_CHUNK_BYTES", path.stat().st_size // 12)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    calls, read_columns, parse_chunk = [], ingest.read_columns, ingest._parse_chunk
+    monkeypatch.setattr(ingest, "read_columns", lambda *args: calls.append("columns") or read_columns(*args))
+    monkeypatch.setattr(ingest, "_parse_chunk", lambda *args: calls.append("span") or parse_chunk(*args))
+    assert _outcome(load_speed_csv, path) == _outcome(load_speed_csv_reference, path)
+    assert calls[:2] == ["span", "columns"] and calls.count("columns") == 1
+    assert calls.count("span") >= 12
+
+
+def test_the_row_reader_holds_no_streamed_series(monkeypatch, tmp_path):
+    """A file in writer order whose last span the span parser declines (an
+    id of more than 64 bytes) goes to the row reader, which gives the
+    reference series while none of the series streamed before it are
+    held: the peak above the series returned is well under the seven
+    streamed stations' series."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    path = tmp_path / "s.csv"
+    sparse = range(0, 20_000, 1_000)  # 20 rows over 19,001 slots a station
+    _write_stations(path, [*((f"S{k}", sparse) for k in range(7)), ("W" * 70, [0])], "\n")
+    monkeypatch.setattr(ingest, "_CHUNK_BYTES", path.stat().st_size // 12)
+    assert _outcome(load_speed_csv, path) == _outcome(load_speed_csv_reference, path)
+    tracemalloc.start()
+    try:
+        series = load_speed_csv(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    streamed = sum(s.speeds.nbytes + s.imputed.nbytes for s in series[:7])
+    assert peak - held < streamed / 4, (peak - held, streamed)
+
+
 @pytest.mark.parametrize("cores", [{0}, {0, 1, 2}], ids=["one-core", "three-cores"])
 def test_a_streamed_fault_waits_for_the_last_span(monkeypatch, tmp_path, cores):
     """A file in writer order whose first station repeats a slot: an

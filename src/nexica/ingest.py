@@ -7,7 +7,8 @@ renumbering each span's station ids in file order; ``load_speed_csv``
 grids a speeds file in its writer's order a station at a time as those
 spans arrive, without the columns; any other file goes through the CSV
 reader.  ``write_columns`` writes large
-tables a column at a time, its blocks of rows formatted on every usable core.
+tables a column at a time, its blocks of rows formatted on every usable core;
+``write_speed_csv`` writes a speeds file a station at a time, in this process.
 
 All input files are plain UTF-8 CSV with a header row:
 
@@ -30,7 +31,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -213,7 +214,13 @@ def _csv_field(value) -> str:
     return out.getvalue()[:-3]
 
 
-_BLOCK = 1 << 13  # rows ``write_columns`` formats into one string
+_BLOCK = 1 << 13  # rows ``write_columns`` and ``write_speed_csv`` format into one string
+
+
+def _lines(fields) -> str:
+    """The CSV lines of the rows that zip the already formatted ``fields``,
+    each line ended by ``\\r\\n`` as ``csv.writer`` ends it."""
+    return "\r\n".join(map(",".join, zip(*fields))) + "\r\n"
 
 
 def write_columns(path, header: list[str], columns: list[np.ndarray]) -> None:
@@ -233,8 +240,7 @@ def write_columns(path, header: list[str], columns: list[np.ndarray]) -> None:
     ]
 
     def text(start: int) -> str:
-        fields = [map(q, c[start:start + _BLOCK].tolist()) for c, q in zip(columns, quoted)]
-        return "\r\n".join(map(",".join, zip(*fields))) + "\r\n"
+        return _lines([map(q, c[start:start + _BLOCK].tolist()) for c, q in zip(columns, quoted)])
 
     def dead(pid: int, status: int) -> NexicaError:
         return NexicaError(f"{path}: writer {pid} exited with status {status}")
@@ -767,9 +773,18 @@ def _slot_stamps(s: SpeedSeries) -> list[str]:
 
 
 def write_speed_csv(path, series: list[SpeedSeries]) -> None:
-    """Write series back to the speed CSV schema, one row per slot.  A
-    series whose last slot falls after year 9999 raises before the file
-    is opened."""
+    """Write series back to the speed CSV schema, one row per slot, with the
+    bytes of ``write_csv``.  A series whose last slot falls after year 9999
+    raises before the file is opened.
+
+    Each station is written in blocks of ``_BLOCK`` rows, one string and one
+    write per block.  Its id is quoted once; its speeds are ``repr``'d once
+    per distinct float64 bit pattern, so ``-0.0`` and every NaN come out as
+    ``repr`` writes them; its flags come from a two-entry table.  Its slot
+    stamps are reused from the station before when both have the same
+    length and the same start, compared by ``isoformat`` text and time zone
+    (two starts at the same instant with different offsets are equal
+    ``datetime``s), and only the last grid's stamps are kept."""
     for s in series:
         if len(s):
             try:
@@ -779,11 +794,23 @@ def write_speed_csv(path, series: list[SpeedSeries]) -> None:
                     f"station {s.station_id}: {len(s)} slots from "
                     f"{s.start_time.isoformat()} run past year 9999"
                 ) from None
-    write_csv(path, SPEED_HEADER, chain.from_iterable(
-        zip(repeat(s.station_id), _slot_stamps(s), map(repr, s.speeds.tolist()),
-            s.imputed.astype(np.uint8).tolist())
-        for s in series
-    ))
+    flags = np.array(["0", "1"], dtype=object)
+    grid, stamps = None, []
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(SPEED_HEADER)
+        for s in series:
+            key = (s.start_time.isoformat(), s.start_time.tzinfo, len(s))
+            if key != grid:
+                grid, stamps = key, _slot_stamps(s)
+            bits, inverse = np.unique(s.speeds.view(np.int64), return_inverse=True)
+            speeds = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+            station = repeat(_csv_field(s.station_id))
+            for start in range(0, len(s), _BLOCK):
+                stop = start + _BLOCK
+                fh.write(_lines([
+                    station, stamps[start:stop], speeds[inverse[start:stop]].tolist(),
+                    flags[s.imputed[start:stop].view(np.uint8)].tolist(),
+                ]))
 
 
 def completeness(series: SpeedSeries) -> float:

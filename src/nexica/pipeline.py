@@ -495,6 +495,7 @@ def run_pipeline(config: RunConfig) -> dict:
 
     speeds, meta, matrix = staged("ingest", _ingest, config)
     event_series = staged("events", lambda: [extract_events(s, config.alpha) for s in speeds])
+    del speeds  # free the series; metrics count stations and slots on the events
     staged("events-write", write_events_csv, out / "events.csv", event_series)
     table = staged("sweep", sweep, event_series, config.l_max, config.tau)
     staged("counts-write", write_counts_csv, out / "counts.csv", table)
@@ -511,8 +512,8 @@ def run_pipeline(config: RunConfig) -> dict:
             "min_completeness": config.min_completeness, "ratio": config.ratio,
             "n_trees": config.n_trees, "folds": config.folds, "seed": config.seed,
         },
-        "n_stations": len(speeds),
-        "n_slots": len(speeds[0]) if speeds else 0,
+        "n_stations": len(event_series),
+        "n_slots": len(event_series[0]) if event_series else 0,
         "n_tuples": len(table),
         "mle_cases": table.case_tally(),
         "diagnostics": {"corr_a01_a10": _corr_a01_a10(table)},

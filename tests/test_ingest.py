@@ -3,7 +3,7 @@ import os
 import re
 import tracemalloc
 from contextlib import nullcontext
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta, timezone, tzinfo
 from unittest import mock
 
 import numpy as np
@@ -542,10 +542,20 @@ def test_a_streamed_fault_waits_for_the_last_span(monkeypatch, tmp_path, cores):
         load_speed_csv(path)
 
 
+class _SpringForward(tzinfo):
+    """UTC-8 before 2024-03-10 02:00 wall time, UTC-7 from then on."""
+
+    def utcoffset(self, dt):
+        return timedelta(hours=-8 if dt.replace(tzinfo=None) < datetime(2024, 3, 10, 2) else -7)
+
+
 @pytest.mark.parametrize("offset", [None, timezone.utc, timezone(timedelta(hours=-8))])
 def test_writer_matches_the_per_row_reference(tmp_path, offset):
     rng = np.random.default_rng(9)
     start = datetime(1, 1, 1) if offset is None else T0.replace(tzinfo=offset)
+    nans = np.array([0x7FF8_0000_0000_0000, 0xFFF8_0000_0000_0001], np.uint64).view(np.float64)
+    long = 2 * ingest._BLOCK + 5
+    spring = datetime(2024, 3, 10, 1, 50)
     series = [
         SpeedSeries("a", start, rng.uniform(0, 80, 40), rng.random(40) < 0.3),
         SpeedSeries(
@@ -553,10 +563,47 @@ def test_writer_matches_the_per_row_reference(tmp_path, offset):
         ),
         SpeedSeries("empty", T0.replace(tzinfo=offset), [], []),
         SpeedSeries("z", datetime(9999, 12, 31, 23, 50, tzinfo=offset), [1.0, 2.0], [True, False]),
+        SpeedSeries("nan", start, [nans[0], 7.0, nans[1], -0.0, 0.0], [True, False, True, False, False]),
+        SpeedSeries("long", start, np.round(rng.uniform(0, 80, long), 1), rng.random(long) < 0.3),
+        # two stations on one grid, then one a slot later
+        SpeedSeries("g1", start, rng.uniform(0, 80, 9), rng.random(9) < 0.3),
+        SpeedSeries("", start, rng.uniform(0, 80, 9), rng.random(9) < 0.3),
+        SpeedSeries("g3", start + SLOT, rng.uniform(0, 80, 9), rng.random(9) < 0.3),
+        # the same instant at two offsets: equal datetimes, different stamps
+        SpeedSeries("utc", T0.replace(tzinfo=timezone.utc), [1.0] * 3, [False] * 3),
+        SpeedSeries("west", T0.astimezone(timezone(timedelta(hours=-8))), [1.0] * 3, [False] * 3),
+        # the same start text in two time zones, one of which moves its clocks
+        SpeedSeries("fixed", spring.replace(tzinfo=timezone(timedelta(hours=-8))), [1.0] * 4, [False] * 4),
+        SpeedSeries("shift", spring.replace(tzinfo=_SpringForward()), [1.0] * 4, [False] * 4),
     ]
     write_speed_csv(tmp_path / "new.csv", series)
     write_speed_csv_reference(tmp_path / "old.csv", series)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_writer_memory_does_not_grow_with_the_stations(tmp_path):
+    """The writer keeps one block of rows and one grid's stamps, so its peak
+    above the series it writes is the same for 4 and for 16 stations of
+    25,000 rows, each station on a grid of its own."""
+    rng = np.random.default_rng(5)
+    peaks = []
+    for n_stations in (4, 16):
+        series = [
+            SpeedSeries(
+                f"S{k:03d}", T0 + k * SLOT, np.round(rng.uniform(30, 70, 25_000), 1),
+                rng.random(25_000) < 0.1,
+            )
+            for k in range(n_stations)
+        ]
+        path = tmp_path / f"s{n_stations}.csv"
+        write_speed_csv(path, series[:1])  # imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            write_speed_csv(path, series)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 1 << 20, peaks
 
 
 @pytest.mark.parametrize("offset", [None, timezone(timedelta(hours=-8))])
